@@ -23,10 +23,12 @@ from .corpus import (
 )
 from .metrics import auroc, auroc_risk, cascade_curve, coverage_at_risk, delta_conf, detection_f1, risk_coverage
 from .model import (
+    FeatureMatrix,
     FeaturizerConfig,
     ModelParameters,
     TrainConfig,
     featurize,
+    featurize_batch,
     forward_calib,
     forward_main,
     loss_ce,
@@ -52,6 +54,7 @@ __all__ = [
     "Calibrator",
     "ConfidenceLog",
     "Dataset",
+    "FeatureMatrix",
     "FeaturizerConfig",
     "ModelParameters",
     "Sample",
@@ -71,6 +74,7 @@ __all__ = [
     "detection_f1",
     "downsample_balance",
     "featurize",
+    "featurize_batch",
     "fit_temperature",
     "forward_calib",
     "forward_main",

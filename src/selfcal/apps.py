@@ -30,9 +30,9 @@ from .metrics import (
 from .model import (
     ModelParameters,
     TrainConfig,
-    featurize,
-    forward_calib,
-    predict,
+    calib_head,
+    predict_batch,
+    softmax,
     train_main,
 )
 from .toast import ToastConfig, annotate_with_model, downsample_balance, run_toast, train_multitask
@@ -108,9 +108,8 @@ def cascade_eval(small: Calibrator, large_params: ModelParameters, d: Dataset,
     """Accuracy of routing low-confidence samples from the small model to the
     large one, swept over thresholds, plus the area score and routing load."""
     small_log = small.build_log(d, group="id")
-    large_correct = np.array(
-        [int(predict(large_params, s)[0] == s.label) for s in d.samples],
-        dtype=np.int64)
+    large_pred = predict_batch(large_params, d.features(large_params.features))[0]
+    large_correct = (large_pred == d.labels()).astype(np.int64)
     points, area = cascade_curve(small_log, large_correct, thresholds)
     grid = np.asarray(DEFAULT_THRESHOLD_GRID if thresholds is None else thresholds,
                       dtype=np.float64)
@@ -152,16 +151,10 @@ def score_with_calibration_head(params: ModelParameters, d: Dataset,
                                 feature_mode: str = "all") -> ConfidenceLog:
     """Confidence log where confidence is the correctness head's P(true),
     with the same input masking the head was trained under."""
-    preds = np.empty(len(d), dtype=np.int64)
-    conf = np.empty(len(d))
-    correct = np.empty(len(d), dtype=np.int64)
-    for i, s in enumerate(d.samples):
-        label, _, _ = predict(params, s)
-        f = featurize(s.text_a, s.text_b, params.features)
-        preds[i] = label
-        conf[i] = float(forward_calib(params, f, label, feature_mode)[1])
-        correct[i] = int(label == s.label)
-    return ConfidenceLog(conf, correct, preds, tuple(["id"] * len(d)))
+    preds, _, _, h = predict_batch(params, d.features(params.features))
+    conf = softmax(calib_head(params, h, preds, feature_mode))[:, 1]
+    correct = (preds == d.labels()).astype(np.int64)
+    return ConfidenceLog(conf, correct, preds, ("id",) * len(d))
 
 
 def _log_auroc_dconf(log: ConfidenceLog) -> tuple[float | None, float | None]:

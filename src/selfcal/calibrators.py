@@ -18,12 +18,13 @@ import numpy as np
 
 from .corpus import Dataset, merge_datasets, split_folds
 from .model import (
+    FeatureMatrix,
     ModelParameters,
-    featurize,
-    forward_calib,
-    main_logits,
-    predict,
+    calib_head,
+    featurize_batch,
+    predict_batch,
     softmax,
+    top_prob,
     train_main,
 )
 
@@ -97,35 +98,34 @@ class Calibrator:
     def score(self, sample) -> tuple[int, float]:
         """(predicted label, confidence in it). The label always comes from the
         main head; only the confidence definition varies by method."""
+        labels, conf = self.score_batch(
+            featurize_batch((sample.text_a,), (sample.text_b,), self.params.features))
+        return labels.item(), conf.item()
+
+    def score_batch(self, m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted labels and confidences of every row of a feature matrix."""
         p = self.params
-        label, max_prob, logits = predict(p, sample)
+        labels, max_prob, logits, h = predict_batch(p, m)
         if self.method in ("vanilla", "label_smoothing"):
-            return label, max_prob
+            return labels, max_prob
         if self.method == "temperature":
             if self.temperature is None:
                 raise ValueError("temperature calibrator is not fitted")
-            scaled = softmax(logits / self.temperature)
-            return label, float(scaled[label])
+            # Scaling by T > 0 keeps the arg max, so its probability is the top one.
+            return labels, top_prob(logits / self.temperature)
         # Self-calibration: P(true) from the correctness head, conditioned on
         # the main head's prediction.
-        f = featurize(sample.text_a, sample.text_b, p.features)
-        return label, float(forward_calib(p, f, label)[1])
+        return labels, softmax(calib_head(p, h, labels))[:, 1]
 
     def build_log(self, d: Dataset, group: str) -> ConfidenceLog:
         """Score every sample, in dataset order, under one group tag."""
-        preds = np.empty(len(d), dtype=np.int64)
-        conf = np.empty(len(d))
-        correct = np.empty(len(d), dtype=np.int64)
-        for i, s in enumerate(d.samples):
-            label, c = self.score(s)
-            preds[i] = label
-            conf[i] = c
-            correct[i] = int(label == s.label)
-        return ConfidenceLog(conf, correct, preds, tuple([group] * len(d)))
+        preds, conf = self.score_batch(d.features(self.params.features))
+        correct = (preds == d.labels()).astype(np.int64)
+        return ConfidenceLog(conf, correct, preds, (group,) * len(d))
 
     def confidences(self, d: Dataset) -> np.ndarray:
         """Confidence column only (used where gold labels are irrelevant)."""
-        return np.array([self.score(s)[1] for s in d.samples])
+        return self.score_batch(d.features(self.params.features))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +181,7 @@ def fit_temperature(logits, labels) -> float:
 
 
 def model_logits(params: ModelParameters, d: Dataset) -> np.ndarray:
-    return np.array([main_logits(params, featurize(s.text_a, s.text_b, params.features))
-                     for s in d.samples])
+    return predict_batch(params, d.features(params.features))[2]
 
 
 def train_with_temperature(train: Dataset, cfg, holdout_folds: int = 10

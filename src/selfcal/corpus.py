@@ -7,10 +7,12 @@ function of its inputs and an explicit seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .model import FeatureMatrix, FeaturizerConfig, featurize_batch
 
 TASK_KINDS = ("single", "pair")
 
@@ -38,6 +40,7 @@ class Dataset:
     samples: tuple[Sample, ...]
     label_names: tuple[str, ...]
     task_kind: str = "single"
+    _features: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
@@ -72,6 +75,16 @@ class Dataset:
 
     def ids(self) -> list[str]:
         return [s.id for s in self.samples]
+
+    def features(self, cfg: FeaturizerConfig) -> FeatureMatrix:
+        """The samples' hashed feature matrix under ``cfg``, built on first use
+        and kept, read-only, for as long as the dataset lives."""
+        m = self._features.get(cfg)
+        if m is None:
+            m = featurize_batch([s.text_a for s in self.samples],
+                                [s.text_b for s in self.samples], cfg)
+            self._features[cfg] = m
+        return m
 
     def subset(self, indices) -> "Dataset":
         """New dataset holding the samples at ``indices``, in that order."""

@@ -9,7 +9,17 @@ when its confidence is >= the threshold.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
+
+
+def _tied_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, ties sharing the mean of the ranks they span."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def auroc(pos_scores, neg_scores) -> float:
@@ -23,7 +33,7 @@ def auroc(pos_scores, neg_scores) -> float:
     neg = np.asarray(neg_scores, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("AUROC undefined: one side is empty")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    ranks = _tied_ranks(np.concatenate([pos, neg]))
     u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
 
@@ -54,6 +64,23 @@ def sweep_thresholds(confidences: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([confidences, [0.0, 1.0]]))
 
 
+def _sweep(log) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thresholds with a non-empty accepted set, with the coverage and risk
+    there, from one sort and suffix counts."""
+    conf = np.asarray(log.confidence, dtype=np.float64)
+    correct = np.asarray(log.correct, dtype=np.int64)
+    if conf.size == 0:
+        raise ValueError("empty log")
+    order = np.argsort(conf, kind="stable")
+    thresholds = sweep_thresholds(conf)
+    # The accepted set at t is the sorted suffix from the first value >= t.
+    first = np.searchsorted(conf[order], thresholds, side="left")
+    thresholds, first = thresholds[first < conf.size], first[first < conf.size]
+    n = conf.size - first
+    right = np.concatenate([[0], np.cumsum(correct[order][::-1])])[n]
+    return thresholds, n / conf.size, 1.0 - right / n
+
+
 def risk_coverage(log) -> list[tuple[float, float, float]]:
     """(threshold, coverage, risk) at every swept threshold.
 
@@ -61,19 +88,7 @@ def risk_coverage(log) -> list[tuple[float, float, float]]:
     fraction of the log and risk its error rate. Thresholds whose accepted set
     is empty are omitted. Coverage is non-increasing in the threshold.
     """
-    conf = np.asarray(log.confidence, dtype=np.float64)
-    correct = np.asarray(log.correct, dtype=np.int64)
-    if conf.size == 0:
-        raise ValueError("empty log")
-    points = []
-    for t in sweep_thresholds(conf):
-        accepted = conf >= t
-        n = int(accepted.sum())
-        if n == 0:
-            continue
-        risk = 1.0 - correct[accepted].mean()
-        points.append((float(t), n / conf.size, float(risk)))
-    return points
+    return list(zip(*(a.tolist() for a in _sweep(log))))
 
 
 def coverage_at_risk(log, target_accuracy: float) -> float | None:
@@ -81,17 +96,16 @@ def coverage_at_risk(log, target_accuracy: float) -> float | None:
     when no swept threshold qualifies."""
     if not 0.0 < target_accuracy <= 1.0:
         raise ValueError("target_accuracy must be in (0, 1]")
-    best = None
-    for _, coverage, risk in risk_coverage(log):
-        if 1.0 - risk >= target_accuracy and (best is None or coverage > best):
-            best = coverage
-    return best
+    _, coverage, risk = _sweep(log)
+    ok = 1.0 - risk >= target_accuracy
+    return float(coverage[ok].max()) if ok.any() else None
 
 
 def accuracy_coverage_curve(log) -> list[tuple[float, float, float]]:
     """(threshold, coverage, accuracy) over the swept thresholds; the accepted
     set is {confidence >= t} as everywhere else."""
-    return [(t, cov, 1.0 - risk) for t, cov, risk in risk_coverage(log)]
+    thresholds, coverage, risk = _sweep(log)
+    return list(zip(thresholds.tolist(), coverage.tolist(), (1.0 - risk).tolist()))
 
 
 def detection_f1(id_scores, adv_scores, threshold: float) -> float:
@@ -148,7 +162,9 @@ def cascade_curve(small_log, large_correct, thresholds=None
         points.append((float(t), float(correct.mean())))
     accs = np.array([a for _, a in points])
     if thresholds.size > 1:
-        area = float(np.trapezoid(accs, thresholds) / (thresholds[-1] - thresholds[0]))
+        # np.trapezoid's formula, which NumPy < 2.0 does not have.
+        trapezoid = (np.diff(thresholds) * (accs[1:] + accs[:-1]) / 2.0).sum()
+        area = float(trapezoid / (thresholds[-1] - thresholds[0]))
     else:
         area = float(accs[0])
     return points, area

@@ -12,9 +12,12 @@ Everything is numpy + plain SGD; training is a pure function of
 from __future__ import annotations
 
 import json
-import zlib
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
+from zlib import crc32
 
 import numpy as np
 
@@ -55,39 +58,77 @@ def _tokens(text: str, lowercase: bool) -> list[str]:
 
 
 def _ngram_keys(tokens: list[str], ngram_max: int) -> list[str]:
-    keys = []
-    for n in range(1, ngram_max + 1):
-        for i in range(len(tokens) - n + 1):
-            keys.append(" ".join(tokens[i:i + n]))
+    keys = list(tokens)
+    for n in range(2, ngram_max + 1):
+        keys += map(" ".join, zip(*(tokens[i:] for i in range(n))))
     return keys
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """Hashed counts of a batch of texts in CSR form.
+
+    Row ``i`` holds the sorted unique bucket indices
+    ``indices[indptr[i]:indptr[i + 1]]`` and their counts in ``values``.
+    Buckets fit in uint32 and integer counts are exact in float32. The arrays
+    are read-only, so one matrix can be shared by every scorer of a dataset.
+    """
+
+    indptr: np.ndarray     # int64, rows + 1
+    indices: np.ndarray    # uint32
+    values: np.ndarray     # float32
+    dim: int
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row(self, i: int) -> SparseVec:
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return SparseVec(self.indices[lo:hi].astype(np.int64),
+                         self.values[lo:hi].astype(np.float64), self.dim)
+
+
+def featurize_batch(texts_a, texts_b=None,
+                    cfg: FeaturizerConfig = FeaturizerConfig()) -> FeatureMatrix:
+    """Hash unigrams..ngram_max of each text (pair) into ``cfg.hash_dim``
+    count buckets, one matrix row per text.
+
+    Deterministic (crc32-based, unsalted). When a ``texts_b`` entry is present
+    and segment tagging is on, its tokens carry a marker so "x" in segment a
+    and "x" in segment b land in different buckets.
+    """
+    mask = cfg.hash_dim - 1
+    indptr, indices, counts = array("q", [0]), array("I"), array("I")
+    pairs = (zip(texts_a, repeat(None)) if texts_b is None
+             else zip(texts_a, texts_b, strict=True))
+    for text_a, text_b in pairs:
+        toks = _tokens(text_a, cfg.lowercase)
+        if not toks:
+            raise ValueError("text_a has no tokens")
+        keys = _ngram_keys(toks, cfg.ngram_max)
+        if text_b is not None:
+            toks_b = _tokens(text_b, cfg.lowercase)
+            if cfg.segment_tagging:
+                toks_b = [_SEGMENT_B_MARK + t for t in toks_b]
+            keys += _ngram_keys(toks_b, cfg.ngram_max)
+        row = Counter(map(mask.__and__, map(crc32, map(str.encode, keys))))
+        buckets = sorted(row)
+        indices.fromlist(buckets)
+        counts.extend(map(row.__getitem__, buckets))
+        indptr.append(len(indices))
+    values = np.frombuffer(counts, dtype=np.uint32).astype(np.float32)
+    values.setflags(write=False)
+    # Arrays over immutable bytes are read-only.
+    return FeatureMatrix(np.frombuffer(indptr.tobytes(), dtype=np.int64),
+                         np.frombuffer(indices.tobytes(), dtype=np.uint32),
+                         values, cfg.hash_dim)
 
 
 def featurize(text_a: str, text_b: str | None = None,
               cfg: FeaturizerConfig = FeaturizerConfig()) -> SparseVec:
-    """Hash unigrams..ngram_max of the text(s) into ``cfg.hash_dim`` count buckets.
-
-    Deterministic (crc32-based, unsalted). When ``text_b`` is present and
-    segment tagging is on, its tokens carry a marker so "x" in segment a and
-    "x" in segment b land in different buckets.
-    """
-    toks = _tokens(text_a, cfg.lowercase)
-    if not toks:
-        raise ValueError("text_a has no tokens")
-    keys = _ngram_keys(toks, cfg.ngram_max)
-    if text_b is not None:
-        toks_b = _tokens(text_b, cfg.lowercase)
-        if cfg.segment_tagging:
-            toks_b = [_SEGMENT_B_MARK + t for t in toks_b]
-        keys += _ngram_keys(toks_b, cfg.ngram_max)
-
-    mask = cfg.hash_dim - 1
-    counts: dict[int, float] = {}
-    for k in keys:
-        idx = zlib.crc32(k.encode("utf-8")) & mask
-        counts[idx] = counts.get(idx, 0.0) + 1.0
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    return SparseVec(indices, values, cfg.hash_dim)
+    """One-row :func:`featurize_batch`, with int64 indices and float64 counts."""
+    m = featurize_batch((text_a,), (text_b,), cfg)
+    return SparseVec(m.indices.astype(np.int64), m.values.astype(np.float64), m.dim)
 
 
 @dataclass(frozen=True)
@@ -164,19 +205,113 @@ def init_parameters(num_classes: int, cfg: TrainConfig) -> ModelParameters:
 # Forward passes
 # ---------------------------------------------------------------------------
 
+# Nonzeros gathered per step of the batched encoder, so that the
+# (nonzeros x hidden) temporary stays a few MiB however large the batch.
+ENCODE_CHUNK = 4096
+
+
+def _exp_and_sum(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e, np.add.reduce(e, axis=-1, keepdims=True)
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax over the last axis: one distribution per row of a matrix."""
+    e, s = _exp_and_sum(z)
+    return e / s
 
 
-def encode(p: ModelParameters, f: SparseVec) -> np.ndarray:
-    if f.dim != p.features.hash_dim:
-        raise ValueError(f"feature dim {f.dim} != model hash_dim {p.features.hash_dim}")
+def top_prob(z: np.ndarray) -> np.ndarray:
+    """``softmax(z).max(axis=-1)``, one reduction cheaper: the largest term of
+    ``exp(z - max z)`` is exp(0) = 1, so the largest probability is exactly
+    1 / (sum of the terms)."""
+    return 1.0 / _exp_and_sum(z)[1][..., 0]
+
+
+def _check_dim(p: ModelParameters, dim: int) -> None:
+    if dim != p.features.hash_dim:
+        raise ValueError(f"feature dim {dim} != model hash_dim {p.features.hash_dim}")
+
+
+def encode(p: ModelParameters, m: FeatureMatrix) -> np.ndarray:
+    """Encoder output of every row of ``m`` (rows x hidden): the count-weighted
+    sum of the row's encoder rows, gathered ``ENCODE_CHUNK`` nonzeros at a time."""
+    _check_dim(p, m.dim)
+    indptr = m.indptr
+    if len(m.indices) <= ENCODE_CHUNK:
+        return _encode_chunk(p.encoder, m.indices, m.values, indptr[:-1])
+    out = np.empty((len(m), p.hidden_dim))
+    start = 0
+    while start < len(m):
+        lo = indptr[start]
+        stop = max(start + 1, int(np.searchsorted(indptr, lo + ENCODE_CHUNK, "right")) - 1)
+        hi = indptr[stop]
+        out[start:stop] = _encode_chunk(p.encoder, m.indices[lo:hi], m.values[lo:hi],
+                                        indptr[start:stop] - lo)
+        start = stop
+    return out
+
+
+def _encode_chunk(encoder: np.ndarray, indices: np.ndarray, values: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    rows = encoder.take(indices, axis=0)
+    return np.add.reduceat(rows * values[:, None], starts, axis=0)
+
+
+def _encode_vec(p: ModelParameters, f: SparseVec) -> np.ndarray:
+    _check_dim(p, f.dim)
     return f.values @ p.encoder[f.indices]
 
 
+def _rowwise_matmul(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``h @ w`` as one vector-matrix product per row of ``h``. A matrix-matrix
+    product may round a row differently depending on the rows around it; this
+    way a text scores the same alone and in any batch."""
+    return (h[:, None, :] @ w)[:, 0, :]
+
+
+def main_head(p: ModelParameters, h: np.ndarray) -> np.ndarray:
+    """Main-head logits of every row of the encoder output ``h``."""
+    return _rowwise_matmul(h, p.w_main) + p.b_main
+
+
+def calib_head(p: ModelParameters, h: np.ndarray, y_star,
+               feature_mode: str = "all") -> np.ndarray:
+    """Correctness-head logits of ``[h, one_hot(y_star)] @ w_calib + b_calib``
+    for every row of the encoder output ``h`` and its label in ``y_star``,
+    with the block that ``feature_mode`` masks left out."""
+    if feature_mode not in FEATURE_MODES:
+        raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    hd = p.hidden_dim
+    z = p.b_calib
+    if feature_mode != "no_sample":
+        z = _rowwise_matmul(h, p.w_calib[:hd]) + z
+    if feature_mode != "no_prediction":
+        z = z + p.w_calib[hd + y_star]
+    return z
+
+
+def predict_batch(p: ModelParameters, m: FeatureMatrix
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``m``: the predicted label (ties go to the lowest index), its
+    probability, the main logits and the encoder output."""
+    h = encode(p, m)
+    z = main_head(p, h)
+    e, s = _exp_and_sum(z)
+    # Dividing by s cannot reorder e, so e's arg max is the predicted label,
+    # and as in top_prob its probability is 1 / s.
+    return e.argmax(axis=1), 1.0 / s[:, 0], z, h
+
+
+def predict(p: ModelParameters, sample) -> tuple[int, float, np.ndarray]:
+    """(predicted label, its probability, full logits) of one sample."""
+    labels, conf, z, _ = predict_batch(
+        p, featurize_batch((sample.text_a,), (sample.text_b,), p.features))
+    return int(labels[0]), float(conf[0]), z[0]
+
+
 def main_logits(p: ModelParameters, f: SparseVec) -> np.ndarray:
-    return encode(p, f) @ p.w_main + p.b_main
+    return _encode_vec(p, f) @ p.w_main + p.b_main
 
 
 def forward_main(p: ModelParameters, f: SparseVec) -> np.ndarray:
@@ -200,7 +335,7 @@ def calib_logits(p: ModelParameters, f: SparseVec, y_star: int,
                  feature_mode: str = "all") -> np.ndarray:
     if not 0 <= y_star < p.num_classes:
         raise ValueError(f"y_star {y_star} out of range for {p.num_classes} classes")
-    u = _calib_input(p, encode(p, f), y_star, feature_mode)
+    u = _calib_input(p, _encode_vec(p, f), y_star, feature_mode)
     return u @ p.w_calib + p.b_calib
 
 
@@ -208,15 +343,6 @@ def forward_calib(p: ModelParameters, f: SparseVec, y_star: int,
                   feature_mode: str = "all") -> np.ndarray:
     """(P_false, P_true) for "the main prediction y_star is correct"."""
     return softmax(calib_logits(p, f, y_star, feature_mode))
-
-
-def predict(p: ModelParameters, sample) -> tuple[int, float, np.ndarray]:
-    """(predicted label, its probability, full logits); ties go to the lowest index."""
-    f = featurize(sample.text_a, sample.text_b, p.features)
-    z = main_logits(p, f)
-    probs = softmax(z)
-    label = int(np.argmax(probs))
-    return label, float(probs[label]), z
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +436,7 @@ def main_batch_grads(p: ModelParameters, vecs: list[SparseVec], labels,
     loss = 0.0
     rows, vals = [], []
     for f, y in zip(vecs, labels):
-        h = encode(p, f)
+        h = _encode_vec(p, f)
         probs = softmax(h @ p.w_main + p.b_main)
         t = smooth_target(int(y), p.num_classes, epsilon)
         loss += -(t * _safe_log(probs)).sum()
@@ -335,7 +461,7 @@ def calib_batch_grads(p: ModelParameters, vecs: list[SparseVec], y_stars, cs,
     rows, vals = [], []
     hd = p.hidden_dim
     for f, y_star, c in zip(vecs, y_stars, cs):
-        h = encode(p, f)
+        h = _encode_vec(p, f)
         u = _calib_input(p, h, int(y_star), feature_mode)
         probs = softmax(u @ p.w_calib + p.b_calib)
         t = smooth_target(int(c), 2, epsilon)
@@ -368,8 +494,8 @@ def consistency_batch_grads(p: ModelParameters, clean_vecs: list[SparseVec],
     hd = p.hidden_dim
     for fc, fa, y_star in zip(clean_vecs, aug_vecs, y_stars):
         y_star = int(y_star)
-        hc = encode(p, fc)
-        ha = encode(p, fa)
+        hc = _encode_vec(p, fc)
+        ha = _encode_vec(p, fa)
         uc = _calib_input(p, hc, y_star, feature_mode)
         ua = _calib_input(p, ha, y_star, feature_mode)
         r = softmax(uc @ p.w_calib + p.b_calib)
@@ -397,7 +523,8 @@ def consistency_batch_grads(p: ModelParameters, clean_vecs: list[SparseVec],
 # ---------------------------------------------------------------------------
 
 def featurize_dataset(d, cfg: FeaturizerConfig) -> list[SparseVec]:
-    return [featurize(s.text_a, s.text_b, cfg) for s in d.samples]
+    m = d.features(cfg)
+    return [m.row(i) for i in range(len(m))]
 
 
 def train_main(d, cfg: TrainConfig) -> tuple[ModelParameters, list[float]]:
@@ -493,6 +620,8 @@ def load_parameters(path) -> ModelParameters:
             if len(buf) != arr.size * 8:
                 raise ValueError(f"{path}: truncated tensor {name}")
             arr[...] = np.frombuffer(buf, dtype="<f8").reshape(arr.shape)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last tensor")
     p.validate()
     return p
 

@@ -33,7 +33,7 @@ from .model import (
     featurize,
     init_parameters,
     main_batch_grads,
-    predict,
+    predict_batch,
     train_main,
 )
 
@@ -104,13 +104,10 @@ class CrossAnnotation:
 
 def annotate_with_model(params: ModelParameters, d: Dataset) -> list[CalibrationRecord]:
     """Label each sample with the model's prediction and whether it was right."""
-    records = []
-    for s in d.samples:
-        y_star, _, _ = predict(params, s)
-        records.append(CalibrationRecord(
-            sample_id=s.id, text_a=s.text_a, text_b=s.text_b,
-            predicted_label=y_star, correctness=int(y_star == s.label)))
-    return records
+    preds = predict_batch(params, d.features(params.features))[0]
+    return [CalibrationRecord(sample_id=s.id, text_a=s.text_a, text_b=s.text_b,
+                              predicted_label=int(y_star), correctness=int(y_star == s.label))
+            for s, y_star in zip(d.samples, preds)]
 
 
 def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:

@@ -319,3 +319,10 @@ class TestSerialization:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_parameters(path)
+
+    def test_trailing_bytes_rejected(self, separable_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_parameters(separable_model, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_parameters(path)

@@ -27,10 +27,7 @@ from .model import (
     FeaturizerConfig,
     ModelParameters,
     TrainConfig,
-    featurize,
     featurize_batch,
-    forward_calib,
-    forward_main,
     loss_ce,
     loss_kl,
     predict,
@@ -73,11 +70,8 @@ __all__ = [
     "delta_conf",
     "detection_f1",
     "downsample_balance",
-    "featurize",
     "featurize_batch",
     "fit_temperature",
-    "forward_calib",
-    "forward_main",
     "generate_synthetic",
     "greedy_attack",
     "load_dataset",

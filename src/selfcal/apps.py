@@ -28,6 +28,7 @@ from .metrics import (
     risk_coverage,
 )
 from .model import (
+    FEATURE_MODES,
     ModelParameters,
     TrainConfig,
     calib_head,
@@ -36,6 +37,9 @@ from .model import (
     train_main,
 )
 from .toast import ToastConfig, annotate_with_model, downsample_balance, run_toast, train_multitask
+
+# The downstream applications, in the order runs evaluate and report them.
+APPLICATIONS = ("selective", "adversarial", "cascade")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,6 @@ def cascade_eval(small: Calibrator, large_params: ModelParameters, d: Dataset,
 # ---------------------------------------------------------------------------
 
 SWEEP_KINDS = ("size", "imbalance", "features", "k")
-FEATURE_MODES = ("all", "no_prediction", "no_sample")
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,9 @@ def score_with_calibration_head(params: ModelParameters, d: Dataset,
     return ConfidenceLog(conf, correct, preds, ("id",) * len(d))
 
 
-def _log_auroc_dconf(log: ConfidenceLog) -> tuple[float | None, float | None]:
+def log_auroc_dconf(log: ConfidenceLog) -> tuple[float | None, float | None]:
+    """AUROC and confidence gap of the log's right over its wrong predictions;
+    (None, None) when one of the two groups is empty."""
     pos = log.confidence[log.correct == 1]
     neg = log.confidence[log.correct == 0]
     if pos.size == 0 or neg.size == 0:
@@ -173,7 +178,7 @@ def _pilot_point(train: Dataset, test: Dataset, records, cfg: PilotSweepConfig,
     tc = replace(cfg.train, seed=cfg.train.seed + seed)
     params, _ = train_multitask(
         train, records, [], ToastConfig(train=tc, no_augment=True), feature_mode)
-    return _log_auroc_dconf(score_with_calibration_head(params, test, feature_mode))
+    return log_auroc_dconf(score_with_calibration_head(params, test, feature_mode))
 
 
 def _aggregate(point_id: str, kind: str, per_seed, extra: dict) -> dict:
@@ -258,7 +263,7 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
             )
             params, _ = run_toast(train, toast_cfg, lexicon)
             log = Calibrator("toast", params).build_log(test, "id")
-            per_seed.append(_log_auroc_dconf(log))
+            per_seed.append(log_auroc_dconf(log))
     else:
         for seed in cfg.seeds:
             records = annotations[seed]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Dataset, Sample, SynthConfig, class_tokens, noise_tokens
-from .model import ModelParameters, featurize, forward_main, predict
+from .model import ModelParameters, featurize_batch, predict_batch, softmax
 
 
 class TransformKind(Enum):
@@ -169,42 +169,43 @@ def greedy_attack(p: ModelParameters, s: Sample, lexicon: SynonymLexicon,
                   budget: int) -> Sample | None:
     """Flip the model's prediction by substituting synonyms, one position per
     step, always taking the substitution that most lowers the gold-class
-    probability. Returns the adversarial sample on a prediction flip, or None
-    once the budget is exhausted (or no substitution lowers the probability).
+    probability (the first one on ties). Returns the adversarial sample on a
+    prediction flip, or None once the budget is exhausted (or no substitution
+    lowers the probability).
 
-    Only correctly classified samples may be attacked.
+    Only correctly classified samples may be attacked. Each step scores all of
+    its candidate texts as one batch.
     """
-    pred, _, _ = predict(p, s)
-    if pred != s.label:
+    gold = s.label
+
+    def score(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted labels and gold-class probabilities of ``texts``."""
+        m = featurize_batch(texts, [s.text_b] * len(texts), p.features)
+        labels, _, z, _ = predict_batch(p, m)
+        return labels, softmax(z)[:, gold]
+
+    labels, probs = score([s.text_a])
+    if labels[0] != gold:
         raise ValueError("attack requires a correctly classified input")
 
     tokens = s.text_a.split()
-    gold = s.label
-
-    def gold_prob(toks: list[str]) -> float:
-        f = featurize(" ".join(toks), s.text_b, p.features)
-        return float(forward_main(p, f)[gold])
-
-    current = gold_prob(tokens)
+    current = probs[0]
     for _ in range(budget):
-        best: tuple[float, int, str] | None = None
-        for pos, tok in enumerate(tokens):
-            for syn in lexicon.synonyms(tok):
-                if syn == tok:
-                    continue
-                trial = tokens.copy()
-                trial[pos] = syn
-                prob = gold_prob(trial)
-                if prob < current and (best is None or prob < best[0]):
-                    best = (prob, pos, syn)
-        if best is None:
+        candidates = [(pos, syn) for pos, tok in enumerate(tokens)
+                      for syn in lexicon.synonyms(tok) if syn != tok]
+        if not candidates:
             return None
-        current, pos, syn = best
+        texts = [" ".join(tokens[:pos] + [syn] + tokens[pos + 1:]) for pos, syn in candidates]
+        labels, probs = score(texts)
+        best = int(np.argmin(probs))
+        if not probs[best] < current:
+            return None
+        current = probs[best]
+        pos, syn = candidates[best]
         tokens[pos] = syn
-        text = " ".join(tokens)
-        adv = Sample(id=f"{s.id}#adv", text_a=text, text_b=s.text_b, label=s.label)
-        if predict(p, adv)[0] != gold:
-            return adv
+        if labels[best] != gold:
+            return Sample(id=f"{s.id}#adv", text_a=texts[best], text_b=s.text_b,
+                          label=s.label)
     return None
 
 
@@ -216,12 +217,13 @@ def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
     Returns the successful adversarial samples as a dataset (gold labels kept)
     plus the originating sample ids, aligned.
     """
+    preds = predict_batch(p, d.features(p.features))[0]
     adv_samples: list[Sample] = []
     origins: list[str] = []
-    for s in d.samples:
+    for s, pred in zip(d.samples, preds):
         if max_successes is not None and len(adv_samples) >= max_successes:
             break
-        if predict(p, s)[0] != s.label:
+        if pred != s.label:
             continue
         adv = greedy_attack(p, s, lexicon, budget)
         if adv is not None:

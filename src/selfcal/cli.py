@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import apps
 from .augment import SynonymLexicon, attack_dataset, save_adversarial, synthetic_lexicon
-from .calibrators import Calibrator, train_with_temperature
+from .calibrators import METHODS, Calibrator, train_with_temperature
 from .corpus import (
     Dataset,
     SynthConfig,
@@ -35,7 +35,6 @@ from .corpus import (
     save_hardness,
     split_folds,
 )
-from .metrics import auroc, delta_conf
 from .model import FeaturizerConfig, TrainConfig, save_parameters, load_parameters, train_main
 from .toast import ToastConfig, run_toast
 
@@ -350,16 +349,6 @@ def cmd_toast(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _log_summary(log) -> dict:
-    pos = log.confidence[log.correct == 1]
-    neg = log.confidence[log.correct == 0]
-    if pos.size and neg.size:
-        a, dc = auroc(pos, neg), delta_conf(pos, neg)
-    else:
-        a, dc = None, None
-    return {"auroc": a, "delta_conf": dc, "accuracy": float(log.correct.mean())}
-
-
 def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
                        seed: int, *, hidden: int | None = None,
                        epochs: int | None = None, toast_epochs: int | None = None):
@@ -406,10 +395,10 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     methods = _split_list(cfg["eval"]["calibrators"], str)
     applications = _split_list(cfg["eval"]["applications"], str)
     for m in methods:
-        if m not in ("vanilla", "temperature", "label_smoothing", "toast"):
+        if m not in METHODS:
             raise ConfigError(f"unknown calibrator {m!r} in eval.calibrators")
     for a in applications:
-        if a not in ("selective", "adversarial", "cascade"):
+        if a not in apps.APPLICATIONS:
             raise ConfigError(f"unknown application {a!r} in eval.applications")
 
     train_d, test_d, lexicon = _load_data(cfg)
@@ -420,7 +409,9 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     metrics: dict = {"summary": {}}
     for method, calib in calibs.items():
         log = calib.build_log(test_d, "id")
-        metrics["summary"][method] = _log_summary(log)
+        a, dc = apps.log_auroc_dconf(log)
+        metrics["summary"][method] = {"auroc": a, "delta_conf": dc,
+                                      "accuracy": float(log.correct.mean())}
         log.to_csv(curves / f"log_{method}.csv")
 
     if "selective" in applications:
@@ -534,7 +525,10 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
         for pid in existing:
             print(f"resume: skipping completed point {pid}")
 
+    new_rows: list[dict] = []
+
     def _append(row: dict) -> None:
+        new_rows.append(row)
         new_file = not csv_path.exists()
         with open(csv_path, "a", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -552,13 +546,12 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
         worker = partial(apps.evaluate_point, train=train_d, test=test_d,
                          cfg=sweep_cfg, annotations=annotations, lexicon=lexicon)
         with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            new_rows = list(pool_exec.map(worker, todo))
-        for row in new_rows:
-            _append(row)
+            for row in pool_exec.map(worker, todo):
+                _append(row)
     else:
         pool_d = _load_pool(cfg) if kind != "k" and todo else test_d
-        new_rows = apps.pilot_sweeps(train_d, pool_d, test_d, kind, sweep_cfg,
-                                     lexicon, skip=set(existing), on_row=_append)
+        apps.pilot_sweeps(train_d, pool_d, test_d, kind, sweep_cfg,
+                          lexicon, skip=set(existing), on_row=_append)
 
     # Rewrite in canonical grid order, merging resumed and fresh rows.
     by_id = dict(existing)
@@ -599,7 +592,7 @@ def cmd_report(run_dir: Path) -> int:
     with open(metrics_path, encoding="utf-8") as fh:
         metrics = json.load(fh)
     _print_summary(metrics.get("summary", {}))
-    for app_name in ("selective", "adversarial", "cascade"):
+    for app_name in apps.APPLICATIONS:
         if app_name in metrics:
             print(f"\n[{app_name}]")
             for method, row in metrics[app_name].items():

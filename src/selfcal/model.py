@@ -25,7 +25,7 @@ LOG_FLOOR = 1e-12
 
 # Calibration-head input masks: "no_sample" zeroes the encoder block,
 # "no_prediction" zeroes the predicted-label one-hot block.
-FEATURE_MODES = ("all", "no_sample", "no_prediction")
+FEATURE_MODES = ("all", "no_prediction", "no_sample")
 
 _SEGMENT_B_MARK = "\x02"
 
@@ -42,15 +42,6 @@ class FeaturizerConfig:
             raise ValueError("ngram_max must be >= 1")
         if self.hash_dim < 2 or self.hash_dim & (self.hash_dim - 1):
             raise ValueError(f"hash_dim must be a power of two, got {self.hash_dim}")
-
-
-@dataclass(frozen=True)
-class SparseVec:
-    """Non-negative hashed count vector: sorted unique indices + counts."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
 
 
 def _tokens(text: str, lowercase: bool) -> list[str]:
@@ -82,10 +73,17 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def row(self, i: int) -> SparseVec:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return SparseVec(self.indices[lo:hi].astype(np.int64),
-                         self.values[lo:hi].astype(np.float64), self.dim)
+    def take(self, rows) -> "FeatureMatrix":
+        """The rows at positions ``rows``, in that order, as a new matrix."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        # Source position of every output nonzero: its row's start plus its
+        # offset within the row.
+        src = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return FeatureMatrix(indptr, self.indices[src], self.values[src], self.dim)
 
 
 def featurize_batch(texts_a, texts_b=None,
@@ -122,13 +120,6 @@ def featurize_batch(texts_a, texts_b=None,
     return FeatureMatrix(np.frombuffer(indptr.tobytes(), dtype=np.int64),
                          np.frombuffer(indices.tobytes(), dtype=np.uint32),
                          values, cfg.hash_dim)
-
-
-def featurize(text_a: str, text_b: str | None = None,
-              cfg: FeaturizerConfig = FeaturizerConfig()) -> SparseVec:
-    """One-row :func:`featurize_batch`, with int64 indices and float64 counts."""
-    m = featurize_batch((text_a,), (text_b,), cfg)
-    return SparseVec(m.indices.astype(np.int64), m.values.astype(np.float64), m.dim)
 
 
 @dataclass(frozen=True)
@@ -233,6 +224,17 @@ def _check_dim(p: ModelParameters, dim: int) -> None:
         raise ValueError(f"feature dim {dim} != model hash_dim {p.features.hash_dim}")
 
 
+def _check_labels(labels, num_classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    # Python's min and max of a list cost less than two numpy reductions on a
+    # one-text request, and little next to featurizing on a large batch.
+    flat = labels.ravel().tolist()
+    if flat and not (0 <= min(flat) and max(flat) < num_classes):
+        bad = next(y for y in flat if not 0 <= y < num_classes)
+        raise ValueError(f"label {bad} out of range for {num_classes} classes")
+    return labels
+
+
 def encode(p: ModelParameters, m: FeatureMatrix) -> np.ndarray:
     """Encoder output of every row of ``m`` (rows x hidden): the count-weighted
     sum of the row's encoder rows, gathered ``ENCODE_CHUNK`` nonzeros at a time."""
@@ -258,11 +260,6 @@ def _encode_chunk(encoder: np.ndarray, indices: np.ndarray, values: np.ndarray,
     return np.add.reduceat(rows * values[:, None], starts, axis=0)
 
 
-def _encode_vec(p: ModelParameters, f: SparseVec) -> np.ndarray:
-    _check_dim(p, f.dim)
-    return f.values @ p.encoder[f.indices]
-
-
 def _rowwise_matmul(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``h @ w`` as one vector-matrix product per row of ``h``. A matrix-matrix
     product may round a row differently depending on the rows around it; this
@@ -282,12 +279,13 @@ def calib_head(p: ModelParameters, h: np.ndarray, y_star,
     with the block that ``feature_mode`` masks left out."""
     if feature_mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    _check_labels(y_star, p.num_classes)
     hd = p.hidden_dim
     z = p.b_calib
     if feature_mode != "no_sample":
         z = _rowwise_matmul(h, p.w_calib[:hd]) + z
     if feature_mode != "no_prediction":
-        z = z + p.w_calib[hd + y_star]
+        z = z + p.w_calib[hd:][y_star]
     return z
 
 
@@ -310,41 +308,6 @@ def predict(p: ModelParameters, sample) -> tuple[int, float, np.ndarray]:
     return int(labels[0]), float(conf[0]), z[0]
 
 
-def main_logits(p: ModelParameters, f: SparseVec) -> np.ndarray:
-    return _encode_vec(p, f) @ p.w_main + p.b_main
-
-
-def forward_main(p: ModelParameters, f: SparseVec) -> np.ndarray:
-    """Probability vector over the task classes (softmax of the main logits)."""
-    return softmax(main_logits(p, f))
-
-
-def _calib_input(p: ModelParameters, h: np.ndarray, y_star: int,
-                 feature_mode: str) -> np.ndarray:
-    if feature_mode not in FEATURE_MODES:
-        raise ValueError(f"unknown feature_mode {feature_mode!r}")
-    u = np.zeros(p.hidden_dim + p.num_classes)
-    if feature_mode != "no_sample":
-        u[:p.hidden_dim] = h
-    if feature_mode != "no_prediction":
-        u[p.hidden_dim + y_star] = 1.0
-    return u
-
-
-def calib_logits(p: ModelParameters, f: SparseVec, y_star: int,
-                 feature_mode: str = "all") -> np.ndarray:
-    if not 0 <= y_star < p.num_classes:
-        raise ValueError(f"y_star {y_star} out of range for {p.num_classes} classes")
-    u = _calib_input(p, _encode_vec(p, f), y_star, feature_mode)
-    return u @ p.w_calib + p.b_calib
-
-
-def forward_calib(p: ModelParameters, f: SparseVec, y_star: int,
-                  feature_mode: str = "all") -> np.ndarray:
-    """(P_false, P_true) for "the main prediction y_star is correct"."""
-    return softmax(calib_logits(p, f, y_star, feature_mode))
-
-
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
@@ -353,12 +316,13 @@ def _safe_log(x: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(x, LOG_FLOOR))
 
 
-def smooth_target(label: int, num_classes: int, epsilon: float) -> np.ndarray:
-    """Target distribution: 1-eps on the label, eps/(C-1) spread over the rest."""
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range")
-    t = np.full(num_classes, epsilon / (num_classes - 1))
-    t[label] = 1.0 - epsilon
+def smooth_target(labels, num_classes: int, epsilon: float) -> np.ndarray:
+    """Target distribution of each label (one row per label of an array, or a
+    single vector for one label): 1-eps on the label, eps/(C-1) spread over
+    the rest."""
+    labels = _check_labels(labels, num_classes)
+    t = np.full(labels.shape + (num_classes,), epsilon / (num_classes - 1))
+    np.put_along_axis(t, labels[..., None], 1.0 - epsilon, axis=-1)
     return t
 
 
@@ -428,104 +392,79 @@ def apply_grads(p: ModelParameters, g: Grads, lr: float) -> None:
         np.subtract.at(p.encoder, g.enc_rows, lr * g.enc_vals)
 
 
-def main_batch_grads(p: ModelParameters, vecs: list[SparseVec], labels,
+def _encoder_grads(m: FeatureMatrix, dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse encoder gradient of the rows of ``m``, given the gradient ``dh``
+    of the loss with respect to each row's encoder output: every nonzero adds
+    its count times its row's ``dh`` to its bucket's encoder row."""
+    row_of_nnz = np.repeat(np.arange(len(m)), np.diff(m.indptr))
+    return m.indices, m.values[:, None] * dh[row_of_nnz]
+
+
+def main_batch_grads(p: ModelParameters, m: FeatureMatrix, labels,
                      epsilon: float = 0.0) -> tuple[float, Grads]:
     """Mean cross-entropy of the main head over a batch, with its gradients."""
+    n = len(m)
+    h = encode(p, m)
+    probs = softmax(main_head(p, h))
+    t = smooth_target(labels, p.num_classes, epsilon)
+    loss = -(t * _safe_log(probs)).sum() / n
+    dz = (probs - t) / n
     g = Grads.zeros(p)
-    n = len(vecs)
-    loss = 0.0
-    rows, vals = [], []
-    for f, y in zip(vecs, labels):
-        h = _encode_vec(p, f)
-        probs = softmax(h @ p.w_main + p.b_main)
-        t = smooth_target(int(y), p.num_classes, epsilon)
-        loss += -(t * _safe_log(probs)).sum()
-        dz = (probs - t) / n
-        g.w_main += np.outer(h, dz)
-        g.b_main += dz
-        dh = p.w_main @ dz
-        rows.append(f.indices)
-        vals.append(f.values[:, None] * dh[None, :])
-    g.enc_rows = np.concatenate(rows) if rows else g.enc_rows
-    g.enc_vals = np.concatenate(vals) if vals else g.enc_vals
-    return loss / n, g
+    g.w_main = h.T @ dz
+    g.b_main = dz.sum(0)
+    g.enc_rows, g.enc_vals = _encoder_grads(m, dz @ p.w_main.T)
+    return loss, g
 
 
-def calib_batch_grads(p: ModelParameters, vecs: list[SparseVec], y_stars, cs,
+def _calib_grads(p: ModelParameters, m: FeatureMatrix, h: np.ndarray, y_stars,
+                 dz: np.ndarray, feature_mode: str) -> Grads:
+    """Gradients of the calibration head's logits, given the gradient ``dz`` of
+    the loss with respect to them, for the rows of ``m`` (encoder output ``h``)."""
+    hd = p.hidden_dim
+    g = Grads.zeros(p)
+    g.b_calib = dz.sum(0)
+    if feature_mode != "no_prediction":
+        np.add.at(g.w_calib[hd:], y_stars, dz)
+    if feature_mode != "no_sample":
+        g.w_calib[:hd] = h.T @ dz
+        g.enc_rows, g.enc_vals = _encoder_grads(m, dz @ p.w_calib[:hd].T)
+    return g
+
+
+def calib_batch_grads(p: ModelParameters, m: FeatureMatrix, y_stars, cs,
                       epsilon: float = 0.0,
                       feature_mode: str = "all") -> tuple[float, Grads]:
     """Mean cross-entropy of the calibration head over (x, y*, c) triples."""
-    g = Grads.zeros(p)
-    n = len(vecs)
-    loss = 0.0
-    rows, vals = [], []
-    hd = p.hidden_dim
-    for f, y_star, c in zip(vecs, y_stars, cs):
-        h = _encode_vec(p, f)
-        u = _calib_input(p, h, int(y_star), feature_mode)
-        probs = softmax(u @ p.w_calib + p.b_calib)
-        t = smooth_target(int(c), 2, epsilon)
-        loss += -(t * _safe_log(probs)).sum()
-        dz = (probs - t) / n
-        g.w_calib += np.outer(u, dz)
-        g.b_calib += dz
-        if feature_mode != "no_sample":
-            dh = p.w_calib[:hd] @ dz
-            rows.append(f.indices)
-            vals.append(f.values[:, None] * dh[None, :])
-    if rows:
-        g.enc_rows = np.concatenate(rows)
-        g.enc_vals = np.concatenate(vals)
-    return loss / n, g
+    n = len(m)
+    h = encode(p, m)
+    probs = softmax(calib_head(p, h, y_stars, feature_mode))
+    t = smooth_target(cs, 2, epsilon)
+    loss = -(t * _safe_log(probs)).sum() / n
+    return loss, _calib_grads(p, m, h, y_stars, (probs - t) / n, feature_mode)
 
 
-def consistency_batch_grads(p: ModelParameters, clean_vecs: list[SparseVec],
-                            aug_vecs: list[SparseVec], y_stars,
+def consistency_batch_grads(p: ModelParameters, clean: FeatureMatrix,
+                            aug: FeatureMatrix, y_stars,
                             feature_mode: str = "all") -> tuple[float, Grads]:
     """Mean KL(calib(x, y*) || calib(x*, y*)) over a batch of augmented pairs.
 
     Gradients flow through both branches: for r = softmax(z_clean) and
     s = softmax(z_aug), dKL/dz_clean = r*log(r/s) - KL*r and dKL/dz_aug = s - r.
     """
-    g = Grads.zeros(p)
-    n = len(clean_vecs)
-    loss = 0.0
-    rows, vals = [], []
-    hd = p.hidden_dim
-    for fc, fa, y_star in zip(clean_vecs, aug_vecs, y_stars):
-        y_star = int(y_star)
-        hc = _encode_vec(p, fc)
-        ha = _encode_vec(p, fa)
-        uc = _calib_input(p, hc, y_star, feature_mode)
-        ua = _calib_input(p, ha, y_star, feature_mode)
-        r = softmax(uc @ p.w_calib + p.b_calib)
-        s = softmax(ua @ p.w_calib + p.b_calib)
-        log_ratio = _safe_log(r) - _safe_log(s)
-        kl = float((r * log_ratio).sum())
-        loss += kl
-        dzc = (r * log_ratio - kl * r) / n
-        dza = (s - r) / n
-        g.w_calib += np.outer(uc, dzc) + np.outer(ua, dza)
-        g.b_calib += dzc + dza
-        if feature_mode != "no_sample":
-            for f, dz in ((fc, dzc), (fa, dza)):
-                dh = p.w_calib[:hd] @ dz
-                rows.append(f.indices)
-                vals.append(f.values[:, None] * dh[None, :])
-    if rows:
-        g.enc_rows = np.concatenate(rows)
-        g.enc_vals = np.concatenate(vals)
-    return loss / n, g
+    n = len(clean)
+    hc = encode(p, clean)
+    ha = encode(p, aug)
+    r = softmax(calib_head(p, hc, y_stars, feature_mode))
+    s = softmax(calib_head(p, ha, y_stars, feature_mode))
+    log_ratio = _safe_log(r) - _safe_log(s)
+    kl = (r * log_ratio).sum(1, keepdims=True)
+    g = _calib_grads(p, clean, hc, y_stars, (r * log_ratio - kl * r) / n, feature_mode)
+    return kl.sum() / n, g.add(_calib_grads(p, aug, ha, y_stars, (s - r) / n, feature_mode))
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-def featurize_dataset(d, cfg: FeaturizerConfig) -> list[SparseVec]:
-    m = d.features(cfg)
-    return [m.row(i) for i in range(len(m))]
-
 
 def train_main(d, cfg: TrainConfig) -> tuple[ModelParameters, list[float]]:
     """Shuffled mini-batch SGD on the mean main-task cross-entropy.
@@ -536,7 +475,7 @@ def train_main(d, cfg: TrainConfig) -> tuple[ModelParameters, list[float]]:
     if len(d) == 0:
         raise ValueError("empty dataset")
     p = init_parameters(d.num_classes, cfg)
-    vecs = featurize_dataset(d, cfg.features)
+    m = d.features(cfg.features)
     labels = d.labels()
     rng = np.random.default_rng((cfg.seed, 1))
     trace: list[float] = []
@@ -544,9 +483,8 @@ def train_main(d, cfg: TrainConfig) -> tuple[ModelParameters, list[float]]:
         order = rng.permutation(len(d))
         for start in range(0, len(d), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, g = main_batch_grads(
-                p, [vecs[i] for i in batch], labels[batch],
-                cfg.label_smoothing_epsilon)
+            loss, g = main_batch_grads(p, m.take(batch), labels[batch],
+                                       cfg.label_smoothing_epsilon)
             apply_grads(p, g, cfg.learning_rate)
             trace.append(loss)
     return p, trace

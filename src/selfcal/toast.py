@@ -30,7 +30,7 @@ from .model import (
     apply_grads,
     calib_batch_grads,
     consistency_batch_grads,
-    featurize,
+    featurize_batch,
     init_parameters,
     main_batch_grads,
     predict_batch,
@@ -231,13 +231,15 @@ def train_multitask(d: Dataset, dstar, daug, cfg: ToastConfig,
     params = init_parameters(d.num_classes, tc)
     alpha = cfg.effective_alpha
 
-    d_vecs = [featurize(s.text_a, s.text_b, tc.features) for s in d.samples]
+    d_feats = d.features(tc.features)
     d_labels = d.labels()
-    c_vecs = [featurize(r.text_a, r.text_b, tc.features) for r in dstar]
+    c_feats = featurize_batch([r.text_a for r in dstar], [r.text_b for r in dstar],
+                              tc.features)
     c_ystars = np.array([r.predicted_label for r in dstar])
     c_targets = np.array([r.correctness for r in dstar])
-    a_clean = [featurize(r.text_a, r.text_b, tc.features) for r in daug]
-    a_aug = [featurize(r.augmented_text, r.text_b, tc.features) for r in daug]
+    a_text_b = [r.text_b for r in daug]
+    a_clean = featurize_batch([r.text_a for r in daug], a_text_b, tc.features)
+    a_aug = featurize_batch([r.augmented_text for r in daug], a_text_b, tc.features)
     a_ystars = np.array([r.predicted_label for r in daug])
 
     main_cycle = _BatchCycler(len(d), tc.batch_size, np.random.default_rng((tc.seed, 2)))
@@ -251,20 +253,18 @@ def train_multitask(d: Dataset, dstar, daug, cfg: ToastConfig,
     for epoch in range(tc.epochs):
         for step in range(steps_per_epoch):
             b = main_cycle.next_batch()
-            l_main, g = main_batch_grads(params, [d_vecs[i] for i in b], d_labels[b], eps)
+            l_main, g = main_batch_grads(params, d_feats.take(b), d_labels[b], eps)
 
             b = calib_cycle.next_batch()
             l_calib, gc = calib_batch_grads(
-                params, [c_vecs[i] for i in b], c_ystars[b], c_targets[b],
-                eps, feature_mode)
+                params, c_feats.take(b), c_ystars[b], c_targets[b], eps, feature_mode)
             g = g.add(gc)
 
             l_cons = 0.0
             if aug_cycle is not None:
                 b = aug_cycle.next_batch()
                 l_cons, ga = consistency_batch_grads(
-                    params, [a_clean[i] for i in b], [a_aug[i] for i in b],
-                    a_ystars[b], feature_mode)
+                    params, a_clean.take(b), a_aug.take(b), a_ystars[b], feature_mode)
                 g = g.add(ga.scaled(alpha))
 
             apply_grads(params, g, tc.learning_rate)

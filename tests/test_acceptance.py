@@ -18,7 +18,7 @@ from selfcal.model import (
     TrainConfig,
     calib_batch_grads,
     consistency_batch_grads,
-    featurize,
+    featurize_batch,
     init_parameters,
     main_batch_grads,
     predict,
@@ -91,8 +91,8 @@ def test_criterion_2_gradient_checks():
             n = int(rng.integers(2, 5))
             def text():
                 return " ".join(f"t{int(j)}" for j in rng.integers(0, 40, size=6))
-            vecs = [featurize(text(), cfg=SMALL_FEATS) for _ in range(n)]
-            aug = [featurize(text(), cfg=SMALL_FEATS) for _ in range(n)]
+            vecs = featurize_batch([text() for _ in range(n)], cfg=SMALL_FEATS)
+            aug = featurize_batch([text() for _ in range(n)], cfg=SMALL_FEATS)
             labels = rng.integers(0, num_classes, size=n)
             cs = rng.integers(0, 2, size=n)
             alpha = 0.1

@@ -1,9 +1,10 @@
-"""The batched scoring path against per-sample reference implementations.
+"""The batched numeric path against per-sample reference implementations.
 
-The references below are the per-sample featurizer, forward pass and
-O(n^2) risk-coverage sweep that the batched code replaced. Feature rows and
-curve points must match them exactly; batched confidences may differ from
-the per-sample ones only in summation order, by at most 1e-12.
+The references below are the per-sample featurizer, forward pass, training
+gradients, greedy attack and O(n^2) risk-coverage sweep that the batched code
+replaced. Feature rows, curve points and attack results must match them
+exactly; batched confidences, losses and gradients may differ from the
+per-sample ones only in summation order, by at most 1e-12.
 """
 
 import os
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FEATS
+from conftest import FEATS, grads_to_flat
 from selfcal.apps import score_with_calibration_head
+from selfcal.augment import SynonymLexicon, greedy_attack
 from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog
 from selfcal.corpus import Dataset, Sample
 from selfcal.metrics import (
@@ -32,11 +34,16 @@ from selfcal.model import (
     ENCODE_CHUNK,
     FEATURE_MODES,
     FeaturizerConfig,
+    Grads,
     TrainConfig,
+    calib_batch_grads,
+    consistency_batch_grads,
     encode,
-    featurize,
     featurize_batch,
     init_parameters,
+    main_batch_grads,
+    predict,
+    smooth_target,
 )
 
 TOL = 1e-12
@@ -148,10 +155,26 @@ def test_featurize_batch_rows_match_reference(ngram_max, lowercase, segment_tagg
 def test_featurize_is_the_reference_row():
     cfg = FeaturizerConfig(hash_dim=1024)
     for a, b in TEXTS:
-        v = featurize(a, b, cfg)
-        indices, values = ref_featurize(a, b, cfg)
-        assert v.indices.dtype == np.int64 and v.values.dtype == np.float64
-        assert np.array_equal(v.indices, indices) and np.array_equal(v.values, values)
+        assert_rows_match(featurize_batch([a], [b], cfg), [(a, b)], cfg)
+
+
+def assert_same_matrix(got, want):
+    assert got.dim == want.dim and len(got) == len(want)
+    for name in ("indptr", "indices", "values"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_take_equals_featurizing_the_rows(seed):
+    rng = np.random.default_rng(seed)
+    d = random_dataset(seed, 60)
+    m = d.features(FEATS)
+    for rows in (rng.choice(len(d), size=int(rng.integers(1, 80))),   # repeats
+                 rng.permutation(len(d)), np.arange(len(d))[::-1], [], [7]):
+        picked = [d.samples[int(i)] for i in rows]
+        assert_same_matrix(m.take(rows), featurize_batch(
+            [s.text_a for s in picked], [s.text_b for s in picked], FEATS))
 
 
 def test_featurize_batch_rejects_empty_text():
@@ -356,3 +379,243 @@ def test_import_does_not_load_scipy():
 def test_featurize_batch_rejects_misaligned_segments():
     with pytest.raises(ValueError):
         featurize_batch(["a b", "c d"], ["x"])
+
+
+# ---------------------------------------------------------------------------
+# Training gradients
+# ---------------------------------------------------------------------------
+
+def ref_smooth_target(label, num_classes, epsilon):
+    t = np.full(num_classes, epsilon / (num_classes - 1))
+    t[label] = 1.0 - epsilon
+    return t
+
+
+def ref_calib_input(p, h, y_star, feature_mode):
+    u = np.zeros(p.hidden_dim + p.num_classes)
+    if feature_mode != "no_sample":
+        u[:p.hidden_dim] = h
+    if feature_mode != "no_prediction":
+        u[p.hidden_dim + y_star] = 1.0
+    return u
+
+
+def ref_safe_log(x):
+    return np.log(np.maximum(x, 1e-12))
+
+
+def ref_main_batch_grads(p, vecs, labels, epsilon=0.0):
+    """Per-sample loop over (indices, values) rows, as the model had it."""
+    g = Grads.zeros(p)
+    n = len(vecs)
+    loss = 0.0
+    rows, vals = [], []
+    for (indices, values), y in zip(vecs, labels):
+        h = values @ p.encoder[indices]
+        probs = ref_softmax(h @ p.w_main + p.b_main)
+        t = ref_smooth_target(int(y), p.num_classes, epsilon)
+        loss += -(t * ref_safe_log(probs)).sum()
+        dz = (probs - t) / n
+        g.w_main += np.outer(h, dz)
+        g.b_main += dz
+        dh = p.w_main @ dz
+        rows.append(indices)
+        vals.append(values[:, None] * dh[None, :])
+    g.enc_rows = np.concatenate(rows)
+    g.enc_vals = np.concatenate(vals)
+    return loss / n, g
+
+
+def ref_calib_batch_grads(p, vecs, y_stars, cs, epsilon=0.0, feature_mode="all"):
+    g = Grads.zeros(p)
+    n = len(vecs)
+    loss = 0.0
+    rows, vals = [], []
+    hd = p.hidden_dim
+    for (indices, values), y_star, c in zip(vecs, y_stars, cs):
+        h = values @ p.encoder[indices]
+        u = ref_calib_input(p, h, int(y_star), feature_mode)
+        probs = ref_softmax(u @ p.w_calib + p.b_calib)
+        t = ref_smooth_target(int(c), 2, epsilon)
+        loss += -(t * ref_safe_log(probs)).sum()
+        dz = (probs - t) / n
+        g.w_calib += np.outer(u, dz)
+        g.b_calib += dz
+        if feature_mode != "no_sample":
+            dh = p.w_calib[:hd] @ dz
+            rows.append(indices)
+            vals.append(values[:, None] * dh[None, :])
+    if rows:
+        g.enc_rows = np.concatenate(rows)
+        g.enc_vals = np.concatenate(vals)
+    return loss / n, g
+
+
+def ref_consistency_batch_grads(p, clean_vecs, aug_vecs, y_stars, feature_mode="all"):
+    g = Grads.zeros(p)
+    n = len(clean_vecs)
+    loss = 0.0
+    rows, vals = [], []
+    hd = p.hidden_dim
+    for fc, fa, y_star in zip(clean_vecs, aug_vecs, y_stars):
+        y_star = int(y_star)
+        hc = fc[1] @ p.encoder[fc[0]]
+        ha = fa[1] @ p.encoder[fa[0]]
+        uc = ref_calib_input(p, hc, y_star, feature_mode)
+        ua = ref_calib_input(p, ha, y_star, feature_mode)
+        r = ref_softmax(uc @ p.w_calib + p.b_calib)
+        s = ref_softmax(ua @ p.w_calib + p.b_calib)
+        log_ratio = ref_safe_log(r) - ref_safe_log(s)
+        kl = float((r * log_ratio).sum())
+        loss += kl
+        dzc = (r * log_ratio - kl * r) / n
+        dza = (s - r) / n
+        g.w_calib += np.outer(uc, dzc) + np.outer(ua, dza)
+        g.b_calib += dzc + dza
+        if feature_mode != "no_sample":
+            for (indices, values), dz in ((fc, dzc), (fa, dza)):
+                dh = p.w_calib[:hd] @ dz
+                rows.append(indices)
+                vals.append(values[:, None] * dh[None, :])
+    if rows:
+        g.enc_rows = np.concatenate(rows)
+        g.enc_vals = np.concatenate(vals)
+    return loss / n, g
+
+
+def assert_same_loss_and_grads(p, got, want):
+    assert abs(got[0] - want[0]) <= TOL
+    dense_got, dense_want = grads_to_flat(p, got[1]), grads_to_flat(p, want[1])
+    assert np.max(np.abs(dense_got - dense_want)) <= TOL
+
+
+def grad_instances(seed, count=12):
+    """Random models, each with batches drawn (with repeats) from a dataset of
+    single and paired texts, their per-sample reference rows, and labels."""
+    rng = np.random.default_rng(seed)
+    d = random_dataset(seed, 80, num_classes=3)
+    clean = d.features(FEATS)
+    aug_d = random_dataset(seed + 1000, 80, num_classes=3)
+    aug = aug_d.features(FEATS)
+    for k in range(count):
+        p = random_params(seed * 100 + k)
+        b = rng.choice(len(d), size=int(rng.integers(1, 40)))
+        ref_clean = [ref_featurize(d.samples[i].text_a, d.samples[i].text_b, FEATS) for i in b]
+        ref_aug = [ref_featurize(aug_d.samples[i].text_a, aug_d.samples[i].text_b, FEATS)
+                   for i in b]
+        labels = rng.integers(0, p.num_classes, size=len(b))
+        cs = rng.integers(0, 2, size=len(b))
+        yield p, clean.take(b), aug.take(b), ref_clean, ref_aug, labels, cs
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+def test_main_batch_grads_match_per_sample(epsilon):
+    for p, m, _, vecs, _, labels, _ in grad_instances(10):
+        assert_same_loss_and_grads(p, main_batch_grads(p, m, labels, epsilon),
+                                   ref_main_batch_grads(p, vecs, labels, epsilon))
+
+
+@pytest.mark.parametrize("feature_mode", FEATURE_MODES)
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+def test_calib_batch_grads_match_per_sample(feature_mode, epsilon):
+    for p, m, _, vecs, _, labels, cs in grad_instances(11):
+        assert_same_loss_and_grads(
+            p, calib_batch_grads(p, m, labels, cs, epsilon, feature_mode),
+            ref_calib_batch_grads(p, vecs, labels, cs, epsilon, feature_mode))
+
+
+@pytest.mark.parametrize("feature_mode", FEATURE_MODES)
+def test_consistency_batch_grads_match_per_sample(feature_mode):
+    for p, m, m_aug, vecs, aug_vecs, labels, _ in grad_instances(12):
+        assert_same_loss_and_grads(
+            p, consistency_batch_grads(p, m, m_aug, labels, feature_mode),
+            ref_consistency_batch_grads(p, vecs, aug_vecs, labels, feature_mode))
+
+
+def test_smooth_target_rows_are_the_per_label_targets():
+    labels = np.array([2, 0, 1, 2])
+    for eps in (0.0, 0.1, 0.3):
+        want = np.stack([ref_smooth_target(y, 3, eps) for y in labels])
+        assert np.array_equal(smooth_target(labels, 3, eps), want)
+        assert np.array_equal(smooth_target(1, 3, eps), ref_smooth_target(1, 3, eps))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            smooth_target(np.array([0, bad]), 3, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Greedy attack
+# ---------------------------------------------------------------------------
+
+def ref_greedy_attack(p, s, lexicon, budget):
+    """The per-candidate attack: featurize and score one substitution at a time."""
+    def main_probs(text):
+        indices, values = ref_featurize(text, s.text_b, p.features)
+        return ref_softmax(values @ p.encoder[indices] @ p.w_main + p.b_main)
+
+    if int(np.argmax(main_probs(s.text_a))) != s.label:
+        raise ValueError("attack requires a correctly classified input")
+    tokens = s.text_a.split()
+    gold = s.label
+    current = float(main_probs(s.text_a)[gold])
+    for _ in range(budget):
+        best = None
+        for pos, tok in enumerate(tokens):
+            for syn in lexicon.synonyms(tok):
+                if syn == tok:
+                    continue
+                trial = tokens.copy()
+                trial[pos] = syn
+                prob = float(main_probs(" ".join(trial))[gold])
+                if prob < current and (best is None or prob < best[0]):
+                    best = (prob, pos, syn)
+        if best is None:
+            return None
+        current, pos, syn = best
+        tokens[pos] = syn
+        text = " ".join(tokens)
+        if int(np.argmax(main_probs(text))) != gold:
+            return Sample(id=f"{s.id}#adv", text_a=text, text_b=s.text_b, label=s.label)
+    return None
+
+
+@pytest.mark.parametrize("budget", range(1, 7))
+def test_batched_attack_matches_per_candidate(budget, base_model, synth_data, lexicon):
+    outcomes = []
+    attacked = [s for s in synth_data.test.samples[:80]
+                if predict(base_model, s)[0] == s.label][:40]
+    for s in attacked:
+        got = greedy_attack(base_model, s, lexicon, budget)
+        assert got == ref_greedy_attack(base_model, s, lexicon, budget)
+        outcomes.append(got is None)
+    # Both outcomes occur, so the comparison covers flips and give-ups.
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_attack_tie_breaks_match_per_candidate():
+    """Exact ties, which trained models on the synthetic split do not produce:
+    the first of several equally low candidates wins, and a candidate that only
+    equals the current gold probability is no improvement."""
+    cfg = FeaturizerConfig(ngram_max=1, hash_dim=1024)
+    p = init_parameters(2, TrainConfig(hidden_dim=2, features=cfg))
+    p.encoder[:] = 0.0
+
+    def bucket(tok):
+        return int(featurize_batch([tok], cfg=cfg).indices[0])
+
+    tokens = ("good", "bad", "fine", "nice", "x", "y", "z")
+    assert len({bucket(t) for t in tokens}) == len(tokens)
+    p.encoder[bucket("good")] = [1.0, 0.0]
+    p.encoder[bucket("bad")] = [-1.0, 0.0]
+    p.w_main[0] = [-1.0, 1.0]   # logits (-h0, h0): "good" votes for class 1
+
+    # "fine" and "nice" both drop P(gold) to 1/2 and flip the prediction.
+    lexicon = SynonymLexicon({"good": ["fine", "nice"], "y": ["z"]})
+    s = Sample(id="tie", text_a="good y", label=1)
+    want = Sample(id="tie#adv", text_a="fine y", label=1)
+    assert greedy_attack(p, s, lexicon, 3) == ref_greedy_attack(p, s, lexicon, 3) == want
+    # x -> z leaves P(gold) unchanged, so the attack stops before z -> bad.
+    lexicon = SynonymLexicon({"x": ["z"], "z": ["bad"]})
+    s = Sample(id="flat", text_a="x good", label=1)
+    assert greedy_attack(p, s, lexicon, 3) is None
+    assert ref_greedy_attack(p, s, lexicon, 3) is None

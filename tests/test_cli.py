@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from selfcal import cli
 from selfcal.cli import ConfigError, load_config, main
 from selfcal.corpus import load_dataset, load_hardness
 
@@ -203,6 +204,32 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path), "--kind", "size",
                      "--out", str(par), "--jobs", "2"]) == 0
         assert (serial / "sweep.csv").read_text() == (par / "sweep.csv").read_text()
+
+    def test_interrupted_parallel_sweep_keeps_finished_rows(self, config_path, tmp_path,
+                                                            monkeypatch):
+        class InterruptedPool:
+            """Runs the first point in-process, then is interrupted."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, points):
+                yield fn(points[0])
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InterruptedPool)
+        out = tmp_path / "sweep"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(config_path), "--kind", "size",
+                  "--out", str(out), "--jobs", "2"])
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["point_id"] for r in csv.DictReader(fh)] == ["size=15"]
 
 
 class TestAttack:

@@ -11,62 +11,78 @@ from selfcal.model import (
     FeaturizerConfig,
     TrainConfig,
     calib_batch_grads,
+    calib_head,
     consistency_batch_grads,
-    featurize,
-    forward_calib,
-    forward_main,
+    featurize_batch,
     get_flat_params,
     init_parameters,
     load_parameters,
     loss_ce,
     loss_kl,
     main_batch_grads,
-    main_logits,
     predict,
+    predict_batch,
     save_parameters,
     set_flat_params,
+    softmax,
     train_main,
 )
+
+
+def one_row(text_a, text_b=None, cfg=FeaturizerConfig()):
+    """One text (pair) as a one-row feature matrix."""
+    return featurize_batch([text_a], [text_b], cfg)
+
+
+def main_probs(p, m):
+    """Main-head probabilities of every row of ``m``."""
+    return softmax(predict_batch(p, m)[2])
+
+
+def calib_probs(p, m, y_star):
+    """Correctness-head (P_false, P_true) of every row of ``m`` given ``y_star``."""
+    h = predict_batch(p, m)[3]
+    return softmax(calib_head(p, h, np.full(len(m), y_star)))
 
 
 class TestFeaturizer:
     def test_repeated_token_counts(self):
         cfg = FeaturizerConfig(ngram_max=1, hash_dim=256)
-        v = featurize("good good", cfg=cfg)
+        v = one_row("good good", cfg=cfg)
         assert len(v.indices) == 1
         assert v.values[0] == 2.0
 
     def test_deterministic(self):
-        a = featurize("some text here")
-        b = featurize("some text here")
+        a = one_row("some text here")
+        b = one_row("some text here")
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.values, b.values)
 
     def test_bigram_order_sensitivity(self):
         # Unigrams agree but the bigram differs, so the vectors must differ.
         cfg = FeaturizerConfig(ngram_max=2, hash_dim=1024)
-        ab = featurize("a b", cfg=cfg)
-        ba = featurize("b a", cfg=cfg)
+        ab = one_row("a b", cfg=cfg)
+        ba = one_row("b a", cfg=cfg)
         assert not (np.array_equal(ab.indices, ba.indices)
                     and np.array_equal(ab.values, ba.values))
 
     def test_segment_tagging_separates_pairs(self):
         cfg = FeaturizerConfig(hash_dim=1024)
-        joined = featurize("x y", cfg=cfg)
-        paired = featurize("x", "y", cfg)
+        joined = one_row("x y", cfg=cfg)
+        paired = one_row("x", "y", cfg)
         assert not (np.array_equal(joined.indices, paired.indices)
                     and np.array_equal(joined.values, paired.values))
 
     def test_lowercase_flag(self):
-        folded = featurize("Good", cfg=FeaturizerConfig(lowercase=True, hash_dim=256))
-        kept = featurize("Good", cfg=FeaturizerConfig(lowercase=False, hash_dim=256))
-        lower = featurize("good", cfg=FeaturizerConfig(lowercase=False, hash_dim=256))
+        folded = one_row("Good", cfg=FeaturizerConfig(lowercase=True, hash_dim=256))
+        kept = one_row("Good", cfg=FeaturizerConfig(lowercase=False, hash_dim=256))
+        lower = one_row("good", cfg=FeaturizerConfig(lowercase=False, hash_dim=256))
         assert np.array_equal(folded.indices, lower.indices)
         assert not np.array_equal(kept.indices, lower.indices)
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            featurize("   ")
+            one_row("   ")
 
     def test_hash_dim_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -77,7 +93,7 @@ class TestForwardMain:
     def test_zero_weights_uniform(self):
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(3, cfg)
-        probs = forward_main(p, featurize("anything", cfg=SMALL_FEATS))
+        probs = main_probs(p, one_row("anything", cfg=SMALL_FEATS))[0]
         np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-12)
 
     def test_logit_shift_invariance(self):
@@ -85,10 +101,10 @@ class TestForwardMain:
         p = init_parameters(3, cfg)
         rng = np.random.default_rng(0)
         p.w_main[:] = rng.normal(size=p.w_main.shape)
-        f = featurize("one two three", cfg=SMALL_FEATS)
-        before = forward_main(p, f)
+        f = one_row("one two three", cfg=SMALL_FEATS)
+        before = main_probs(p, f)
         p.b_main += 7.3  # adds the same constant to every logit
-        after = forward_main(p, f)
+        after = main_probs(p, f)
         np.testing.assert_allclose(before, after, atol=1e-12)
 
     def test_analytic_two_class(self):
@@ -96,7 +112,7 @@ class TestForwardMain:
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(2, cfg)
         p.b_main[:] = [0.0, math.log(3.0)]
-        probs = forward_main(p, featurize("w", cfg=SMALL_FEATS))
+        probs = main_probs(p, one_row("w", cfg=SMALL_FEATS))[0]
         np.testing.assert_allclose(probs, [0.25, 0.75], atol=1e-12)
 
     def test_sums_to_one(self):
@@ -105,9 +121,9 @@ class TestForwardMain:
         p = init_parameters(4, cfg)
         p.w_main[:] = rng.normal(scale=3.0, size=p.w_main.shape)
         p.b_main[:] = rng.normal(scale=3.0, size=p.b_main.shape)
-        for i in range(50):
-            f = featurize(f"tok{i} tok{i + 1} tok{i * 7}", cfg=SMALL_FEATS)
-            probs = forward_main(p, f)
+        m = featurize_batch([f"tok{i} tok{i + 1} tok{i * 7}" for i in range(50)],
+                            cfg=SMALL_FEATS)
+        for probs in main_probs(p, m):
             assert abs(probs.sum() - 1.0) <= 1e-9
             assert np.all(probs > 0)
 
@@ -116,7 +132,7 @@ class TestForwardCalib:
     def test_zero_weights_half_half(self):
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(3, cfg)
-        out = forward_calib(p, featurize("w x", cfg=SMALL_FEATS), 1)
+        out = calib_probs(p, one_row("w x", cfg=SMALL_FEATS), 1)[0]
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
 
     def test_prediction_block_is_decisive(self):
@@ -125,22 +141,28 @@ class TestForwardCalib:
         p = init_parameters(3, cfg)
         p.w_calib[p.hidden_dim + 0, 1] = 2.0
         p.w_calib[p.hidden_dim + 1, 1] = -2.0
-        f = featurize("same input", cfg=SMALL_FEATS)
-        out0 = forward_calib(p, f, 0)
-        out1 = forward_calib(p, f, 1)
+        f = one_row("same input", cfg=SMALL_FEATS)
+        out0 = calib_probs(p, f, 0)[0]
+        out1 = calib_probs(p, f, 1)[0]
         assert abs(out0[1] - out1[1]) > 0.5
 
     def test_deterministic(self):
         cfg = TrainConfig(hidden_dim=4, seed=2, features=SMALL_FEATS)
         p = init_parameters(2, cfg)
-        f = featurize("alpha beta", cfg=SMALL_FEATS)
-        assert np.array_equal(forward_calib(p, f, 0), forward_calib(p, f, 0))
+        f = one_row("alpha beta", cfg=SMALL_FEATS)
+        assert np.array_equal(calib_probs(p, f, 0), calib_probs(p, f, 0))
 
     def test_invalid_prediction_rejected(self):
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(2, cfg)
-        with pytest.raises(ValueError):
-            forward_calib(p, featurize("w", cfg=SMALL_FEATS), 2)
+        m = one_row("w", cfg=SMALL_FEATS)
+        h = predict_batch(p, m)[3]
+        for y_star in (2, -1):
+            for mode in ("all", "no_sample", "no_prediction"):
+                with pytest.raises(ValueError, match="out of range"):
+                    calib_head(p, h, np.array([y_star]), mode)
+            with pytest.raises(ValueError, match="out of range"):
+                calib_batch_grads(p, m, np.array([y_star]), np.array([1]))
 
 
 class TestLosses:
@@ -191,9 +213,9 @@ def _random_instance(rng, num_classes=3, hidden=4, scale=1.0):
     p.b_calib[:] = rng.normal(scale=0.3, size=p.b_calib.shape)
     n = int(rng.integers(2, 5))
     texts = [" ".join(f"t{int(j)}" for j in rng.integers(0, 30, size=6)) for _ in range(n)]
-    vecs = [featurize(t, cfg=SMALL_FEATS) for t in texts]
+    vecs = featurize_batch(texts, cfg=SMALL_FEATS)
     aug_texts = [" ".join(f"t{int(j)}" for j in rng.integers(0, 30, size=6)) for _ in range(n)]
-    aug_vecs = [featurize(t, cfg=SMALL_FEATS) for t in aug_texts]
+    aug_vecs = featurize_batch(aug_texts, cfg=SMALL_FEATS)
     labels = rng.integers(0, num_classes, size=n)
     cs = rng.integers(0, 2, size=n)
     return p, vecs, aug_vecs, labels, cs
@@ -299,10 +321,9 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_parameters(separable_model, path)
         loaded = load_parameters(path)
-        for s in separable.samples[:5]:
-            f = featurize(s.text_a, cfg=loaded.features)
-            np.testing.assert_array_equal(main_logits(loaded, f),
-                                          main_logits(separable_model, f))
+        m = featurize_batch([s.text_a for s in separable.samples[:5]], cfg=loaded.features)
+        np.testing.assert_array_equal(predict_batch(loaded, m)[2],
+                                      predict_batch(separable_model, m)[2])
 
     def test_flat_roundtrip(self):
         cfg = TrainConfig(hidden_dim=4, seed=6, features=SMALL_FEATS)

@@ -262,32 +262,30 @@ def _require_lexicon(lexicon: SynonymLexicon | None, cfg: dict) -> SynonymLexico
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _write_json(obj, path: Path) -> None:
+def _write_json(obj, path: Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
-def _hash_tree(out: Path, skip: set[str]) -> dict[str, str]:
-    hashes = {}
-    for f in sorted(out.rglob("*")):
-        if f.is_file() and f.name not in skip:
-            hashes[str(f.relative_to(out))] = hashlib.sha256(f.read_bytes()).hexdigest()
-    return hashes
-
-
-def _finish_run(out: Path, cfg: dict) -> None:
-    meta = {"config": cfg, "artifact_hashes": _hash_tree(out, skip={"meta.json"})}
-    _write_json(meta, out / "meta.json")
+def _finish_run(out: Path, cfg: dict, written: list[Path]) -> None:
+    """meta.json: the config and the SHA-256 of every file in ``written``, the
+    files this command wrote, so that stale files an earlier run left in a
+    reused ``out`` are not vouched for. Files named meta.json are not hashed."""
+    hashes = {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+              for f in written if f.name != "meta.json"}
+    _write_json({"config": cfg, "artifact_hashes": hashes}, out / "meta.json")
 
 
 def _print_summary(summary: dict) -> None:
@@ -314,7 +312,9 @@ def cmd_synth(cfg: dict, out: Path) -> int:
     save_hardness(data.train, data.train_hard, out / "train.hardness.jsonl")
     save_hardness(data.test, data.test_hard, out / "test.hardness.jsonl")
     synthetic_lexicon(synth).to_tsv(out / "lexicon.tsv")
-    _finish_run(out, cfg)
+    _finish_run(out, cfg, [out / name for name in (
+        "train.jsonl", "test.jsonl", "train.hardness.jsonl", "test.hardness.jsonl",
+        "lexicon.tsv")])
     print(f"wrote {len(data.train)} train / {len(data.test)} test samples to {out}")
     return 0
 
@@ -324,10 +324,10 @@ def cmd_train(cfg: dict, out: Path) -> int:
     train_d, test_d, _ = _load_data(cfg)
     params, trace = train_main(train_d, _train_config(cfg, cfg["run"]["seed"]))
     save_parameters(params, out / "model.bin")
-    _write_csv(out / "losses.csv", ["step", "loss"],
-               [(i, repr(loss)) for i, loss in enumerate(trace)])
+    losses = _write_csv(out / "losses.csv", ["step", "loss"],
+                        [(i, repr(loss)) for i, loss in enumerate(trace)])
     log = Calibrator("vanilla", params).build_log(test_d, "id")
-    _finish_run(out, cfg)
+    _finish_run(out, cfg, [out / "model.bin", losses])
     print(f"final training loss {trace[-1]:.4f}, test accuracy {log.correct.mean():.3f}")
     return 0
 
@@ -338,9 +338,9 @@ def cmd_toast(cfg: dict, out: Path) -> int:
     lexicon = _require_lexicon(lexicon, cfg)
     params, artifacts = run_toast(train_d, _toast_config(cfg, cfg["run"]["seed"]), lexicon)
     save_parameters(params, out / "model.bin")
-    artifacts.save(out / "artifacts")
+    written = [out / "model.bin", *artifacts.save(out / "artifacts")]
     log = Calibrator("toast", params).build_log(test_d, "id")
-    _finish_run(out, cfg)
+    _finish_run(out, cfg, written)
     counts = artifacts.meta["counts"]
     print(f"annotated {counts['annotated']} records "
           f"({counts['annotated_negatives']} wrong), kept {counts['dstar']} "
@@ -403,8 +403,9 @@ def cmd_eval(cfg: dict, out: Path) -> int:
 
     train_d, test_d, lexicon = _load_data(cfg)
     calibs, toast_artifacts = _build_calibrators(cfg, train_d, lexicon, methods, seed)
+    written: list[Path] = []
     if toast_artifacts is not None:
-        toast_artifacts.save(out / "artifacts")
+        written += toast_artifacts.save(out / "artifacts")
 
     metrics: dict = {"summary": {}}
     for method, calib in calibs.items():
@@ -412,7 +413,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         a, dc = apps.log_auroc_dconf(log)
         metrics["summary"][method] = {"auroc": a, "delta_conf": dc,
                                       "accuracy": float(log.correct.mean())}
-        log.to_csv(curves / f"log_{method}.csv")
+        written.append(curves / f"log_{method}.csv")
+        log.to_csv(written[-1])
 
     if "selective" in applications:
         targets = _split_list(cfg["eval"]["targets"], float)
@@ -423,12 +425,14 @@ def cmd_eval(cfg: dict, out: Path) -> int:
                 "auroc_risk": rep["auroc_risk"],
                 "coverage_at_risk": rep["coverage_at_risk"],
             }
-            _write_csv(curves / f"selective_risk_coverage_{method}.csv",
-                       ["threshold", "coverage", "risk"],
-                       [(repr(t), repr(c), repr(r)) for t, c, r in rep["risk_coverage"]])
-            _write_csv(curves / f"selective_accuracy_coverage_{method}.csv",
-                       ["threshold", "coverage", "accuracy"],
-                       [(repr(t), repr(c), repr(a)) for t, c, a in rep["accuracy_coverage"]])
+            written.append(_write_csv(
+                curves / f"selective_risk_coverage_{method}.csv",
+                ["threshold", "coverage", "risk"],
+                [(repr(t), repr(c), repr(r)) for t, c, r in rep["risk_coverage"]]))
+            written.append(_write_csv(
+                curves / f"selective_accuracy_coverage_{method}.csv",
+                ["threshold", "coverage", "accuracy"],
+                [(repr(t), repr(c), repr(a)) for t, c, a in rep["accuracy_coverage"]]))
 
     if "adversarial" in applications:
         ev = cfg["eval"]
@@ -440,7 +444,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
             adv, origins = attack_dataset(attack_target.params, test_d, lex,
                                           budget=ev["adversarial_budget"],
                                           max_successes=ev["adversarial_max"])
-            save_adversarial(adv, origins, out / "adversarial.jsonl")
+            written.append(out / "adversarial.jsonl")
+            save_adversarial(adv, origins, written[-1])
         metrics["adversarial"] = {}
         for method, calib in calibs.items():
             rep = apps.adversarial_eval(calib, test_d, adv, seed=seed)
@@ -448,9 +453,9 @@ def cmd_eval(cfg: dict, out: Path) -> int:
                 "auroc": rep["auroc"], "delta_conf": rep["delta_conf"],
                 "n_id": rep["n_id"], "n_adv": rep["n_adv"],
             }
-            _write_csv(curves / f"adversarial_f1_{method}.csv",
-                       ["threshold", "macro_f1"],
-                       [(repr(t), repr(f)) for t, f in rep["detection_f1"]])
+            written.append(_write_csv(curves / f"adversarial_f1_{method}.csv",
+                                      ["threshold", "macro_f1"],
+                                      [(repr(t), repr(f)) for t, f in rep["detection_f1"]]))
 
     if "cascade" in applications:
         ev = cfg["eval"]
@@ -470,12 +475,13 @@ def cmd_eval(cfg: dict, out: Path) -> int:
                 "large_accuracy": rep["large_accuracy"],
             }
             routed = dict(rep["routed_fraction"])
-            _write_csv(curves / f"cascade_{method}.csv",
-                       ["threshold", "accuracy", "routed_fraction"],
-                       [(repr(t), repr(a), repr(routed[t])) for t, a in rep["curve"]])
+            written.append(_write_csv(
+                curves / f"cascade_{method}.csv",
+                ["threshold", "accuracy", "routed_fraction"],
+                [(repr(t), repr(a), repr(routed[t])) for t, a in rep["curve"]]))
 
-    _write_json(metrics, out / "metrics.json")
-    _finish_run(out, cfg)
+    written.append(_write_json(metrics, out / "metrics.json"))
+    _finish_run(out, cfg, written)
     _print_summary(metrics["summary"])
     print(f"run directory: {out}")
     return 0
@@ -498,6 +504,15 @@ def _sweep_row_to_csv(row: dict) -> dict:
     return out
 
 
+def _sweep_fingerprint(cfg: dict, kind: str, points: list[dict]) -> str:
+    """SHA-256 of what decides a sweep's rows: the run and sweep seeds, the
+    data, model, train and toast sections, the kind and its grid."""
+    key = {"seed": cfg["run"]["seed"], "seeds": cfg["sweep"]["seeds"], "kind": kind,
+           "points": points,
+           **{section: cfg[section] for section in ("data", "model", "train", "toast")}}
+    return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
     kind = kind or cfg["sweep"]["kind"]
@@ -517,13 +532,19 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     points = apps.grid_points(kind, sweep_cfg)
 
     csv_path = out / "sweep.csv"
+    fp_path = out / "sweep.fingerprint"
+    fingerprint = _sweep_fingerprint(cfg, kind, points)
     existing: dict[str, dict] = {}
     if csv_path.exists():
+        if fp_path.exists() and fp_path.read_text(encoding="utf-8").strip() != fingerprint:
+            raise ConfigError(f"{csv_path} comes from another config or grid; "
+                              "refusing to resume (use a fresh --out)")
         with open(csv_path, encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
                 existing[row["point_id"]] = row
         for pid in existing:
             print(f"resume: skipping completed point {pid}")
+    fp_path.write_text(fingerprint + "\n", encoding="utf-8")
 
     new_rows: list[dict] = []
 
@@ -562,7 +583,7 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
         for p in points:
             if p["point_id"] in by_id:
                 writer.writerow(by_id[p["point_id"]])
-    _finish_run(out, cfg)
+    _finish_run(out, cfg, [csv_path, fp_path])
     print(f"sweep '{kind}': {len(points)} points "
           f"({len(points) - len(todo)} resumed) -> {csv_path}")
     return 0
@@ -580,7 +601,7 @@ def cmd_attack(cfg: dict, out: Path, model_path: str | None) -> int:
                                   budget=cfg["attack"]["budget"],
                                   max_successes=cfg["attack"]["max_successes"])
     save_adversarial(adv, origins, out / "adversarial.jsonl")
-    _finish_run(out, cfg)
+    _finish_run(out, cfg, [out / "adversarial.jsonl"])
     print(f"{len(adv)} successful adversarial samples -> {out / 'adversarial.jsonl'}")
     return 0
 

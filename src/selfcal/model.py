@@ -347,15 +347,16 @@ def loss_kl(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass
 class Grads:
-    """Batch-mean gradients. Encoder gradients stay sparse: per-row contributions
-    at ``enc_rows`` (rows may repeat; accumulation happens at update time)."""
+    """Batch-mean gradients. The encoder gradient stays sparse and split by loss
+    part: ``enc_parts`` holds one ``(buckets, vals)`` pair per part, each adding
+    row ``vals[i]`` to encoder row ``buckets[i]`` (buckets may repeat within and
+    across parts; accumulation happens at update time, in part order)."""
 
     w_main: np.ndarray
     b_main: np.ndarray
     w_calib: np.ndarray
     b_calib: np.ndarray
-    enc_rows: np.ndarray
-    enc_vals: np.ndarray
+    enc_parts: list[tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def zeros(cls, p: ModelParameters) -> "Grads":
@@ -364,8 +365,7 @@ class Grads:
             b_main=np.zeros_like(p.b_main),
             w_calib=np.zeros_like(p.w_calib),
             b_calib=np.zeros_like(p.b_calib),
-            enc_rows=np.empty(0, dtype=np.int64),
-            enc_vals=np.empty((0, p.hidden_dim)),
+            enc_parts=[],
         )
 
     def add(self, other: "Grads") -> "Grads":
@@ -374,22 +374,34 @@ class Grads:
             b_main=self.b_main + other.b_main,
             w_calib=self.w_calib + other.w_calib,
             b_calib=self.b_calib + other.b_calib,
-            enc_rows=np.concatenate([self.enc_rows, other.enc_rows]),
-            enc_vals=np.concatenate([self.enc_vals, other.enc_vals]),
+            enc_parts=self.enc_parts + other.enc_parts,
         )
 
     def scaled(self, a: float) -> "Grads":
         return Grads(self.w_main * a, self.b_main * a, self.w_calib * a,
-                     self.b_calib * a, self.enc_rows, self.enc_vals * a)
+                     self.b_calib * a, [(b, v * a) for b, v in self.enc_parts])
+
+
+def _flat_index(buckets: np.ndarray, hidden: int) -> np.ndarray:
+    """Positions in the flattened encoder of every element of rows ``buckets``,
+    row by row (int64, so bucket * hidden cannot wrap for uint32 buckets)."""
+    return (buckets.astype(np.int64)[:, None] * hidden + np.arange(hidden)).ravel()
 
 
 def apply_grads(p: ModelParameters, g: Grads, lr: float) -> None:
+    """One SGD update. Each encoder part is one 1-D ``np.subtract.at`` on the
+    flattened encoder: every element receives the same subtractions in the same
+    order as one 2-D row scatter of all parts concatenated, so the result is
+    bit-identical, without copying the parts together."""
+    if not p.encoder.flags.c_contiguous:
+        raise ValueError("encoder must be a C-contiguous array to be updated in place")
     p.w_main -= lr * g.w_main
     p.b_main -= lr * g.b_main
     p.w_calib -= lr * g.w_calib
     p.b_calib -= lr * g.b_calib
-    if len(g.enc_rows):
-        np.subtract.at(p.encoder, g.enc_rows, lr * g.enc_vals)
+    flat = p.encoder.reshape(-1)
+    for buckets, vals in g.enc_parts:
+        np.subtract.at(flat, _flat_index(buckets, p.hidden_dim), (lr * vals).ravel())
 
 
 def _encoder_grads(m: FeatureMatrix, dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +424,7 @@ def main_batch_grads(p: ModelParameters, m: FeatureMatrix, labels,
     g = Grads.zeros(p)
     g.w_main = h.T @ dz
     g.b_main = dz.sum(0)
-    g.enc_rows, g.enc_vals = _encoder_grads(m, dz @ p.w_main.T)
+    g.enc_parts = [_encoder_grads(m, dz @ p.w_main.T)]
     return loss, g
 
 
@@ -427,7 +439,7 @@ def _calib_grads(p: ModelParameters, m: FeatureMatrix, h: np.ndarray, y_stars,
         np.add.at(g.w_calib[hd:], y_stars, dz)
     if feature_mode != "no_sample":
         g.w_calib[:hd] = h.T @ dz
-        g.enc_rows, g.enc_vals = _encoder_grads(m, dz @ p.w_calib[:hd].T)
+        g.enc_parts = [_encoder_grads(m, dz @ p.w_calib[:hd].T)]
     return g
 
 

@@ -291,7 +291,8 @@ class ToastArtifacts:
     losses: list[dict]
     meta: dict
 
-    def save(self, out_dir) -> None:
+    def save(self, out_dir) -> list[Path]:
+        """Write the bundle under ``out_dir``; returns the paths written."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "dstar.jsonl", "w", encoding="utf-8") as fh:
@@ -319,6 +320,7 @@ class ToastArtifacts:
         with open(out / "meta.json", "w", encoding="utf-8") as fh:
             json.dump(self.meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return [out / name for name in ("dstar.jsonl", "daug.jsonl", "losses.csv", "meta.json")]
 
 
 def run_toast(d: Dataset, cfg: ToastConfig, lexicon: SynonymLexicon

@@ -128,8 +128,8 @@ def grads_to_flat(params, grads) -> np.ndarray:
     """Densify a sparse-encoder Grads into one flat vector matching
     get_flat_params ordering."""
     enc = np.zeros_like(params.encoder)
-    if len(grads.enc_rows):
-        np.add.at(enc, grads.enc_rows, grads.enc_vals)
+    for buckets, vals in grads.enc_parts:
+        np.add.at(enc, buckets, vals)
     return np.concatenate([enc.ravel(), grads.w_main.ravel(), grads.b_main.ravel(),
                            grads.w_calib.ravel(), grads.b_calib.ravel()])
 

@@ -4,13 +4,15 @@ The references below are the per-sample featurizer, forward pass, training
 gradients, greedy attack and O(n^2) risk-coverage sweep that the batched code
 replaced. Feature rows, curve points and attack results must match them
 exactly; batched confidences, losses and gradients may differ from the
-per-sample ones only in summation order, by at most 1e-12.
+per-sample ones only in summation order, by at most 1e-12. The encoder update
+must match one 2-D row scatter of all gradient parts bit for bit.
 """
 
 import os
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,15 +38,20 @@ from selfcal.model import (
     FeaturizerConfig,
     Grads,
     TrainConfig,
+    _flat_index,
+    apply_grads,
     calib_batch_grads,
+    clone_parameters,
     consistency_batch_grads,
     encode,
     featurize_batch,
+    get_flat_params,
     init_parameters,
     main_batch_grads,
     predict,
     smooth_target,
 )
+from selfcal.toast import ToastConfig, run_toast
 
 TOL = 1e-12
 
@@ -421,8 +428,7 @@ def ref_main_batch_grads(p, vecs, labels, epsilon=0.0):
         dh = p.w_main @ dz
         rows.append(indices)
         vals.append(values[:, None] * dh[None, :])
-    g.enc_rows = np.concatenate(rows)
-    g.enc_vals = np.concatenate(vals)
+    g.enc_parts = list(zip(rows, vals))
     return loss / n, g
 
 
@@ -445,9 +451,7 @@ def ref_calib_batch_grads(p, vecs, y_stars, cs, epsilon=0.0, feature_mode="all")
             dh = p.w_calib[:hd] @ dz
             rows.append(indices)
             vals.append(values[:, None] * dh[None, :])
-    if rows:
-        g.enc_rows = np.concatenate(rows)
-        g.enc_vals = np.concatenate(vals)
+    g.enc_parts = list(zip(rows, vals))
     return loss / n, g
 
 
@@ -477,9 +481,7 @@ def ref_consistency_batch_grads(p, clean_vecs, aug_vecs, y_stars, feature_mode="
                 dh = p.w_calib[:hd] @ dz
                 rows.append(indices)
                 vals.append(values[:, None] * dh[None, :])
-    if rows:
-        g.enc_rows = np.concatenate(rows)
-        g.enc_vals = np.concatenate(vals)
+    g.enc_parts = list(zip(rows, vals))
     return loss / n, g
 
 
@@ -530,6 +532,95 @@ def test_consistency_batch_grads_match_per_sample(feature_mode):
         assert_same_loss_and_grads(
             p, consistency_batch_grads(p, m, m_aug, labels, feature_mode),
             ref_consistency_batch_grads(p, vecs, aug_vecs, labels, feature_mode))
+
+
+# ---------------------------------------------------------------------------
+# Encoder update
+# ---------------------------------------------------------------------------
+
+def ref_apply_grads(p, g, lr):
+    """The update as one 2-D row scatter of all encoder parts concatenated."""
+    p.w_main -= lr * g.w_main
+    p.b_main -= lr * g.b_main
+    p.w_calib -= lr * g.w_calib
+    p.b_calib -= lr * g.b_calib
+    if g.enc_parts:
+        rows = np.concatenate([b for b, _ in g.enc_parts])
+        vals = np.concatenate([v for _, v in g.enc_parts])
+        np.subtract.at(p.encoder, rows, lr * vals)
+
+
+def multitask_step(p, d, calib, clean, aug, batches, feature_mode, alpha):
+    """One stage-3 step as ``train_multitask`` takes it: main, calibration and
+    alpha-scaled consistency gradients, added in that order."""
+    b_main, b_calib, b_aug = batches
+    _, g = main_batch_grads(p, d.take(b_main), b_main % p.num_classes, 0.1)
+    _, gc = calib_batch_grads(p, calib.take(b_calib), b_calib % p.num_classes,
+                              b_calib % 2, 0.1, feature_mode)
+    _, ga = consistency_batch_grads(p, clean.take(b_aug), aug.take(b_aug),
+                                    b_aug % p.num_classes, feature_mode)
+    return g.add(gc).add(ga.scaled(alpha))
+
+
+@pytest.mark.parametrize("feature_mode", FEATURE_MODES)
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 0.37])
+def test_apply_grads_is_bit_identical_to_one_row_scatter(feature_mode, alpha):
+    rng = np.random.default_rng(7)
+    d = random_dataset(20, 60).features(FEATS)
+    calib = random_dataset(21, 60).features(FEATS)
+    clean = random_dataset(22, 60).features(FEATS)
+    aug = random_dataset(23, 60).features(FEATS)
+    p = random_params(24)
+    q = clone_parameters(p)
+    for step in range(12):
+        # Drawn with replacement: buckets repeat within a part and across parts.
+        batches = [rng.choice(60, size=16) for _ in range(3)]
+        g = multitask_step(p, d, calib, clean, aug, batches, feature_mode, alpha)
+        g_ref = multitask_step(q, d, calib, clean, aug, batches, feature_mode, alpha)
+        parts = [b for b, _ in g.enc_parts]
+        assert len(np.unique(parts[0])) < len(parts[0])
+        if feature_mode == "no_sample":
+            assert len(parts) == 1   # the calibration head never reads the encoder
+        else:
+            assert len(parts) == 4
+            assert np.intersect1d(parts[0], parts[1]).size > 0
+        apply_grads(p, g, 0.5)
+        ref_apply_grads(q, g_ref, 0.5)
+        assert np.array_equal(get_flat_params(p), get_flat_params(q)), step
+
+
+def test_run_toast_weights_match_the_one_row_scatter(monkeypatch, synth_data, lexicon,
+                                                     train_cfg):
+    import selfcal.model
+    import selfcal.toast
+
+    cfg = ToastConfig(train=replace(train_cfg, epochs=2))
+    p, _ = run_toast(synth_data.train, cfg, lexicon)
+    monkeypatch.setattr(selfcal.model, "apply_grads", ref_apply_grads)
+    monkeypatch.setattr(selfcal.toast, "apply_grads", ref_apply_grads)
+    q, _ = run_toast(synth_data.train, cfg, lexicon)
+    assert get_flat_params(p).tobytes() == get_flat_params(q).tobytes()
+
+
+def test_flat_index_does_not_wrap_for_large_buckets():
+    # Rows past 2**26 - 1 end beyond 2**32 elements: a uint32 product wraps there.
+    hidden = 64
+    buckets = np.array([0, 1, 2**26 - 1, 2**25, 2**26, 2**26 - 1, 2**32 - 1],
+                       dtype=np.uint32)
+    assert int(buckets.max()) * hidden >= 2**32
+    idx = _flat_index(buckets, hidden)
+    assert idx.dtype == np.int64
+    want = [b * hidden + j for b in buckets.tolist() for j in range(hidden)]
+    assert idx.tolist() == want
+
+
+def test_apply_grads_rejects_a_non_contiguous_encoder():
+    p = random_params(25)
+    p.encoder = np.asfortranarray(p.encoder)
+    g = Grads.zeros(p)
+    g.enc_parts = [(np.array([3], dtype=np.uint32), np.ones((1, p.hidden_dim)))]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        apply_grads(p, g, 0.1)
 
 
 def test_smooth_target_rows_are_the_per_label_targets():

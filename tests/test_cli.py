@@ -150,6 +150,23 @@ class TestEval:
         assert rc == 2
         assert "platt" in capsys.readouterr().err
 
+    def test_reused_out_hashes_only_this_runs_files(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["eval", "--config", str(config_path), "--out", str(out)]) == 0
+        stale = out / "curves" / "selective_risk_coverage_vanilla.csv"
+        assert stale.exists()
+        assert main(["eval", "--config", str(config_path), "--out", str(out),
+                     "--set", "eval.applications=cascade"]) == 0
+        hashed = set(json.loads((out / "meta.json").read_text())["artifact_hashes"])
+        assert stale.exists() and "curves/selective_risk_coverage_vanilla.csv" not in hashed
+        assert "curves/cascade_vanilla.csv" in hashed and "metrics.json" in hashed
+        fresh = tmp_path / "fresh"
+        assert main(["eval", "--config", str(config_path), "--out", str(fresh),
+                     "--set", "eval.applications=cascade"]) == 0
+        fresh_files = {str(f.relative_to(fresh)) for f in fresh.rglob("*")
+                       if f.is_file() and f.name != "meta.json"}
+        assert hashed == fresh_files
+
     def test_report_renders_finished_run(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
         main(["eval", "--config", str(config_path), "--out", str(out)])
@@ -196,6 +213,22 @@ class TestSweep:
             rows = {r["point_id"]: r for r in csv.DictReader(fh)}
         assert rows["size=15"]["auroc_mean"] == "0.123456"
         assert rows["size=40"]["auroc_mean"] not in ("", "0.123456")
+
+    def test_resume_refuses_a_sweep_of_another_grid(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(config_path), "--kind", "size", "--out", str(out)]
+        assert main(args + ["--set", "sweep.sizes=15,30"]) == 0
+        stale = (out / "sweep.csv").read_text()
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "another config or grid" in err and len(err.strip().splitlines()) == 1
+        assert (out / "sweep.csv").read_text() == stale
+        assert main(args + ["--set", "sweep.sizes=15,30", "--set", "train.epochs=4"]) == 2
+        # The same config and grid still resume.
+        assert main(args + ["--set", "sweep.sizes=15,30"]) == 0
+        assert "skipping completed point size=30" in capsys.readouterr().out
+        assert (out / "sweep.csv").read_text() == stale
 
     def test_parallel_jobs_match_serial(self, config_path, tmp_path):
         serial, par = tmp_path / "s", tmp_path / "p"

@@ -8,6 +8,8 @@ with them, not the other way round.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfcal.calibrators import ConfidenceLog
 from selfcal.metrics import (
@@ -262,3 +264,43 @@ class TestCascadeCurve:
         large_correct = np.array([1, 1, 1, 1])
         points, _ = cascade_curve(small, large_correct, thresholds=[0.5])
         assert points[0][1] == pytest.approx(3 / 4)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+# Quantized scores: plenty of ties, and every transform below keeps them
+# distinct and ordered in floating point.
+SCORES = st.lists(st.integers(0, 40).map(lambda k: k / 8), min_size=1, max_size=60)
+INCREASING = (np.exp, lambda x: 3 * x - 2, lambda x: x ** 3, lambda x: -1 / (1 + x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pos=SCORES, neg=SCORES)
+def test_auroc_symmetry_property(pos, neg):
+    assert auroc(pos, neg) + auroc(neg, pos) == pytest.approx(1.0, abs=1e-12)
+    assert auroc(pos, neg) == pytest.approx(brute_auroc(pos, neg), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pos=SCORES, neg=SCORES, f=st.sampled_from(INCREASING))
+def test_auroc_monotone_transform_property(pos, neg, f):
+    pos, neg = np.array(pos), np.array(neg)
+    base = auroc(pos, neg)
+    assert auroc(f(pos), f(neg)) == base
+    # A strictly decreasing transform swaps the sides.
+    assert auroc(-f(pos), -f(neg)) == auroc(neg, pos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=60))
+def test_risk_coverage_monotone_property(rows):
+    log = make_log([c for c, _ in rows], [int(k) for _, k in rows])
+    thresholds, covs, risks = zip(*risk_coverage(log))
+    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+    assert all(a >= b for a, b in zip(covs, covs[1:]))
+    conf = np.array([c for c, _ in rows])
+    assert list(covs) == [(conf >= t).sum() / conf.size for t in thresholds]
+    assert covs[0] == 1.0 and covs[-1] >= 1 / conf.size
+    assert all(0.0 <= r <= 1.0 for r in risks)

@@ -15,7 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Dataset, Sample, SynthConfig, class_tokens, noise_tokens
-from .model import ModelParameters, featurize_batch, predict_batch, softmax
+from .model import (
+    FeatureMatrix,
+    ModelParameters,
+    featurize_batch,
+    predict_batch,
+    rows_plus_deltas,
+    softmax,
+    substitution_deltas,
+)
 
 
 class TransformKind(Enum):
@@ -26,13 +34,16 @@ class TransformKind(Enum):
 
 
 class SynonymLexicon:
-    """Case-normalized token -> synonyms map. No token maps to an empty list."""
+    """Case-normalized token -> synonyms map. No token maps to an empty list,
+    and every synonym has at least one token."""
 
     def __init__(self, entries: dict[str, list[str]]):
         self._entries: dict[str, list[str]] = {}
         for word, syns in entries.items():
             if not syns:
                 raise ValueError(f"lexicon entry {word!r} has no synonyms")
+            if not all(map(str.split, syns)):
+                raise ValueError(f"lexicon entry {word!r} has a synonym with no tokens")
             self._entries[word.lower()] = list(syns)
 
     def __len__(self) -> int:
@@ -174,29 +185,40 @@ def greedy_attack(p: ModelParameters, s: Sample, lexicon: SynonymLexicon,
     lowers the probability).
 
     Only correctly classified samples may be attacked. Each step scores all of
-    its candidate texts as one batch.
+    its candidates as one batch, whose rows are the current text's row plus
+    each substitution's count delta (no candidate text is hashed in full). A
+    position's deltas are kept until a substitution within ``ngram_max - 1``
+    tokens of it changes its n-grams.
     """
     gold = s.label
 
-    def score(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Predicted labels and gold-class probabilities of ``texts``."""
-        m = featurize_batch(texts, [s.text_b] * len(texts), p.features)
+    def score(m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted labels and gold-class probabilities of the rows of ``m``."""
         labels, _, z, _ = predict_batch(p, m)
         return labels, softmax(z)[:, gold]
 
-    labels, probs = score([s.text_a])
+    row = featurize_batch([s.text_a], [s.text_b], p.features)
+    labels, probs = score(row)
     if labels[0] != gold:
         raise ValueError("attack requires a correctly classified input")
 
     tokens = s.text_a.split()
     current = probs[0]
+    reach = p.features.ngram_max - 1
+    cache: dict[int, tuple[list[str], list]] = {}   # position -> (synonyms, deltas)
     for _ in range(budget):
-        candidates = [(pos, syn) for pos, tok in enumerate(tokens)
-                      for syn in lexicon.synonyms(tok) if syn != tok]
+        candidates, step_deltas = [], []
+        for pos, tok in enumerate(tokens):
+            if pos not in cache:
+                syns = [syn for syn in lexicon.synonyms(tok) if syn != tok]
+                cache[pos] = syns, substitution_deltas(tokens, pos, syns, p.features)
+            syns, deltas = cache[pos]
+            candidates += ((pos, syn) for syn in syns)
+            step_deltas += deltas
         if not candidates:
             return None
-        texts = [" ".join(tokens[:pos] + [syn] + tokens[pos + 1:]) for pos, syn in candidates]
-        labels, probs = score(texts)
+        m = rows_plus_deltas(row, step_deltas)
+        labels, probs = score(m)
         best = int(np.argmin(probs))
         if not probs[best] < current:
             return None
@@ -204,8 +226,11 @@ def greedy_attack(p: ModelParameters, s: Sample, lexicon: SynonymLexicon,
         pos, syn = candidates[best]
         tokens[pos] = syn
         if labels[best] != gold:
-            return Sample(id=f"{s.id}#adv", text_a=texts[best], text_b=s.text_b,
+            return Sample(id=f"{s.id}#adv", text_a=" ".join(tokens), text_b=s.text_b,
                           label=s.label)
+        row = m.take([best])
+        for stale in range(pos - reach, pos + reach + 1):
+            cache.pop(stale, None)
     return None
 
 

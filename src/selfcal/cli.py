@@ -282,9 +282,9 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
 def _finish_run(out: Path, cfg: dict, written: list[Path]) -> None:
     """meta.json: the config and the SHA-256 of every file in ``written``, the
     files this command wrote, so that stale files an earlier run left in a
-    reused ``out`` are not vouched for. Files named meta.json are not hashed."""
+    reused ``out`` are not vouched for. The run's own meta.json is not hashed."""
     hashes = {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
-              for f in written if f.name != "meta.json"}
+              for f in written if f != out / "meta.json"}
     _write_json({"config": cfg, "artifact_hashes": hashes}, out / "meta.json")
 
 

@@ -1,9 +1,13 @@
 """Textual transforms, the synonym lexicon, and the greedy attacker."""
 
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfcal.augment import (
     SynonymLexicon,
@@ -32,6 +36,11 @@ class TestLexicon:
     def test_empty_synonym_list_rejected(self):
         with pytest.raises(ValueError):
             SynonymLexicon({"word": []})
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
+    def test_synonym_without_tokens_rejected(self, blank):
+        with pytest.raises(ValueError, match="'a' has a synonym with no tokens"):
+            SynonymLexicon({"a": ["b", blank]})
 
     def test_tsv_roundtrip(self, tiny_lexicon, tmp_path):
         p = tmp_path / "lex.tsv"
@@ -195,3 +204,57 @@ class TestGreedyAttack:
         save_adversarial(adv, origins, path)
         reloaded = load_dataset(path)
         assert len(reloaded) == 5
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+LEX_WORDS = st.text(alphabet="abcAB", min_size=1, max_size=3)
+
+
+@st.composite
+def lexicon_entries(draw, max_words=3):
+    """word -> synonyms of 1..max_words words; the words differ after case
+    normalization, so no entry shadows another."""
+    words = draw(st.lists(LEX_WORDS, min_size=1, max_size=5, unique_by=str.lower))
+    synonym = st.lists(LEX_WORDS, min_size=1, max_size=max_words).map(" ".join)
+    return {w: draw(st.lists(synonym, min_size=1, max_size=3)) for w in words}
+
+
+TRANSFORM_INPUTS = dict(words=st.lists(LEX_WORDS, min_size=1, max_size=8),
+                        rate=st.floats(0.0, 1.0, exclude_min=True),
+                        seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=lexicon_entries(), **TRANSFORM_INPUTS)
+def test_every_transform_keeps_a_token(entries, words, rate, seed):
+    lex = SynonymLexicon(entries)
+    for kind in TransformKind:
+        out = apply_transform(kind, " ".join(words), rate, lex, np.random.default_rng(seed))
+        assert out.split()
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=lexicon_entries(max_words=1), **TRANSFORM_INPUTS)
+def test_substituted_tokens_come_from_the_lexicon(entries, words, rate, seed):
+    lex = SynonymLexicon(entries)
+    out = apply_transform(TransformKind.SYNONYM_SUBSTITUTION, " ".join(words), rate, lex,
+                          np.random.default_rng(seed)).split()
+    assert len(out) == len(words)
+    for old, new in zip(words, out):
+        assert new == old or new in lex.synonyms(old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=lexicon_entries())
+def test_tsv_roundtrip_property(entries):
+    lex = SynonymLexicon(entries)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lex.tsv"
+        lex.to_tsv(path)
+        loaded = SynonymLexicon.from_tsv(path)
+    assert len(loaded) == len(lex)
+    for word in entries:
+        assert loaded.synonyms(word) == lex.synonyms(word) == entries[word]

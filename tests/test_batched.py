@@ -5,7 +5,9 @@ gradients, greedy attack and O(n^2) risk-coverage sweep that the batched code
 replaced. Feature rows, curve points and attack results must match them
 exactly; batched confidences, losses and gradients may differ from the
 per-sample ones only in summation order, by at most 1e-12. The encoder update
-must match one 2-D row scatter of all gradient parts bit for bit.
+must match one 2-D row scatter of all gradient parts bit for bit, and the
+attack's candidate rows (the current row plus a count delta) must equal
+featurizing the candidate texts, dtypes and bytes.
 """
 
 import os
@@ -23,7 +25,7 @@ from conftest import FEATS, grads_to_flat
 from selfcal.apps import score_with_calibration_head
 from selfcal.augment import SynonymLexicon, greedy_attack
 from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog
-from selfcal.corpus import Dataset, Sample
+from selfcal.corpus import Dataset, Sample, vocabulary
 from selfcal.metrics import (
     _tied_ranks,
     accuracy_coverage_curve,
@@ -49,7 +51,10 @@ from selfcal.model import (
     init_parameters,
     main_batch_grads,
     predict,
+    rows_plus_deltas,
     smooth_target,
+    substitution_deltas,
+    train_main,
 )
 from selfcal.toast import ToastConfig, run_toast
 
@@ -710,3 +715,98 @@ def test_attack_tie_breaks_match_per_candidate():
     s = Sample(id="flat", text_a="x good", label=1)
     assert greedy_attack(p, s, lexicon, 3) is None
     assert ref_greedy_attack(p, s, lexicon, 3) is None
+
+
+# Multi-word synonyms, separated by a space or a tab: one element of the
+# attack's token list, several words to the featurizer.
+SYNONYMS = st.tuples(st.lists(WORDS, min_size=1, max_size=3),
+                     st.sampled_from([" ", " \t"])).map(lambda t: t[1].join(t[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(st.text(alphabet="abAΣς", min_size=1, max_size=2), min_size=1,
+                       max_size=7),
+       synonyms=st.lists(SYNONYMS, min_size=1, max_size=3),
+       text_b=st.one_of(st.none(), st.lists(WORDS, max_size=4).map(" ".join)),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5),
+       ngram_max=st.integers(1, 3), lowercase=st.booleans(), tagging=st.booleans())
+def test_delta_rows_equal_featurizing_the_candidates(tokens, synonyms, text_b, picks,
+                                                     ngram_max, lowercase, tagging):
+    """Over several substitution steps, with deltas kept per position the way
+    the attack keeps them (dropped within ngram_max - 1 of each substitution),
+    every candidate matrix is the featurized candidate texts. The neighbours
+    of each position are among its replacements, so added and removed
+    n-grams cancel; a 64-bucket space makes collisions common."""
+    cfg = FeaturizerConfig(lowercase=lowercase, ngram_max=ngram_max, hash_dim=64,
+                           segment_tagging=tagging)
+    row = featurize_batch([" ".join(tokens)], [text_b], cfg)
+    cache = {}
+    for pick in picks:
+        candidates, deltas = [], []
+        for pos in range(len(tokens)):
+            if pos not in cache:
+                reps = synonyms + tokens[max(0, pos - 1):pos] + tokens[pos + 1:pos + 2]
+                cache[pos] = reps, substitution_deltas(tokens, pos, reps, cfg)
+            reps, ds = cache[pos]
+            candidates += [(pos, r) for r in reps]
+            deltas += ds
+        m = rows_plus_deltas(row, deltas)
+        texts = [" ".join(tokens[:pos] + [r] + tokens[pos + 1:]) for pos, r in candidates]
+        assert_same_matrix(m, featurize_batch(texts, [text_b] * len(texts), cfg))
+        best = pick % len(candidates)
+        pos, tokens[pos] = candidates[best][0], candidates[best][1]
+        row = m.take([best])
+        for stale in range(pos - ngram_max + 1, pos + ngram_max):
+            cache.pop(stale, None)
+
+
+def attackable(p, samples, count):
+    attacked = [s for s in samples if predict(p, s)[0] == s.label][:count]
+    assert len(attacked) == count
+    return attacked
+
+
+def test_pair_task_attack_matches_per_candidate():
+    """Segment b is fixed under attack: its n-grams stay in every candidate
+    row, tagged or not."""
+    rng = np.random.default_rng(11)
+    vocab = [f"w{i}" for i in range(40)]
+    lex = SynonymLexicon({w: [vocab[(i + 1) % 40], vocab[(i + 7) % 40]]
+                          for i, w in enumerate(vocab)})
+    d = Dataset(tuple(
+        Sample(id=f"p{i}", text_a=" ".join(rng.choice(vocab[20 * (i % 2):][:20], size=8)),
+               text_b=" ".join(rng.choice(vocab, size=4)), label=i % 2)
+        for i in range(200)), ("a", "b"), "pair")
+    outcomes = []
+    for tagging in (True, False):
+        feats = FeaturizerConfig(hash_dim=512, segment_tagging=tagging)
+        p, _ = train_main(d, TrainConfig(epochs=3, hidden_dim=8, seed=1, features=feats))
+        for s in attackable(p, d.samples, 30):
+            got = greedy_attack(p, s, lex, 4)
+            assert got == ref_greedy_attack(p, s, lex, 4)
+            outcomes.append(got is None)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("features", [FEATS, FeaturizerConfig(hash_dim=2048, ngram_max=3,
+                                                                lowercase=False)])
+def test_multi_word_synonym_attack_matches_per_candidate(features, synth_cfg, synth_data,
+                                                         lexicon, train_cfg):
+    """Synonyms of two words (space or tab separated), and lexicon entries for
+    those phrases, so that a later step substitutes a multi-word element."""
+    entries = {}
+    for w in vocabulary(synth_cfg):
+        syns = lexicon.synonyms(w)
+        if syns:
+            phrase = f"{syns[-1]} {syns[0].upper()}"
+            entries[w] = syns + [phrase, f"{w}\t{syns[0]}"]
+            entries[phrase] = [w, "x y z"]
+    multi = SynonymLexicon(entries)
+    p, _ = train_main(synth_data.train, replace(train_cfg, features=features))
+    outcomes, grown = [], 0
+    for s in attackable(p, synth_data.test.samples, 40):
+        got = greedy_attack(p, s, multi, 3)
+        assert got == ref_greedy_attack(p, s, multi, 3)
+        outcomes.append(got is None)
+        grown += got is not None and len(got.text_a.split()) > len(s.text_a.split())
+    assert 0 < sum(outcomes) < len(outcomes) and grown > 0

@@ -1,6 +1,7 @@
 """Config handling and the command-line workflows, run in-process."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -164,8 +165,18 @@ class TestEval:
         assert main(["eval", "--config", str(config_path), "--out", str(fresh),
                      "--set", "eval.applications=cascade"]) == 0
         fresh_files = {str(f.relative_to(fresh)) for f in fresh.rglob("*")
-                       if f.is_file() and f.name != "meta.json"}
+                       if f.is_file() and f != fresh / "meta.json"}
         assert hashed == fresh_files
+
+    def test_meta_hashes_the_pipeline_meta(self, config_path, tmp_path):
+        """artifacts/meta.json (counts, rounds, held-out ids) is vouched for;
+        only the run's own meta.json is left out."""
+        out = tmp_path / "run"
+        assert main(["eval", "--config", str(config_path), "--out", str(out)]) == 0
+        hashes = json.loads((out / "meta.json").read_text())["artifact_hashes"]
+        pipeline_meta = (out / "artifacts" / "meta.json").read_bytes()
+        assert hashes["artifacts/meta.json"] == hashlib.sha256(pipeline_meta).hexdigest()
+        assert "meta.json" not in hashes
 
     def test_report_renders_finished_run(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,10 +1,14 @@
 """Data model, JSONL ingestion, fold splitting, and the synthetic generator."""
 
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfcal.corpus import (
     Dataset,
@@ -18,7 +22,17 @@ from selfcal.corpus import (
     save_hardness,
     split_folds,
 )
-from selfcal.model import FeaturizerConfig, TrainConfig, predict, train_main
+from selfcal.model import (
+    FeaturizerConfig,
+    TrainConfig,
+    get_flat_params,
+    init_parameters,
+    load_parameters,
+    predict,
+    save_parameters,
+    set_flat_params,
+    train_main,
+)
 
 
 def _write_jsonl(path, lines):
@@ -235,3 +249,55 @@ class TestGenerateSynthetic:
         flags = load_hardness(p)
         for s, h in zip(synth_data.test.samples, synth_data.test_hard):
             assert flags[s.id] == h
+
+
+# ---------------------------------------------------------------------------
+# File round-trip properties
+# ---------------------------------------------------------------------------
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_names=st.lists(TEXT, min_size=2, max_size=4, unique=True),
+       rows=st.lists(st.tuples(TEXT.filter(lambda t: t.split()), st.one_of(st.none(), TEXT),
+                               st.integers(0, 3)), min_size=1, max_size=6),
+       pair=st.booleans())
+def test_jsonl_roundtrip_property(label_names, rows, pair):
+    """Any text (control characters, line separators, blank text_b) and any
+    distinct label names survive save_dataset + load_dataset."""
+    samples = tuple(
+        Sample(f"s{i}", a, (b or "") if pair else b, label % len(label_names))
+        for i, (a, b, label) in enumerate(rows))
+    d = Dataset(samples, tuple(label_names), "pair" if pair else "single")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        save_dataset(d, path)
+        assert load_dataset(path) == d
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_classes=st.integers(2, 4), hidden=st.integers(1, 4), log_dim=st.integers(1, 6),
+       ngram_max=st.integers(1, 3), lowercase=st.booleans(), tagging=st.booleans(),
+       seed=st.one_of(st.none(), st.integers(0, 2 ** 63 - 1)),
+       values_seed=st.integers(0, 2 ** 32 - 1))
+def test_model_file_roundtrip_property(num_classes, hidden, log_dim, ngram_max, lowercase,
+                                       tagging, seed, values_seed):
+    """Finite weights from subnormal to near overflow, signed zeros included,
+    and every header field survive save + load bit for bit."""
+    feats = FeaturizerConfig(lowercase=lowercase, ngram_max=ngram_max, hash_dim=2 ** log_dim,
+                             segment_tagging=tagging)
+    p = init_parameters(num_classes, TrainConfig(hidden_dim=hidden, features=feats))
+    p.seed = seed
+    rng = np.random.default_rng(values_seed)
+    n = get_flat_params(p).size
+    values = rng.standard_normal(n) * np.exp2(rng.integers(-1070, 1020, size=n))
+    values[rng.random(n) < 0.1] = -0.0
+    set_flat_params(p, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_parameters(p, path)
+        loaded = load_parameters(path)
+    assert (loaded.features, loaded.num_classes, loaded.hidden_dim, loaded.seed) == (
+        feats, num_classes, hidden, seed)
+    assert get_flat_params(loaded).tobytes() == get_flat_params(p).tobytes()

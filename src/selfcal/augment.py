@@ -35,7 +35,9 @@ class TransformKind(Enum):
 
 class SynonymLexicon:
     """Case-normalized token -> synonyms map. No token maps to an empty list,
-    and every synonym has at least one token."""
+    every synonym has at least one token, and every entry survives
+    ``to_tsv`` + ``from_tsv``: no word or synonym holds a comma, a tab or a
+    line break, or starts or ends with whitespace."""
 
     def __init__(self, entries: dict[str, list[str]]):
         self._entries: dict[str, list[str]] = {}
@@ -44,6 +46,10 @@ class SynonymLexicon:
                 raise ValueError(f"lexicon entry {word!r} has no synonyms")
             if not all(map(str.split, syns)):
                 raise ValueError(f"lexicon entry {word!r} has a synonym with no tokens")
+            for text in (word, *syns):
+                if text != text.strip() or any(c in text for c in ",\t\n\r"):
+                    raise ValueError(f"lexicon entry {word!r}: {text!r} has a comma, tab, "
+                                     "line break or surrounding whitespace")
             self._entries[word.lower()] = list(syns)
 
     def __len__(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -56,29 +55,6 @@ class ConfidenceLog:
             writer.writerow(["confidence", "correct", "pred", "group"])
             for c, ok, y, g in zip(self.confidence, self.correct, self.pred, self.group):
                 writer.writerow([repr(float(c)), int(ok), int(y), g])
-
-    @classmethod
-    def from_csv(cls, path) -> "ConfidenceLog":
-        conf, correct, pred, group = [], [], [], []
-        with open(Path(path), encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                conf.append(float(row["confidence"]))
-                correct.append(int(row["correct"]))
-                pred.append(int(row["pred"]))
-                group.append(row["group"])
-        return cls(np.array(conf), np.array(correct, dtype=np.int64),
-                   np.array(pred, dtype=np.int64), tuple(group))
-
-
-def concat_logs(logs) -> ConfidenceLog:
-    logs = list(logs)
-    return ConfidenceLog(
-        confidence=np.concatenate([l.confidence for l in logs]),
-        correct=np.concatenate([l.correct for l in logs]),
-        pred=np.concatenate([l.pred for l in logs]),
-        group=tuple(g for l in logs for g in l.group),
-    )
 
 
 class Calibrator:

@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -43,7 +44,16 @@ class ConfigError(Exception):
     pass
 
 
-# (type, default); None default means the key is required.
+def _fields(cls, skip=("seed",)) -> dict[str, tuple]:
+    """(type, default) of each field of ``cls`` with a scalar default: the
+    library dataclass is the one source of these defaults."""
+    return {f.name: (type(f.default), f.default) for f in fields(cls)
+            if isinstance(f.default, (bool, int, float, str)) and f.name not in skip}
+
+
+# (type, default); None default means the key is required. Keys that a config
+# dataclass field backs come from _fields; the literals are the keys that no
+# field backs or that mean something else here.
 CONFIG_SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "seed": (int, None),
@@ -56,46 +66,27 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple]] = {
         "pool_path": (str, ""),
         "lexicon_path": (str, ""),
         "task_kind": (str, "single"),
-        "num_classes": (int, 2),
-        "vocab_size": (int, 400),
-        "samples_per_class": (int, 300),
-        "test_samples_per_class": (int, 0),
-        "hardness_fraction": (float, 0.3),
-        "hard_flip_prob": (float, 0.5),
-        "tokens_per_sample": (int, 12),
-        "indicative_per_class": (int, 20),
+        **_fields(SynthConfig),
+        "test_samples_per_class": (int, 0),  # 0 means None: half of samples_per_class
         "pool_per_class": (int, 600),
     },
     "model": {
-        "hash_dim": (int, 4096),
-        "hidden_dim": (int, 32),
-        "ngram_max": (int, 2),
-        "lowercase": (bool, True),
-        "segment_tagging": (bool, True),
+        **_fields(FeaturizerConfig),
+        "hidden_dim": (int, TrainConfig.hidden_dim),
     },
     "train": {
-        "learning_rate": (float, 0.5),
-        "epochs": (int, 5),
-        "batch_size": (int, 32),
+        **_fields(TrainConfig, skip=("seed", "hidden_dim")),
+        # The label-smoothing baseline's epsilon; every other model trains with 0.
         "label_smoothing_epsilon": (float, 0.1),
     },
     "toast": {
-        "k": (int, 2),
-        "alpha": (float, 0.1),
-        "rate": (float, 0.1),
-        "augment_per_negative": (int, 1),
-        "epochs": (int, 8),
-        "no_cross_annotation": (bool, False),
-        "no_downsample": (bool, False),
-        "no_augment": (bool, False),
-        "no_alpha_decay": (bool, False),
+        **_fields(ToastConfig),
+        "epochs": (int, ToastConfig().train.epochs),
     },
     "eval": {
         "calibrators": (str, "vanilla,temperature,label_smoothing,toast"),
         "applications": (str, "selective,adversarial,cascade"),
         "targets": (str, "0.95"),
-        "adversarial_budget": (int, 6),
-        "adversarial_max": (int, 200),
         "adversarial_file": (str, ""),
         "cascade_small_hidden": (int, 16),
         "cascade_small_epochs": (int, 2),
@@ -110,14 +101,29 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple]] = {
         "fixed_factors": (str, "1,2,4,8"),
         "ks": (str, "2,3,4,5"),
     },
+    # attack_dataset's keyword arguments, for `selfcal attack` and for eval's
+    # adversarial application.
     "attack": {
         "budget": (int, 6),
         "max_successes": (int, 200),
     },
 }
 
+# Keys that were removed, and the key that now sets the same thing.
+REMOVED_KEYS = {
+    "eval.adversarial_budget": "attack.budget",
+    "eval.adversarial_max": "attack.max_successes",
+}
 
-def _coerce(section: str, key: str, raw: str, typ):
+
+def _parse(section: str, key: str, raw: str):
+    """The value of ``section.key`` given as ``raw``, of the schema's type."""
+    dotted = f"{section}.{key}"
+    if dotted in REMOVED_KEYS:
+        raise ConfigError(f"config key {dotted} was removed: set {REMOVED_KEYS[dotted]} instead")
+    if key not in CONFIG_SCHEMA.get(section, {}):
+        raise ConfigError(f"unknown config key: {dotted}")
+    typ = CONFIG_SCHEMA[section][key][0]
     raw = raw.strip()
     try:
         if typ is bool:
@@ -129,9 +135,7 @@ def _coerce(section: str, key: str, raw: str, typ):
             raise ValueError(raw)
         return typ(raw)
     except ValueError:
-        raise ConfigError(
-            f"config key {section}.{key}: cannot parse {raw!r} as {typ.__name__}"
-        ) from None
+        raise ConfigError(f"config key {dotted}: cannot parse {raw!r} as {typ.__name__}") from None
 
 
 def load_config(path: str, overrides=()) -> dict[str, dict]:
@@ -146,17 +150,13 @@ def load_config(path: str, overrides=()) -> dict[str, dict]:
         if section not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section: [{section}]")
         for key, raw in parser.items(section):
-            if key not in CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown config key: {section}.{key}")
-            values[section][key] = _coerce(section, key, raw, CONFIG_SCHEMA[section][key][0])
+            values[section][key] = _parse(section, key, raw)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         section, key = dotted.split(".", 1)
-        if section not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[section]:
-            raise ConfigError(f"unknown config key: {section}.{key}")
-        values[section][key] = _coerce(section, key, raw, CONFIG_SCHEMA[section][key][0])
+        values[section][key] = _parse(section, key, raw)
     if values["run"]["seed"] is None:
         raise ConfigError("run.seed is required (seeds are config-only, never wall clock)")
     return values
@@ -170,63 +170,41 @@ def _split_list(raw: str, typ):
 # Builders from config values
 # ---------------------------------------------------------------------------
 
-def _synth_config(cfg: dict, seed: int, per_class: int | None = None) -> SynthConfig:
-    d = cfg["data"]
-    return SynthConfig(
-        num_classes=d["num_classes"],
-        vocab_size=d["vocab_size"],
-        samples_per_class=per_class if per_class is not None else d["samples_per_class"],
-        hardness_fraction=d["hardness_fraction"],
-        hard_flip_prob=d["hard_flip_prob"],
-        seed=seed,
-        tokens_per_sample=d["tokens_per_sample"],
-        indicative_per_class=d["indicative_per_class"],
-        test_samples_per_class=d["test_samples_per_class"] or None,
-    )
+def _build(cls, section: dict, **overrides):
+    """``cls`` from the keys of ``section`` that are its fields, with each
+    override that is not None in place of the section's value."""
+    names = {f.name for f in fields(cls)}
+    kwargs = {k: v for k, v in section.items() if k in names}
+    kwargs.update((k, v) for k, v in overrides.items() if v is not None)
+    return cls(**kwargs)
 
 
-def _featurizer(cfg: dict) -> FeaturizerConfig:
-    m = cfg["model"]
-    return FeaturizerConfig(
-        lowercase=m["lowercase"], ngram_max=m["ngram_max"],
-        hash_dim=m["hash_dim"], segment_tagging=m["segment_tagging"])
+def _synth_config(data: dict, seed: int) -> SynthConfig:
+    test_per_class = data["test_samples_per_class"] or None
+    return _build(SynthConfig, data | {"test_samples_per_class": test_per_class}, seed=seed)
 
 
 def _train_config(cfg: dict, seed: int, *, epochs: int | None = None,
                   hidden: int | None = None, epsilon: float = 0.0) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        learning_rate=t["learning_rate"],
-        epochs=t["epochs"] if epochs is None else epochs,
-        batch_size=t["batch_size"],
-        seed=seed,
-        label_smoothing_epsilon=epsilon,
-        hidden_dim=cfg["model"]["hidden_dim"] if hidden is None else hidden,
-        features=_featurizer(cfg),
-    )
+    return _build(TrainConfig, cfg["train"] | cfg["model"], seed=seed, epochs=epochs,
+                  hidden_dim=hidden, label_smoothing_epsilon=epsilon,
+                  features=_build(FeaturizerConfig, cfg["model"]))
 
 
 def _toast_config(cfg: dict, seed: int, *, hidden: int | None = None,
                   epochs: int | None = None) -> ToastConfig:
-    t = cfg["toast"]
-    return ToastConfig(
-        k=t["k"], alpha=t["alpha"], rate=t["rate"],
-        augment_per_negative=t["augment_per_negative"],
-        no_cross_annotation=t["no_cross_annotation"],
-        no_downsample=t["no_downsample"],
-        no_augment=t["no_augment"],
-        no_alpha_decay=t["no_alpha_decay"],
-        train=_train_config(cfg, seed, epochs=t["epochs"] if epochs is None else epochs,
-                            hidden=hidden),
-        annotator_train=_train_config(cfg, seed, hidden=hidden),
-    )
+    return _build(
+        ToastConfig, cfg["toast"],
+        train=_train_config(cfg, seed, hidden=hidden,
+                            epochs=cfg["toast"]["epochs"] if epochs is None else epochs),
+        annotator_train=_train_config(cfg, seed, hidden=hidden))
 
 
 def _load_data(cfg: dict) -> tuple[Dataset, Dataset, SynonymLexicon | None]:
     d = cfg["data"]
     seed = cfg["run"]["seed"]
     if d["source"] == "synthetic":
-        synth = _synth_config(cfg, seed)
+        synth = _synth_config(d, seed)
         data = generate_synthetic(synth)
         return data.train, data.test, synthetic_lexicon(synth)
     if d["source"] == "jsonl":
@@ -242,8 +220,8 @@ def _load_data(cfg: dict) -> tuple[Dataset, Dataset, SynonymLexicon | None]:
 def _load_pool(cfg: dict) -> Dataset:
     d = cfg["data"]
     if d["source"] == "synthetic":
-        synth = _synth_config(cfg, cfg["run"]["seed"] + 1, per_class=d["pool_per_class"])
-        return generate_synthetic(synth).train
+        pool = d | {"samples_per_class": d["pool_per_class"]}
+        return generate_synthetic(_synth_config(pool, cfg["run"]["seed"] + 1)).train
     if not d["pool_path"]:
         raise ConfigError("data.pool_path is required for sweeps on jsonl data")
     return load_dataset(d["pool_path"], d["task_kind"])
@@ -305,7 +283,7 @@ def cmd_synth(cfg: dict, out: Path) -> int:
     if d["source"] != "synthetic":
         raise ConfigError("synth needs data.source = synthetic")
     out.mkdir(parents=True, exist_ok=True)
-    synth = _synth_config(cfg, cfg["run"]["seed"])
+    synth = _synth_config(d, cfg["run"]["seed"])
     data = generate_synthetic(synth)
     save_dataset(data.train, out / "train.jsonl")
     save_dataset(data.test, out / "test.jsonl")
@@ -441,9 +419,7 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         else:
             lex = _require_lexicon(lexicon, cfg)
             attack_target = calibs.get("vanilla") or next(iter(calibs.values()))
-            adv, origins = attack_dataset(attack_target.params, test_d, lex,
-                                          budget=ev["adversarial_budget"],
-                                          max_successes=ev["adversarial_max"])
+            adv, origins = attack_dataset(attack_target.params, test_d, lex, **cfg["attack"])
             written.append(out / "adversarial.jsonl")
             save_adversarial(adv, origins, written[-1])
         metrics["adversarial"] = {}
@@ -597,9 +573,7 @@ def cmd_attack(cfg: dict, out: Path, model_path: str | None) -> int:
         params = load_parameters(model_path)
     else:
         params, _ = train_main(train_d, _train_config(cfg, cfg["run"]["seed"]))
-    adv, origins = attack_dataset(params, test_d, lexicon,
-                                  budget=cfg["attack"]["budget"],
-                                  max_successes=cfg["attack"]["max_successes"])
+    adv, origins = attack_dataset(params, test_d, lexicon, **cfg["attack"])
     save_adversarial(adv, origins, out / "adversarial.jsonl")
     _finish_run(out, cfg, [out / "adversarial.jsonl"])
     print(f"{len(adv)} successful adversarial samples -> {out / 'adversarial.jsonl'}")

@@ -137,6 +137,9 @@ def load_dataset(path, task_kind: str = "single") -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, "
+                                 f"got {type(obj).__name__}")
             if lineno == 1 and "label_names" in obj:
                 label_names = [str(n) for n in obj["label_names"]]
                 fixed_labels = True

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from zlib import crc32
@@ -578,17 +578,6 @@ def get_flat_params(p: ModelParameters) -> np.ndarray:
     return np.concatenate([getattr(p, name).ravel() for name in _TENSOR_ORDER])
 
 
-def set_flat_params(p: ModelParameters, flat: np.ndarray) -> None:
-    pos = 0
-    for name in _TENSOR_ORDER:
-        arr = getattr(p, name)
-        nxt = pos + arr.size
-        arr[...] = flat[pos:nxt].reshape(arr.shape)
-        pos = nxt
-    if pos != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, expected {pos}")
-
-
 def save_parameters(p: ModelParameters, path) -> None:
     """One file: a JSON header line (dims, featurizer config, seed) followed by
     the raw little-endian float64 tensors in a fixed order."""
@@ -613,8 +602,11 @@ def save_parameters(p: ModelParameters, path) -> None:
 
 def load_parameters(path) -> ModelParameters:
     with open(Path(path), "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "selfcal-model-v1":
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError or JSONDecodeError
+            raise ValueError(f"{path}: model header is not UTF-8 JSON (truncated?)") from None
+        if not isinstance(header, dict) or header.get("format") != "selfcal-model-v1":
             raise ValueError(f"{path}: not a selfcal model file")
         feats = FeaturizerConfig(**header["features"])
         c, h = header["num_classes"], header["hidden_dim"]
@@ -639,14 +631,3 @@ def load_parameters(path) -> ModelParameters:
             raise ValueError(f"{path}: trailing bytes after the last tensor")
     p.validate()
     return p
-
-
-def clone_parameters(p: ModelParameters) -> ModelParameters:
-    return replace(
-        p,
-        encoder=p.encoder.copy(),
-        w_main=p.w_main.copy(),
-        b_main=p.b_main.copy(),
-        w_calib=p.w_calib.copy(),
-        b_calib=p.b_calib.copy(),
-    )

@@ -20,8 +20,8 @@ from selfcal.corpus import (
 from selfcal.model import (
     FeaturizerConfig,
     TrainConfig,
+    _TENSOR_ORDER,
     get_flat_params,
-    set_flat_params,
     train_main,
 )
 from selfcal.toast import ToastConfig, run_toast
@@ -132,6 +132,18 @@ def grads_to_flat(params, grads) -> np.ndarray:
         np.add.at(enc, buckets, vals)
     return np.concatenate([enc.ravel(), grads.w_main.ravel(), grads.b_main.ravel(),
                            grads.w_calib.ravel(), grads.b_calib.ravel()])
+
+
+def set_flat_params(params, flat: np.ndarray) -> None:
+    """Write ``flat``, in get_flat_params ordering, back into the tensors."""
+    pos = 0
+    for name in _TENSOR_ORDER:
+        arr = getattr(params, name)
+        nxt = pos + arr.size
+        arr[...] = flat[pos:nxt].reshape(arr.shape)
+        pos = nxt
+    if pos != flat.size:
+        raise ValueError(f"flat vector has {flat.size} entries, expected {pos}")
 
 
 def numerical_grad(loss_fn, params, h: float = 1e-6) -> np.ndarray:

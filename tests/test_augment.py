@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfcal.augment import (
@@ -247,9 +247,34 @@ def test_substituted_tokens_come_from_the_lexicon(entries, words, rate, seed):
         assert new == old or new in lex.synonyms(old)
 
 
-@settings(max_examples=60, deadline=None)
-@given(entries=lexicon_entries())
+@st.composite
+def tsv_entries(draw):
+    """Lexicon entries, half of them with a comma, tab, line break or space
+    put at any position of one word or synonym."""
+    entries = draw(lexicon_entries())
+    if draw(st.booleans()):
+        rows = [[word, *syns] for word, syns in entries.items()]
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        i = draw(st.integers(0, len(row) - 1))
+        pos = draw(st.integers(0, len(row[i])))
+        row[i] = row[i][:pos] + draw(st.sampled_from(",\t\n\r ")) + row[i][pos:]
+        entries = {row[0]: row[1:] for row in rows}
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@example(entries={"g\th": ["i"]})
+@example(entries={"a": ["b,c"]})
+@given(entries=tsv_entries())
 def test_tsv_roundtrip_property(entries):
+    """A lexicon that constructs reads back equal; one holding a text that
+    TSV cannot carry raises instead."""
+    texts = [t for word, syns in entries.items() for t in (word, *syns)]
+    writable = all(t == t.strip() and not set(t) & set(",\t\n\r") for t in texts)
+    if not writable:
+        with pytest.raises(ValueError):
+            SynonymLexicon(entries)
+        return
     lex = SynonymLexicon(entries)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lex.tsv"

@@ -10,6 +10,7 @@ attack's candidate rows (the current row plus a count delta) must equal
 featurizing the candidate texts, dtypes and bytes.
 """
 
+import copy
 import os
 import subprocess
 import sys
@@ -43,7 +44,6 @@ from selfcal.model import (
     _flat_index,
     apply_grads,
     calib_batch_grads,
-    clone_parameters,
     consistency_batch_grads,
     encode,
     featurize_batch,
@@ -576,7 +576,7 @@ def test_apply_grads_is_bit_identical_to_one_row_scatter(feature_mode, alpha):
     clean = random_dataset(22, 60).features(FEATS)
     aug = random_dataset(23, 60).features(FEATS)
     p = random_params(24)
-    q = clone_parameters(p)
+    q = copy.deepcopy(p)
     for step in range(12):
         # Drawn with replacement: buckets repeat within a part and across parts.
         batches = [rng.choice(60, size=16) for _ in range(3)]
@@ -792,14 +792,16 @@ def test_pair_task_attack_matches_per_candidate():
                                                                 lowercase=False)])
 def test_multi_word_synonym_attack_matches_per_candidate(features, synth_cfg, synth_data,
                                                          lexicon, train_cfg):
-    """Synonyms of two words (space or tab separated), and lexicon entries for
-    those phrases, so that a later step substitutes a multi-word element."""
+    """Synonyms of two words (separated by a space or by a form feed, which
+    splits words like a space; a lexicon cannot hold a tab), and lexicon
+    entries for those phrases, so that a later step substitutes a multi-word
+    element."""
     entries = {}
     for w in vocabulary(synth_cfg):
         syns = lexicon.synonyms(w)
         if syns:
             phrase = f"{syns[-1]} {syns[0].upper()}"
-            entries[w] = syns + [phrase, f"{w}\t{syns[0]}"]
+            entries[w] = syns + [phrase, f"{w}\f{syns[0]}"]
             entries[phrase] = [w, "x y z"]
     multi = SynonymLexicon(entries)
     p, _ = train_main(synth_data.train, replace(train_cfg, features=features))

@@ -3,12 +3,15 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from selfcal import cli
 from selfcal.cli import ConfigError, load_config, main
-from selfcal.corpus import load_dataset, load_hardness
+from selfcal.corpus import SynthConfig, load_dataset, load_hardness
+from selfcal.model import TrainConfig
+from selfcal.toast import ToastConfig
 
 TINY_CONFIG = """
 [run]
@@ -99,6 +102,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="run.seed"):
             load_config(str(config_path), ["run.seed=soon"])
 
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        p = tmp_path / "seed_only.ini"
+        p.write_text("[run]\nseed = 11\n")
+        cfg = load_config(str(p))
+        assert cli._synth_config(cfg["data"], 11) == SynthConfig(seed=11)
+        assert cli._train_config(cfg, 11) == TrainConfig(seed=11)
+        toast = cli._toast_config(cfg, 11)
+        library = ToastConfig(train=replace(ToastConfig().train, seed=11))
+        assert toast.train == library.train
+        assert toast.annotator_config == library.annotator_config
+        assert replace(toast, annotator_train=None) == library
+
+    @pytest.mark.parametrize("old, new", [("adversarial_budget", "attack.budget"),
+                                          ("adversarial_max", "attack.max_successes")])
+    def test_removed_eval_keys_name_their_replacement(self, config_path, tmp_path,
+                                                       capsys, old, new):
+        p = tmp_path / "old.ini"
+        p.write_text(config_path.read_text().replace("[eval]", f"[eval]\n{old} = 3"))
+        for argv in (["--config", str(p)],
+                     ["--config", str(config_path), "--set", f"eval.{old}=3"]):
+            assert main(["eval", *argv, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("config error")
+            assert f"eval.{old}" in err[0] and new in err[0]
+
 
 class TestSynthTrainToast:
     def test_synth_writes_data_and_sidecars(self, config_path, tmp_path):
@@ -144,6 +172,15 @@ class TestEval:
         assert main(["eval", "--config", str(config_path), "--out", str(out1)]) == 0
         assert main(["eval", "--config", str(config_path), "--out", str(out2)]) == 0
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
+
+    def test_adversarial_application_reads_the_attack_section(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["eval", "--config", str(config_path), "--out", str(out),
+                     "--set", "eval.applications=adversarial",
+                     "--set", "attack.max_successes=3"]) == 0
+        adversarial = json.loads((out / "metrics.json").read_text())["adversarial"]
+        assert adversarial and all(0 < row["n_adv"] <= 3 for row in adversarial.values())
+        assert len(load_dataset(out / "adversarial.jsonl")) <= 3
 
     def test_bad_calibrator_name(self, config_path, tmp_path, capsys):
         rc = main(["eval", "--config", str(config_path), "--out", str(tmp_path / "o"),

@@ -1,6 +1,7 @@
 """Data model, JSONL ingestion, fold splitting, and the synthetic generator."""
 
 import json
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import set_flat_params
 from selfcal.corpus import (
     Dataset,
     Sample,
@@ -30,7 +32,6 @@ from selfcal.model import (
     load_parameters,
     predict,
     save_parameters,
-    set_flat_params,
     train_main,
 )
 
@@ -73,6 +74,15 @@ class TestLoadDataset:
         p.write_text('{"text": "ok", "label": "a"}\n{not json\n')
         with pytest.raises(ValueError, match=":2:"):
             load_dataset(p)
+
+    @pytest.mark.parametrize("line", ["42", '"text label"'])
+    def test_non_object_line_names_path_and_line(self, tmp_path, line):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"text": "ok", "label": "a"}\n' + line + "\n")
+        message = "^" + re.escape(f"{p}:2: expected a JSON object")
+        with pytest.raises(ValueError, match=message) as info:
+            load_dataset(p)
+        assert len(str(info.value).splitlines()) == 1
 
     def test_header_fixes_label_names(self, tmp_path):
         p = tmp_path / "d.jsonl"

@@ -1,11 +1,12 @@
 """Featurizer, forward passes, losses, gradients, training, serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import SMALL_FEATS, grads_to_flat, numerical_grad, relative_error
+from conftest import SMALL_FEATS, grads_to_flat, numerical_grad, relative_error, set_flat_params
 from selfcal.corpus import Sample
 from selfcal.model import (
     FeaturizerConfig,
@@ -23,7 +24,6 @@ from selfcal.model import (
     predict,
     predict_batch,
     save_parameters,
-    set_flat_params,
     softmax,
     train_main,
 )
@@ -340,6 +340,17 @@ class TestSerialization:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_parameters(path)
+
+    @pytest.mark.parametrize("damage", [lambda data: data[:20],
+                                        lambda data: b"\xff" + data[1:],
+                                        lambda data: b"42\n" + data[data.index(b"\n") + 1:]])
+    def test_unreadable_header_rejected(self, separable_model, tmp_path, damage):
+        path = tmp_path / "model.bin"
+        save_parameters(separable_model, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match="^" + re.escape(str(path))) as info:
+            load_parameters(path)
+        assert len(str(info.value).splitlines()) == 1
 
     def test_trailing_bytes_rejected(self, separable_model, tmp_path):
         path = tmp_path / "model.bin"

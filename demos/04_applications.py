@@ -52,7 +52,7 @@ small_t, _ = run_toast(data.train, ToastConfig(train=small_cfg), lexicon)
 for name, calib in (("vanilla", Calibrator("vanilla", small_v)),
                     ("toast", Calibrator("toast", small_t))):
     rep = cascade_eval(calib, large, data.test)
-    mid = dict(rep["routed_fraction"])[0.5]
+    mid = {t: routed for t, _, routed in rep["curve"]}[0.5]
     print(f"  {name:<10} area {rep['area']:.4f}   "
           f"small {rep['small_accuracy']:.3f} / large {rep['large_accuracy']:.3f}   "
           f"routes {100 * mid:.0f}% at t=0.5")

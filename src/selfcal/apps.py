@@ -38,8 +38,22 @@ from .model import (
 )
 from .toast import ToastConfig, annotate_with_model, downsample_balance, run_toast, train_multitask
 
-# The downstream applications, in the order runs evaluate and report them.
-APPLICATIONS = ("selective", "adversarial", "cascade")
+# The downstream applications, in the order runs evaluate and report them:
+# the report keys that metrics.json keeps, and each curve CSV as
+# (file stem, report key, columns).
+APPLICATIONS = {
+    "selective": (
+        ("auroc_risk", "coverage_at_risk"),
+        (("selective_risk_coverage", "risk_coverage", ("threshold", "coverage", "risk")),
+         ("selective_accuracy_coverage", "accuracy_coverage",
+          ("threshold", "coverage", "accuracy")))),
+    "adversarial": (
+        ("auroc", "delta_conf", "n_id", "n_adv"),
+        (("adversarial_f1", "detection_f1", ("threshold", "macro_f1")),)),
+    "cascade": (
+        ("area", "small_accuracy", "large_accuracy"),
+        (("cascade", "curve", ("threshold", "accuracy", "routed_fraction")),)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +108,9 @@ def adversarial_eval(calibrator: Calibrator, id_samples: Dataset,
         "method": calibrator.method,
         "auroc": auroc(id_scores, adv_scores),
         "delta_conf": delta_conf(id_scores, adv_scores),
-        "detection_f1": [(float(t), detection_f1(id_scores, adv_scores, float(t)))
-                         for t in DEFAULT_THRESHOLD_GRID],
+        "detection_f1": list(zip(
+            DEFAULT_THRESHOLD_GRID.tolist(),
+            detection_f1(id_scores, adv_scores, DEFAULT_THRESHOLD_GRID).tolist())),
         "id_scores": id_scores,
         "adv_scores": adv_scores,
         "n_id": len(id_samples),
@@ -110,19 +125,19 @@ def adversarial_eval(calibrator: Calibrator, id_samples: Dataset,
 def cascade_eval(small: Calibrator, large_params: ModelParameters, d: Dataset,
                  thresholds=None) -> dict:
     """Accuracy of routing low-confidence samples from the small model to the
-    large one, swept over thresholds, plus the area score and routing load."""
+    large one, swept over thresholds, plus the area score. ``curve`` holds
+    (threshold, accuracy, routed fraction) rows."""
     small_log = small.build_log(d, group="id")
     large_pred = predict_batch(large_params, d.features(large_params.features))[0]
     large_correct = (large_pred == d.labels()).astype(np.int64)
     points, area = cascade_curve(small_log, large_correct, thresholds)
     grid = np.asarray(DEFAULT_THRESHOLD_GRID if thresholds is None else thresholds,
                       dtype=np.float64)
-    routed = [(float(t), float((small_log.confidence < t).mean())) for t in grid]
+    routed = np.searchsorted(np.sort(small_log.confidence), grid, side="left") / len(d)
     return {
         "method": small.method,
         "area": area,
-        "curve": points,
-        "routed_fraction": routed,
+        "curve": [(t, a, r) for (t, a), r in zip(points, routed.tolist())],
         "small_accuracy": float(small_log.correct.mean()),
         "large_accuracy": float(large_correct.mean()),
     }
@@ -181,25 +196,17 @@ def _pilot_point(train: Dataset, test: Dataset, records, cfg: PilotSweepConfig,
     return log_auroc_dconf(score_with_calibration_head(params, test, feature_mode))
 
 
-def _aggregate(point_id: str, kind: str, per_seed, extra: dict) -> dict:
+def _row(point: dict, per_seed, reason: str) -> dict:
+    """The sweep row of ``point``: the mean and std over the seeds whose
+    results are not None, or, when there is none, None values and ``reason``
+    under ``skipped``."""
     aurocs = [a for a, _ in per_seed if a is not None]
     dconfs = [c for _, c in per_seed if c is not None]
-    row = {"kind": kind, "point_id": point_id, "n_seeds": len(aurocs), "skipped": "",
-           **extra}
-    if aurocs:
-        row.update(
-            auroc_mean=float(np.mean(aurocs)), auroc_std=float(np.std(aurocs)),
-            dconf_mean=float(np.mean(dconfs)), dconf_std=float(np.std(dconfs)))
-    else:
-        row.update(auroc_mean=None, auroc_std=None, dconf_mean=None, dconf_std=None,
-                   skipped="degenerate evaluation (single correctness class)")
+    row = {**point, "n_seeds": len(aurocs), "skipped": "" if aurocs else reason}
+    for name, values in (("auroc", aurocs), ("dconf", dconfs)):
+        row[f"{name}_mean"] = float(np.mean(values)) if aurocs else None
+        row[f"{name}_std"] = float(np.std(values)) if aurocs else None
     return row
-
-
-def _skipped(point_id: str, kind: str, reason: str, extra: dict) -> dict:
-    return {"kind": kind, "point_id": point_id, "n_seeds": 0, "skipped": reason,
-            "auroc_mean": None, "auroc_std": None, "dconf_mean": None,
-            "dconf_std": None, **extra}
 
 
 def seed_annotations(train: Dataset, pool: Dataset, cfg: PilotSweepConfig
@@ -250,7 +257,6 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
     point is infeasible are dropped; a point infeasible everywhere comes back
     as a skipped row with the reason."""
     kind = point["kind"]
-    extra = {k: v for k, v in point.items() if k not in ("kind", "point_id")}
     per_seed: list[tuple[float | None, float | None]] = []
     reasons: list[str] = []
 
@@ -267,7 +273,6 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
     else:
         for seed in cfg.seeds:
             records = annotations[seed]
-            subset = None
             mode = "all"
             if kind == "size":
                 n = point["size"]
@@ -294,49 +299,34 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
                         continue
                     subset = neg[:n_neg] + pos[:n_pos]
                 else:
+                    # `base` records of the fixed class against factor x base
+                    # of the other one.
                     factor = point["factor"]
-                    if point["mode"] == "fixed_negative":
-                        base = min(len(neg), len(pos) // max(cfg.fixed_factors))
-                        feasible = base >= 1 and base * factor <= len(pos)
-                        if feasible:
-                            subset = neg[:base] + pos[:base * factor]
-                    else:
-                        base = min(len(pos), len(neg) // max(cfg.fixed_factors))
-                        feasible = base >= 1 and base * factor <= len(neg)
-                        if feasible:
-                            subset = pos[:base] + neg[:base * factor]
-                    if subset is None:
+                    fixed, other = (neg, pos) if point["mode"] == "fixed_negative" else (pos, neg)
+                    base = min(len(fixed), len(other) // max(cfg.fixed_factors))
+                    if base < 1 or base * factor > len(other):
                         reasons.append(
                             f"seed {seed}: class too small for factor {factor} "
                             f"({len(neg)} negatives / {len(pos)} positives)")
                         continue
+                    subset = fixed[:base] + other[:base * factor]
             per_seed.append(_pilot_point(train, test, subset, cfg, seed, mode))
 
-    if not per_seed:
-        return _skipped(point["point_id"], kind, "; ".join(reasons) or "infeasible", extra)
-    return _aggregate(point["point_id"], kind, per_seed, extra)
+    if per_seed:
+        return _row(point, per_seed, "degenerate evaluation (single correctness class)")
+    return _row(point, per_seed, "; ".join(reasons) or "infeasible")
 
 
 def pilot_sweeps(train: Dataset, pool: Dataset, test: Dataset, kind: str,
-                 cfg: PilotSweepConfig, lexicon: SynonymLexicon | None = None,
-                 skip=frozenset(), on_row=None) -> list[dict]:
+                 cfg: PilotSweepConfig, lexicon: SynonymLexicon | None = None
+                 ) -> list[dict]:
     """Run one sweep kind over its canonical grid.
 
     Rows carry per-point mean/std over the seeds plus a ``skipped`` reason for
-    infeasible points. Points whose ``point_id`` is in ``skip`` are not
-    recomputed (they are omitted from the result); ``on_row`` is invoked after
-    each completed row, which lets callers persist progress incrementally.
+    infeasible points.
     """
-    points = [p for p in grid_points(kind, cfg) if p["point_id"] not in skip]
+    points = grid_points(kind, cfg)
     if kind == "k" and lexicon is None:
         raise ValueError("the k sweep needs a synonym lexicon")
-    annotations = None
-    if kind != "k" and points:
-        annotations = seed_annotations(train, pool, cfg)
-    rows = []
-    for point in points:
-        row = evaluate_point(point, train, test, cfg, annotations, lexicon)
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-    return rows
+    annotations = None if kind == "k" else seed_annotations(train, pool, cfg)
+    return [evaluate_point(p, train, test, cfg, annotations, lexicon) for p in points]

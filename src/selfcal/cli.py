@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -248,7 +249,7 @@ def _write_json(obj, path: Path) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> Path:
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -302,7 +303,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     train_d, test_d, _ = _load_data(cfg)
     params, trace = train_main(train_d, _train_config(cfg, cfg["run"]["seed"]))
     save_parameters(params, out / "model.bin")
-    losses = _write_csv(out / "losses.csv", ["step", "loss"],
+    losses = _write_csv(out / "losses.csv", ("step", "loss"),
                         [(i, repr(loss)) for i, loss in enumerate(trace)])
     log = Calibrator("vanilla", params).build_log(test_d, "id")
     _finish_run(out, cfg, [out / "model.bin", losses])
@@ -328,15 +329,16 @@ def cmd_toast(cfg: dict, out: Path) -> int:
 
 
 def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
-                       seed: int, *, hidden: int | None = None,
-                       epochs: int | None = None, toast_epochs: int | None = None):
+                       seed: int, *, hidden: int | None = None, epochs: int | None = None):
     """Train the models behind the requested scoring methods; returns the
     calibrators plus the pipeline's audit bundle (None when not requested).
 
     The three baselines share a protocol: they train on the same nine tenths
     of the data, with the remaining tenth used to fit the temperature, so
     their scores are directly comparable. The pipeline method uses the full
-    training set — making the most of it is its whole point.
+    training set — making the most of it is its whole point. ``epochs``
+    defaults to ``train.epochs`` for the baselines and ``toast.epochs`` for
+    the pipeline.
     """
     calibs: dict[str, Calibrator] = {}
     artifacts = None
@@ -357,7 +359,7 @@ def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
             calibs["label_smoothing"] = Calibrator("label_smoothing", ls_params)
     if "toast" in methods:
         params, artifacts = run_toast(
-            train_d, _toast_config(cfg, seed, hidden=hidden, epochs=toast_epochs),
+            train_d, _toast_config(cfg, seed, hidden=hidden, epochs=epochs),
             _require_lexicon(lexicon, cfg))
         calibs["toast"] = Calibrator("toast", params)
     return {m: calibs[m] for m in methods if m in calibs}, artifacts
@@ -394,67 +396,38 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         written.append(curves / f"log_{method}.csv")
         log.to_csv(written[-1])
 
-    if "selective" in applications:
-        targets = _split_list(cfg["eval"]["targets"], float)
-        metrics["selective"] = {}
-        for method, calib in calibs.items():
-            rep = apps.selective_eval(calib, test_d, targets)
-            metrics["selective"][method] = {
-                "auroc_risk": rep["auroc_risk"],
-                "coverage_at_risk": rep["coverage_at_risk"],
-            }
-            written.append(_write_csv(
-                curves / f"selective_risk_coverage_{method}.csv",
-                ["threshold", "coverage", "risk"],
-                [(repr(t), repr(c), repr(r)) for t, c, r in rep["risk_coverage"]]))
-            written.append(_write_csv(
-                curves / f"selective_accuracy_coverage_{method}.csv",
-                ["threshold", "coverage", "accuracy"],
-                [(repr(t), repr(c), repr(a)) for t, c, a in rep["accuracy_coverage"]]))
-
-    if "adversarial" in applications:
-        ev = cfg["eval"]
-        if ev["adversarial_file"]:
-            adv = load_dataset(ev["adversarial_file"], cfg["data"]["task_kind"])
-        else:
-            lex = _require_lexicon(lexicon, cfg)
-            attack_target = calibs.get("vanilla") or next(iter(calibs.values()))
-            adv, origins = attack_dataset(attack_target.params, test_d, lex, **cfg["attack"])
-            written.append(out / "adversarial.jsonl")
-            save_adversarial(adv, origins, written[-1])
-        metrics["adversarial"] = {}
-        for method, calib in calibs.items():
-            rep = apps.adversarial_eval(calib, test_d, adv, seed=seed)
-            metrics["adversarial"][method] = {
-                "auroc": rep["auroc"], "delta_conf": rep["delta_conf"],
-                "n_id": rep["n_id"], "n_adv": rep["n_adv"],
-            }
-            written.append(_write_csv(curves / f"adversarial_f1_{method}.csv",
-                                      ["threshold", "macro_f1"],
-                                      [(repr(t), repr(f)) for t, f in rep["detection_f1"]]))
-
-    if "cascade" in applications:
-        ev = cfg["eval"]
-        large_params, _ = train_main(
-            train_d, _train_config(cfg, seed + 50, hidden=ev["cascade_large_hidden"],
-                                   epochs=ev["cascade_large_epochs"]))
-        small_calibs, _ = _build_calibrators(
-            cfg, train_d, lexicon, methods, seed + 60,
-            hidden=ev["cascade_small_hidden"], epochs=ev["cascade_small_epochs"],
-            toast_epochs=ev["cascade_small_epochs"])
-        metrics["cascade"] = {}
-        for method, calib in small_calibs.items():
-            rep = apps.cascade_eval(calib, large_params, test_d)
-            metrics["cascade"][method] = {
-                "area": rep["area"],
-                "small_accuracy": rep["small_accuracy"],
-                "large_accuracy": rep["large_accuracy"],
-            }
-            routed = dict(rep["routed_fraction"])
-            written.append(_write_csv(
-                curves / f"cascade_{method}.csv",
-                ["threshold", "accuracy", "routed_fraction"],
-                [(repr(t), repr(a), repr(routed[t])) for t, a in rep["curve"]]))
+    ev = cfg["eval"]
+    for app, (keys, app_curves) in apps.APPLICATIONS.items():
+        if app not in applications:
+            continue
+        judged = calibs
+        if app == "selective":
+            run = partial(apps.selective_eval, d=test_d,
+                          targets=_split_list(ev["targets"], float))
+        elif app == "adversarial":
+            if ev["adversarial_file"]:
+                adv = load_dataset(ev["adversarial_file"], cfg["data"]["task_kind"])
+            else:
+                lex = _require_lexicon(lexicon, cfg)
+                attack_target = calibs.get("vanilla") or next(iter(calibs.values()))
+                adv, origins = attack_dataset(attack_target.params, test_d, lex, **cfg["attack"])
+                written.append(out / "adversarial.jsonl")
+                save_adversarial(adv, origins, written[-1])
+            run = partial(apps.adversarial_eval, id_samples=test_d, adv_samples=adv, seed=seed)
+        else:  # cascade: small models of each method, one large model
+            large_params, _ = train_main(
+                train_d, _train_config(cfg, seed + 50, hidden=ev["cascade_large_hidden"],
+                                       epochs=ev["cascade_large_epochs"]))
+            judged, _ = _build_calibrators(
+                cfg, train_d, lexicon, methods, seed + 60,
+                hidden=ev["cascade_small_hidden"], epochs=ev["cascade_small_epochs"])
+            run = partial(apps.cascade_eval, large_params=large_params, d=test_d)
+        metrics[app] = {}
+        for method, calib in judged.items():
+            rep = run(calib)
+            metrics[app][method] = {k: rep[k] for k in keys}
+            for stem, key, columns in app_curves:
+                written.append(_write_csv(curves / f"{stem}_{method}.csv", columns, rep[key]))
 
     written.append(_write_json(metrics, out / "metrics.json"))
     _finish_run(out, cfg, written)
@@ -510,55 +483,46 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     csv_path = out / "sweep.csv"
     fp_path = out / "sweep.fingerprint"
     fingerprint = _sweep_fingerprint(cfg, kind, points)
-    existing: dict[str, dict] = {}
+    done: dict[str, dict] = {}  # CSV rows by point id, resumed or fresh
     if csv_path.exists():
         if fp_path.exists() and fp_path.read_text(encoding="utf-8").strip() != fingerprint:
             raise ConfigError(f"{csv_path} comes from another config or grid; "
                               "refusing to resume (use a fresh --out)")
         with open(csv_path, encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
-                existing[row["point_id"]] = row
-        for pid in existing:
+                done[row["point_id"]] = row
+        for pid in done:
             print(f"resume: skipping completed point {pid}")
     fp_path.write_text(fingerprint + "\n", encoding="utf-8")
 
-    new_rows: list[dict] = []
-
-    def _append(row: dict) -> None:
-        new_rows.append(row)
-        new_file = not csv_path.exists()
-        with open(csv_path, "a", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-            if new_file:
-                writer.writeheader()
-            writer.writerow(_sweep_row_to_csv(row))
-
-    todo = [p for p in points if p["point_id"] not in existing]
+    todo = [p for p in points if p["point_id"] not in done]
     if kind == "k":
         lexicon = _require_lexicon(lexicon, cfg)
-    if jobs > 1 and len(todo) > 1:
-        annotations = None
-        if kind != "k" and todo:
-            annotations = apps.seed_annotations(train_d, _load_pool(cfg), sweep_cfg)
-        worker = partial(apps.evaluate_point, train=train_d, test=test_d,
-                         cfg=sweep_cfg, annotations=annotations, lexicon=lexicon)
-        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            for row in pool_exec.map(worker, todo):
-                _append(row)
-    else:
-        pool_d = _load_pool(cfg) if kind != "k" and todo else test_d
-        apps.pilot_sweeps(train_d, pool_d, test_d, kind, sweep_cfg,
-                          lexicon, skip=set(existing), on_row=_append)
+    annotations = None
+    if kind != "k" and todo:
+        annotations = apps.seed_annotations(train_d, _load_pool(cfg), sweep_cfg)
+    worker = partial(apps.evaluate_point, train=train_d, test=test_d,
+                     cfg=sweep_cfg, annotations=annotations, lexicon=lexicon)
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(todo) > 1 else None
+    with pool or nullcontext():
+        # Each row is appended as soon as it arrives, so an interrupted sweep
+        # keeps its finished points.
+        for row in (pool.map if pool else map)(worker, todo):
+            done[row["point_id"]] = line = _sweep_row_to_csv(row)
+            new_file = not csv_path.exists()
+            with open(csv_path, "a", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+                if new_file:
+                    writer.writeheader()
+                writer.writerow(line)
 
     # Rewrite in canonical grid order, merging resumed and fresh rows.
-    by_id = dict(existing)
-    by_id.update({r["point_id"]: _sweep_row_to_csv(r) for r in new_rows})
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         for p in points:
-            if p["point_id"] in by_id:
-                writer.writerow(by_id[p["point_id"]])
+            if p["point_id"] in done:
+                writer.writerow(done[p["point_id"]])
     _finish_run(out, cfg, [csv_path, fp_path])
     print(f"sweep '{kind}': {len(points)} points "
           f"({len(points) - len(todo)} resumed) -> {csv_path}")

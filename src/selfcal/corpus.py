@@ -141,6 +141,9 @@ def load_dataset(path, task_kind: str = "single") -> Dataset:
                 raise ValueError(f"{path}:{lineno}: expected a JSON object, "
                                  f"got {type(obj).__name__}")
             if lineno == 1 and "label_names" in obj:
+                if not isinstance(obj["label_names"], list):
+                    raise ValueError(f"{path}:{lineno}: label_names must be a list, "
+                                     f"got {type(obj['label_names']).__name__}")
                 label_names = [str(n) for n in obj["label_names"]]
                 fixed_labels = True
                 task_kind = obj.get("task_kind", task_kind)
@@ -160,14 +163,15 @@ def load_dataset(path, task_kind: str = "single") -> Dataset:
             text_b = obj.get("text_pair")
             if task_kind == "pair" and text_b is None:
                 raise ValueError(f"{path}:{lineno}: pair task but no 'text_pair' key")
-            samples.append(
-                Sample(
+            try:
+                samples.append(Sample(
                     id=str(obj.get("id", lineno)),
                     text_a=str(obj["text"]),
                     text_b=None if text_b is None else str(text_b),
                     label=label_names.index(raw_label),
-                )
-            )
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not samples:
         raise ValueError(f"{path}: no samples")
     if label_names is None or len(label_names) < 2:

@@ -108,30 +108,28 @@ def accuracy_coverage_curve(log) -> list[tuple[float, float, float]]:
     return list(zip(thresholds.tolist(), coverage.tolist(), (1.0 - risk).tolist()))
 
 
-def detection_f1(id_scores, adv_scores, threshold: float) -> float:
-    """Macro-F1 of flagging scores below the threshold as adversarial.
+def detection_f1(id_scores, adv_scores, threshold):
+    """Macro-F1 of flagging scores below the threshold as adversarial, at one
+    threshold (a float) or at each of an array of thresholds (an array).
 
-    Per-class F1 is defined as 0 when precision + recall is 0.
+    Per-class F1 is defined as 0 when precision + recall is 0. The counts at
+    every threshold come from one sort of each side.
     """
-    id_scores = np.asarray(id_scores, dtype=np.float64)
-    adv_scores = np.asarray(adv_scores, dtype=np.float64)
-    if id_scores.size == 0 or adv_scores.size == 0:
+    id_sorted = np.sort(np.asarray(id_scores, dtype=np.float64))
+    adv_sorted = np.sort(np.asarray(adv_scores, dtype=np.float64))
+    if id_sorted.size == 0 or adv_sorted.size == 0:
         raise ValueError("detection_f1 undefined: one side is empty")
-
+    t = np.asarray(threshold, dtype=np.float64)
     # Positive class "adversarial": predicted when score < threshold.
-    tp_adv = int((adv_scores < threshold).sum())
-    fp_adv = int((id_scores < threshold).sum())
-    fn_adv = int((adv_scores >= threshold).sum())
+    tp_adv = np.searchsorted(adv_sorted, t, side="left")
+    fp_adv = np.searchsorted(id_sorted, t, side="left")
+    fn_adv = adv_sorted.size - tp_adv
     # Positive class "in-distribution": predicted when score >= threshold.
-    tp_id = int((id_scores >= threshold).sum())
-    fp_id = fn_adv
-    fn_id = fp_adv
-
-    def f1(tp: int, fp: int, fn: int) -> float:
-        denom = 2 * tp + fp + fn
-        return 2 * tp / denom if denom else 0.0
-
-    return (f1(tp_adv, fp_adv, fn_adv) + f1(tp_id, fp_id, fn_id)) / 2.0
+    tp_id = id_sorted.size - fp_adv
+    # 2tp + fp + fn is at least the class size, so no denominator is 0.
+    f1 = (2 * tp_adv / (2 * tp_adv + fp_adv + fn_adv)
+          + 2 * tp_id / (2 * tp_id + fn_adv + fp_adv)) / 2.0
+    return float(f1) if f1.ndim == 0 else f1
 
 
 DEFAULT_THRESHOLD_GRID = np.round(np.linspace(0.0, 1.0, 101), 2)
@@ -155,12 +153,13 @@ def cascade_curve(small_log, large_correct, thresholds=None
         thresholds = DEFAULT_THRESHOLD_GRID
     thresholds = np.asarray(thresholds, dtype=np.float64)
 
-    points = []
-    for t in thresholds:
-        routed = small_conf < t
-        correct = np.where(routed, large_correct, small_correct)
-        points.append((float(t), float(correct.mean())))
-    accs = np.array([a for _, a in points])
+    # Routed at t: the prefix of the sorted confidences that are < t.
+    order = np.argsort(small_conf, kind="stable")
+    routed = np.searchsorted(small_conf[order], thresholds, side="left")
+    large_right = np.concatenate([[0], np.cumsum(large_correct[order])])
+    small_right = np.concatenate([[0], np.cumsum(small_correct[order])])
+    accs = (large_right[routed] + small_right[-1] - small_right[routed]) / small_conf.size
+    points = list(zip(thresholds.tolist(), accs.tolist()))
     if thresholds.size > 1:
         # np.trapezoid's formula, which NumPy < 2.0 does not have.
         trapezoid = (np.diff(thresholds) * (accs[1:] + accs[:-1]) / 2.0).sum()

@@ -608,6 +608,9 @@ def load_parameters(path) -> ModelParameters:
             raise ValueError(f"{path}: model header is not UTF-8 JSON (truncated?)") from None
         if not isinstance(header, dict) or header.get("format") != "selfcal-model-v1":
             raise ValueError(f"{path}: not a selfcal model file")
+        for key in ("features", "num_classes", "hidden_dim"):
+            if key not in header:
+                raise ValueError(f"{path}: model header lacks key {key!r}")
         feats = FeaturizerConfig(**header["features"])
         c, h = header["num_classes"], header["hidden_dim"]
         p = ModelParameters(

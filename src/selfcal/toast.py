@@ -188,24 +188,16 @@ def build_augment_set(records, lexicon: SynonymLexicon, cfg: ToastConfig,
 # Stage 3: multi-task training
 # ---------------------------------------------------------------------------
 
-class _BatchCycler:
-    """Endless shuffled batches over one collection, with a private rng stream
-    so adding or removing another collection never perturbs this one."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self._order = rng.permutation(n)
-        self._pos = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self._pos + self.batch_size > self.n:
-            self._order = self.rng.permutation(self.n)
-            self._pos = 0
-        batch = self._order[self._pos:self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return batch
+def _batches(n: int, batch_size: int, rng: np.random.Generator):
+    """Endless shuffled batches over one collection of ``n`` items, with a
+    private rng stream so adding or removing another collection never
+    perturbs this one. Each pass is a fresh permutation; its tail shorter
+    than a batch is dropped."""
+    size = min(batch_size, n)
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n - size + 1, size):
+            yield order[start:start + size]
 
 
 def train_multitask(d: Dataset, dstar, daug, cfg: ToastConfig,
@@ -242,9 +234,9 @@ def train_multitask(d: Dataset, dstar, daug, cfg: ToastConfig,
     a_aug = featurize_batch([r.augmented_text for r in daug], a_text_b, tc.features)
     a_ystars = np.array([r.predicted_label for r in daug])
 
-    main_cycle = _BatchCycler(len(d), tc.batch_size, np.random.default_rng((tc.seed, 2)))
-    calib_cycle = _BatchCycler(len(dstar), tc.batch_size, np.random.default_rng((tc.seed, 3)))
-    aug_cycle = (_BatchCycler(len(daug), tc.batch_size, np.random.default_rng((tc.seed, 4)))
+    main_cycle = _batches(len(d), tc.batch_size, np.random.default_rng((tc.seed, 2)))
+    calib_cycle = _batches(len(dstar), tc.batch_size, np.random.default_rng((tc.seed, 3)))
+    aug_cycle = (_batches(len(daug), tc.batch_size, np.random.default_rng((tc.seed, 4)))
                  if daug else None)
 
     steps_per_epoch = -(-len(d) // tc.batch_size)
@@ -252,17 +244,17 @@ def train_multitask(d: Dataset, dstar, daug, cfg: ToastConfig,
     eps = tc.label_smoothing_epsilon
     for epoch in range(tc.epochs):
         for step in range(steps_per_epoch):
-            b = main_cycle.next_batch()
+            b = next(main_cycle)
             l_main, g = main_batch_grads(params, d_feats.take(b), d_labels[b], eps)
 
-            b = calib_cycle.next_batch()
+            b = next(calib_cycle)
             l_calib, gc = calib_batch_grads(
                 params, c_feats.take(b), c_ystars[b], c_targets[b], eps, feature_mode)
             g = g.add(gc)
 
             l_cons = 0.0
             if aug_cycle is not None:
-                b = aug_cycle.next_batch()
+                b = next(aug_cycle)
                 l_cons, ga = consistency_batch_grads(
                     params, a_clean.take(b), a_aug.take(b), a_ystars[b], feature_mode)
                 g = g.add(ga.scaled(alpha))

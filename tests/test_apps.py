@@ -101,7 +101,7 @@ class TestCascadeEval:
     def test_identical_models_give_flat_curve(self, base_model, synth_data):
         calib = Calibrator("vanilla", base_model)
         rep = cascade_eval(calib, base_model, synth_data.test)
-        accs = [a for _, a in rep["curve"]]
+        accs = [a for _, a, _ in rep["curve"]]
         assert max(accs) - min(accs) <= 1e-12
         assert rep["small_accuracy"] == rep["large_accuracy"]
 
@@ -111,7 +111,7 @@ class TestCascadeEval:
                               replace(train_cfg, hidden_dim=64, epochs=8, seed=9))
         calib = Calibrator("vanilla", base_model)
         rep = cascade_eval(calib, large, synth_data.test)
-        assert rep["curve"][0] == (0.0, pytest.approx(rep["small_accuracy"], abs=1e-15))
+        assert rep["curve"][0] == (0.0, pytest.approx(rep["small_accuracy"], abs=1e-15), 0.0)
         # Past every confidence, everything routes to the large model.
         log = calib.build_log(synth_data.test, "id")
         points, _ = cascade_curve(
@@ -128,9 +128,9 @@ class TestCascadeEval:
         assert oracle_acc == 1.0
         small, _ = train_main(synth_data.train, replace(train_cfg, epochs=2, hidden_dim=8))
         rep = cascade_eval(Calibrator("vanilla", small), oracle, synth_data.test)
-        accs = [a for _, a in rep["curve"]]
+        accs = [a for _, a, _ in rep["curve"]]
         assert all(b >= a - 1e-12 for a, b in zip(accs, accs[1:]))
-        fracs = [f for _, f in rep["routed_fraction"]]
+        fracs = [f for _, _, f in rep["curve"]]
         assert all(b >= a - 1e-12 for a, b in zip(fracs, fracs[1:]))
 
 
@@ -159,13 +159,6 @@ class TestPilotSweeps:
         for r in rows:
             assert r["n_seeds"] == 2
             assert 0.0 <= r["auroc_mean"] <= 1.0
-
-    def test_skip_and_on_row(self, synth_data, pool, sweep_cfg):
-        seen = []
-        rows = pilot_sweeps(synth_data.train, pool, synth_data.test, "size", sweep_cfg,
-                            skip={"size=20"}, on_row=seen.append)
-        assert [r["point_id"] for r in rows] == ["size=80"]
-        assert seen == rows
 
     def test_infeasible_point_is_skipped_row(self, synth_data, pool, sweep_cfg):
         from dataclasses import replace

@@ -51,9 +51,10 @@ class TestLexicon:
 
     def test_malformed_tsv(self, tmp_path):
         p = tmp_path / "lex.tsv"
-        p.write_text("word_without_tab\n")
-        with pytest.raises(ValueError):
+        p.write_text("a\tb\nword_without_tab\n")
+        with pytest.raises(ValueError) as info:
             SynonymLexicon.from_tsv(p)
+        assert str(info.value) == f"{p}:2: expected 'word<TAB>synonyms'"
 
     def test_synthetic_lexicon_covers_vocab(self, synth_cfg, lexicon):
         for cls in range(synth_cfg.num_classes):

@@ -1,9 +1,9 @@
 """The batched numeric path against per-sample reference implementations.
 
 The references below are the per-sample featurizer, forward pass, training
-gradients, greedy attack and O(n^2) risk-coverage sweep that the batched code
-replaced. Feature rows, curve points and attack results must match them
-exactly; batched confidences, losses and gradients may differ from the
+gradients, greedy attack, O(n^2) risk-coverage sweep, per-threshold detection
+and cascade loops and the batch cycler that the batched code replaced. Feature
+rows, curve points, batches and attack results must match them exactly; batched confidences, losses and gradients may differ from the
 per-sample ones only in summation order, by at most 1e-12. The encoder update
 must match one 2-D row scatter of all gradient parts bit for bit, and the
 attack's candidate rows (the current row plus a count delta) must equal
@@ -23,16 +23,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FEATS, grads_to_flat
-from selfcal.apps import score_with_calibration_head
+from selfcal.apps import cascade_eval, score_with_calibration_head
 from selfcal.augment import SynonymLexicon, greedy_attack
 from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog
 from selfcal.corpus import Dataset, Sample, vocabulary
 from selfcal.metrics import (
+    DEFAULT_THRESHOLD_GRID,
     _tied_ranks,
     accuracy_coverage_curve,
     auroc,
     cascade_curve,
     coverage_at_risk,
+    detection_f1,
     risk_coverage,
 )
 from selfcal.model import (
@@ -56,7 +58,7 @@ from selfcal.model import (
     substitution_deltas,
     train_main,
 )
-from selfcal.toast import ToastConfig, run_toast
+from selfcal.toast import ToastConfig, _batches, run_toast
 
 TOL = 1e-12
 
@@ -380,6 +382,82 @@ def test_cascade_area_matches_numpy_trapezoid():
     assert area == float(trapezoid(accs, t) / (t[-1] - t[0]))
 
 
+def ref_detection_f1(id_scores, adv_scores, threshold):
+    """Macro-F1 at one threshold, counted by comparing every score with it."""
+    id_scores = np.asarray(id_scores, dtype=np.float64)
+    adv_scores = np.asarray(adv_scores, dtype=np.float64)
+    tp_adv = int((adv_scores < threshold).sum())
+    fp_adv = int((id_scores < threshold).sum())
+    fn_adv = int((adv_scores >= threshold).sum())
+    tp_id = int((id_scores >= threshold).sum())
+
+    def f1(tp, fp, fn):
+        denom = 2 * tp + fp + fn
+        return 2 * tp / denom if denom else 0.0
+
+    return (f1(tp_adv, fp_adv, fn_adv) + f1(tp_id, fn_adv, fp_adv)) / 2.0
+
+
+def ref_cascade_points(small_log, large_correct, thresholds):
+    """(threshold, accuracy) per threshold, each from its own routing mask."""
+    points = []
+    for t in np.asarray(thresholds, dtype=np.float64):
+        correct = np.where(small_log.confidence < t, large_correct, small_log.correct)
+        points.append((float(t), float(correct.mean())))
+    return points
+
+
+LEVELS = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
+# Grid values, ties with LEVELS, and thresholds outside [0, 1].
+THRESHOLDS = st.lists(st.sampled_from(LEVELS + [0.3, -0.5, 1.01]), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(id_scores=st.lists(st.sampled_from(LEVELS), min_size=1, max_size=40),
+       adv_scores=st.lists(st.sampled_from(LEVELS), min_size=1, max_size=40),
+       extra=THRESHOLDS)
+def test_one_sort_detection_f1_equals_the_threshold_loop(id_scores, adv_scores, extra):
+    grid = np.concatenate([extra, DEFAULT_THRESHOLD_GRID])
+    want = [ref_detection_f1(id_scores, adv_scores, float(t)) for t in grid]
+    assert np.array_equal(detection_f1(id_scores, adv_scores, grid), want)
+    assert [detection_f1(id_scores, adv_scores, float(t)) for t in extra] == want[:len(extra)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(LEVELS), st.booleans(), st.booleans()),
+                     min_size=1, max_size=40),
+       extra=THRESHOLDS)
+def test_one_sort_cascade_curve_equals_the_threshold_loop(rows, extra):
+    n = len(rows)
+    log = ConfidenceLog(np.array([c for c, _, _ in rows]),
+                        np.array([int(s) for _, s, _ in rows]),
+                        np.zeros(n, dtype=np.int64), ("id",) * n)
+    large = np.array([int(x) for _, _, x in rows])
+    grid = np.sort(np.concatenate([extra, DEFAULT_THRESHOLD_GRID]))
+    assert cascade_curve(log, large, grid)[0] == ref_cascade_points(log, large, grid)
+    assert cascade_curve(log, large)[0] == ref_cascade_points(log, large, DEFAULT_THRESHOLD_GRID)
+
+
+@pytest.mark.parametrize("seed,n,levels", [(0, 1, 4), (1, 50, 3), (2, 500, 7), (4, 300, 1000)])
+def test_one_sort_grids_equal_the_threshold_loops_on_tie_heavy_logs(seed, n, levels):
+    log = tie_heavy_log(seed, n, levels)
+    large = np.random.default_rng(seed + 10).integers(0, 2, size=n)
+    grid = DEFAULT_THRESHOLD_GRID
+    assert cascade_curve(log, large)[0] == ref_cascade_points(log, large, grid)
+    ids, advs = log.confidence[log.correct == 1], log.confidence[log.correct == 0]
+    if ids.size and advs.size:
+        want = [ref_detection_f1(ids, advs, float(t)) for t in grid]
+        assert np.array_equal(detection_f1(ids, advs, grid), want)
+
+
+def test_cascade_eval_routed_fractions_equal_comparisons(base_model, synth_data):
+    calib = Calibrator("temperature", base_model, temperature=2.0)
+    rep = cascade_eval(calib, base_model, synth_data.test)
+    conf = calib.build_log(synth_data.test, "id").confidence
+    assert [(t, r) for t, _, r in rep["curve"]] == [
+        (float(t), float((conf < t).mean())) for t in DEFAULT_THRESHOLD_GRID]
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, selfcal; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -626,6 +704,32 @@ def test_apply_grads_rejects_a_non_contiguous_encoder():
     g.enc_parts = [(np.array([3], dtype=np.uint32), np.ones((1, p.hidden_dim)))]
     with pytest.raises(ValueError, match="C-contiguous"):
         apply_grads(p, g, 0.1)
+
+
+class RefBatchCycler:
+    """Shuffled batches as a stateful object: a permutation up front, and a
+    new one whenever the rest of the current one is shorter than a batch."""
+
+    def __init__(self, n, batch_size, rng):
+        self.n, self.batch_size, self.rng = n, min(batch_size, n), rng
+        self.order, self.pos = rng.permutation(n), 0
+
+    def next_batch(self):
+        if self.pos + self.batch_size > self.n:
+            self.order, self.pos = self.rng.permutation(self.n), 0
+        batch = self.order[self.pos:self.pos + self.batch_size]
+        self.pos += self.batch_size
+        return batch
+
+
+@pytest.mark.parametrize("n,batch_size", [(1, 1), (1, 32), (7, 3), (10, 5), (33, 8)])
+def test_batches_equal_the_cycler(n, batch_size):
+    ref = RefBatchCycler(n, batch_size, np.random.default_rng((5, 2)))
+    rng = np.random.default_rng((5, 2))
+    got = _batches(n, batch_size, rng)
+    for _ in range(3 * n + 7):
+        assert np.array_equal(next(got), ref.next_batch())
+        assert rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_smooth_target_rows_are_the_per_label_targets():

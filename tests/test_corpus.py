@@ -84,6 +84,19 @@ class TestLoadDataset:
             load_dataset(p)
         assert len(str(info.value).splitlines()) == 1
 
+    @pytest.mark.parametrize("lines,message", [
+        ([{"label_names": 5}, {"text": "x", "label": "a"}],
+         ":1: label_names must be a list, got int"),
+        ([{"text": "x", "label": "a"}, {"text": "", "label": "b"}],
+         ":2: sample '2': text_a has no tokens"),
+    ])
+    def test_bad_field_names_path_and_line(self, tmp_path, lines, message):
+        p = tmp_path / "d.jsonl"
+        _write_jsonl(p, lines)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{p}{message}") + "$") as info:
+            load_dataset(p)
+        assert len(str(info.value).splitlines()) == 1
+
     def test_header_fixes_label_names(self, tmp_path):
         p = tmp_path / "d.jsonl"
         _write_jsonl(p, [

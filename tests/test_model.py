@@ -1,5 +1,6 @@
 """Featurizer, forward passes, losses, gradients, training, serialization."""
 
+import json
 import math
 import re
 
@@ -351,6 +352,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^" + re.escape(str(path))) as info:
             load_parameters(path)
         assert len(str(info.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("missing", ["features", "num_classes", "hidden_dim"])
+    def test_header_without_a_key_rejected(self, separable_model, tmp_path, missing):
+        path = tmp_path / "model.bin"
+        save_parameters(separable_model, path)
+        data = path.read_bytes()
+        end = data.index(b"\n")
+        header = json.loads(data[:end])
+        del header[missing]
+        path.write_bytes(json.dumps(header).encode("utf-8") + data[end:])
+        with pytest.raises(ValueError) as info:
+            load_parameters(path)
+        assert str(info.value) == f"{path}: model header lacks key '{missing}'"
 
     def test_trailing_bytes_rejected(self, separable_model, tmp_path):
         path = tmp_path / "model.bin"

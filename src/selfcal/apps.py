@@ -25,6 +25,7 @@ from .metrics import (
     coverage_at_risk,
     delta_conf,
     detection_f1,
+    log_auroc_dconf,
     risk_coverage,
 )
 from .model import (
@@ -122,22 +123,18 @@ def adversarial_eval(calibrator: Calibrator, id_samples: Dataset,
 # Model cascading
 # ---------------------------------------------------------------------------
 
-def cascade_eval(small: Calibrator, large_params: ModelParameters, d: Dataset,
-                 thresholds=None) -> dict:
+def cascade_eval(small: Calibrator, large_params: ModelParameters, d: Dataset) -> dict:
     """Accuracy of routing low-confidence samples from the small model to the
-    large one, swept over thresholds, plus the area score. ``curve`` holds
-    (threshold, accuracy, routed fraction) rows."""
+    large one, swept over the 0.01 threshold grid, plus the area score.
+    ``curve`` holds (threshold, accuracy, routed fraction) rows."""
     small_log = small.build_log(d, group="id")
     large_pred = predict_batch(large_params, d.features(large_params.features))[0]
     large_correct = (large_pred == d.labels()).astype(np.int64)
-    points, area = cascade_curve(small_log, large_correct, thresholds)
-    grid = np.asarray(DEFAULT_THRESHOLD_GRID if thresholds is None else thresholds,
-                      dtype=np.float64)
-    routed = np.searchsorted(np.sort(small_log.confidence), grid, side="left") / len(d)
+    curve, area = cascade_curve(small_log, large_correct)
     return {
         "method": small.method,
         "area": area,
-        "curve": [(t, a, r) for (t, a), r in zip(points, routed.tolist())],
+        "curve": curve,
         "small_accuracy": float(small_log.correct.mean()),
         "large_accuracy": float(large_correct.mean()),
     }
@@ -173,16 +170,6 @@ def score_with_calibration_head(params: ModelParameters, d: Dataset,
     conf = softmax(calib_head(params, h, preds, feature_mode))[:, 1]
     correct = (preds == d.labels()).astype(np.int64)
     return ConfidenceLog(conf, correct, preds, ("id",) * len(d))
-
-
-def log_auroc_dconf(log: ConfidenceLog) -> tuple[float | None, float | None]:
-    """AUROC and confidence gap of the log's right over its wrong predictions;
-    (None, None) when one of the two groups is empty."""
-    pos = log.confidence[log.correct == 1]
-    neg = log.confidence[log.correct == 0]
-    if pos.size == 0 or neg.size == 0:
-        return None, None
-    return auroc(pos, neg), delta_conf(pos, neg)
 
 
 def _pilot_point(train: Dataset, test: Dataset, records, cfg: PilotSweepConfig,

@@ -7,7 +7,6 @@ The attacker greedily substitutes synonyms to flip a model's prediction.
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from pathlib import Path
@@ -85,11 +84,11 @@ class SynonymLexicon:
                 fh.write(f"{word}\t{','.join(self._entries[word])}\n")
 
 
-def synthetic_lexicon(cfg: SynthConfig, group_size: int = 4) -> SynonymLexicon:
+def synthetic_lexicon(cfg: SynthConfig) -> SynonymLexicon:
     """Default lexicon over the synthetic vocabulary.
 
     Tokens that play the same role (same class block, or both noise) form
-    small synsets. Class-indicative tokens additionally get two generic noise
+    synsets of four. Class-indicative tokens additionally get two generic noise
     tokens as looser synonyms — the analogue of a real lexicon offering a
     blander word that drops the nuance, which is what gives substitution its
     bite for both augmentation and attacks.
@@ -98,8 +97,8 @@ def synthetic_lexicon(cfg: SynthConfig, group_size: int = 4) -> SynonymLexicon:
     noise = noise_tokens(cfg)
 
     def _add_groups(tokens: list[str], extras: bool):
-        for start in range(0, len(tokens), group_size):
-            group = tokens[start:start + group_size]
+        for start in range(0, len(tokens), 4):
+            group = tokens[start:start + 4]
             for j, t in enumerate(group):
                 syns = [s for s in group if s != t]
                 if extras:
@@ -261,18 +260,3 @@ def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
             adv_samples.append(adv)
             origins.append(s.id)
     return Dataset(tuple(adv_samples), d.label_names, d.task_kind), origins
-
-
-def save_adversarial(d: Dataset, origins: list[str], path) -> None:
-    """Corpus JSONL schema plus an ``origin_id`` key per record."""
-    if len(origins) != len(d):
-        raise ValueError("origins not aligned with adversarial samples")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"label_names": list(d.label_names),
-                             "task_kind": d.task_kind}) + "\n")
-        for s, origin in zip(d.samples, origins):
-            obj = {"id": s.id, "text": s.text_a,
-                   "label": d.label_names[s.label], "origin_id": origin}
-            if s.text_b is not None:
-                obj["text_pair"] = s.text_b
-            fh.write(json.dumps(obj) + "\n")

@@ -156,12 +156,7 @@ def fit_temperature(logits, labels) -> float:
     return float(np.exp((a + b) / 2.0))
 
 
-def model_logits(params: ModelParameters, d: Dataset) -> np.ndarray:
-    return predict_batch(params, d.features(params.features))[2]
-
-
-def train_with_temperature(train: Dataset, cfg, holdout_folds: int = 10
-                           ) -> tuple[ModelParameters, float]:
+def train_with_temperature(train: Dataset, cfg) -> tuple[ModelParameters, float]:
     """Train a plain model on all but a seed-deterministic stratified tenth of
     the training set, and fit T on that held-out tenth.
 
@@ -170,8 +165,9 @@ def train_with_temperature(train: Dataset, cfg, holdout_folds: int = 10
     stay out of training. The returned model backs both the vanilla and the
     temperature calibrator, which keeps their scores directly comparable.
     """
-    folds = split_folds(train, holdout_folds, cfg.seed)
+    folds = split_folds(train, 10, cfg.seed)
     holdout, rest = folds[0], merge_datasets(folds[1:])
     params, _ = train_main(rest, cfg)
-    t = fit_temperature(model_logits(params, holdout), holdout.labels())
+    logits = predict_batch(params, holdout.features(params.features))[2]
+    t = fit_temperature(logits, holdout.labels())
     return params, t

@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 
 from . import apps
-from .augment import SynonymLexicon, attack_dataset, save_adversarial, synthetic_lexicon
+from .augment import SynonymLexicon, attack_dataset, synthetic_lexicon
 from .calibrators import METHODS, Calibrator, train_with_temperature
 from .corpus import (
     Dataset,
@@ -37,6 +37,7 @@ from .corpus import (
     save_hardness,
     split_folds,
 )
+from .metrics import log_auroc_dconf
 from .model import FeaturizerConfig, TrainConfig, save_parameters, load_parameters, train_main
 from .toast import ToastConfig, run_toast
 
@@ -85,8 +86,8 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple]] = {
         "epochs": (int, ToastConfig().train.epochs),
     },
     "eval": {
-        "calibrators": (str, "vanilla,temperature,label_smoothing,toast"),
-        "applications": (str, "selective,adversarial,cascade"),
+        "calibrators": (str, ",".join(METHODS)),
+        "applications": (str, ",".join(apps.APPLICATIONS)),
         "targets": (str, "0.95"),
         "adversarial_file": (str, ""),
         "cascade_small_hidden": (int, 16),
@@ -95,12 +96,10 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple]] = {
         "cascade_large_epochs": (int, 8),
     },
     "sweep": {
-        "kind": (str, "size"),
-        "seeds": (str, "0,1,2"),
-        "sizes": (str, "30,120,480"),
-        "ratios": (str, "0.1,0.3,0.5,0.7,0.9"),
-        "fixed_factors": (str, "1,2,4,8"),
-        "ks": (str, "2,3,4,5"),
+        "kind": (str, apps.SWEEP_KINDS[0]),
+        # The grids, as comma-separated lists of the library's tuples.
+        **{f.name: (str, ",".join(map(str, f.default)))
+           for f in fields(apps.PilotSweepConfig) if isinstance(f.default, tuple)},
     },
     # attack_dataset's keyword arguments, for `selfcal attack` and for eval's
     # adversarial application.
@@ -390,7 +389,7 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     metrics: dict = {"summary": {}}
     for method, calib in calibs.items():
         log = calib.build_log(test_d, "id")
-        a, dc = apps.log_auroc_dconf(log)
+        a, dc = log_auroc_dconf(log)
         metrics["summary"][method] = {"auroc": a, "delta_conf": dc,
                                       "accuracy": float(log.correct.mean())}
         written.append(curves / f"log_{method}.csv")
@@ -412,7 +411,7 @@ def cmd_eval(cfg: dict, out: Path) -> int:
                 attack_target = calibs.get("vanilla") or next(iter(calibs.values()))
                 adv, origins = attack_dataset(attack_target.params, test_d, lex, **cfg["attack"])
                 written.append(out / "adversarial.jsonl")
-                save_adversarial(adv, origins, written[-1])
+                save_dataset(adv, written[-1], origins)
             run = partial(apps.adversarial_eval, id_samples=test_d, adv_samples=adv, seed=seed)
         else:  # cascade: small models of each method, one large model
             large_params, _ = train_main(
@@ -439,18 +438,6 @@ def cmd_eval(cfg: dict, out: Path) -> int:
 SWEEP_COLUMNS = ["point_id", "kind", "size", "mode", "ratio", "factor",
                  "feature_mode", "k", "n_seeds", "auroc_mean", "auroc_std",
                  "dconf_mean", "dconf_std", "skipped"]
-
-
-def _sweep_row_to_csv(row: dict) -> dict:
-    out = {}
-    for col in SWEEP_COLUMNS:
-        v = row.get(col, "")
-        if v is None:
-            v = ""
-        elif isinstance(v, float):
-            v = repr(v)
-        out[col] = v
-    return out
 
 
 def _sweep_fingerprint(cfg: dict, kind: str, points: list[dict]) -> str:
@@ -508,13 +495,13 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
         # Each row is appended as soon as it arrives, so an interrupted sweep
         # keeps its finished points.
         for row in (pool.map if pool else map)(worker, todo):
-            done[row["point_id"]] = line = _sweep_row_to_csv(row)
+            done[row["point_id"]] = row
             new_file = not csv_path.exists()
             with open(csv_path, "a", encoding="utf-8", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
                 if new_file:
                     writer.writeheader()
-                writer.writerow(line)
+                writer.writerow(row)
 
     # Rewrite in canonical grid order, merging resumed and fresh rows.
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -538,7 +525,7 @@ def cmd_attack(cfg: dict, out: Path, model_path: str | None) -> int:
     else:
         params, _ = train_main(train_d, _train_config(cfg, cfg["run"]["seed"]))
     adv, origins = attack_dataset(params, test_d, lexicon, **cfg["attack"])
-    save_adversarial(adv, origins, out / "adversarial.jsonl")
+    save_dataset(adv, out / "adversarial.jsonl", origins)
     _finish_run(out, cfg, [out / "adversarial.jsonl"])
     print(f"{len(adv)} successful adversarial samples -> {out / 'adversarial.jsonl'}")
     return 0

@@ -49,6 +49,8 @@ class Dataset:
             raise ValueError(f"unknown task_kind {self.task_kind!r}")
         if len(self.label_names) < 2:
             raise ValueError("a dataset needs at least 2 label names")
+        if len(set(self.label_names)) < len(self.label_names):
+            raise ValueError(f"duplicate label names in {list(self.label_names)}")
         seen: set[str] = set()
         for s in self.samples:
             if s.id in seen:
@@ -147,6 +149,10 @@ def load_dataset(path, task_kind: str = "single") -> Dataset:
                 label_names = [str(n) for n in obj["label_names"]]
                 fixed_labels = True
                 task_kind = obj.get("task_kind", task_kind)
+                try:  # the header alone must make a valid (empty) dataset
+                    Dataset((), label_names, task_kind)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 continue
             if "text" not in obj or "label" not in obj:
                 raise ValueError(f"{path}:{lineno}: missing 'text' or 'label' key")
@@ -179,13 +185,18 @@ def load_dataset(path, task_kind: str = "single") -> Dataset:
     return Dataset(tuple(samples), tuple(label_names), task_kind)
 
 
-def save_dataset(d: Dataset, path) -> None:
-    """Write ``d`` as JSONL with a header line, so load_dataset round-trips it."""
-    path = Path(path)
+def save_dataset(d: Dataset, path, origins=None) -> None:
+    """Write ``d`` as JSONL with a header line, so load_dataset round-trips it.
+    ``origins``, one sample id per sample, adds an ``origin_id`` key per
+    record: the sample an adversarial one was made from."""
+    if origins is not None and len(origins) != len(d):
+        raise ValueError("origins not aligned with adversarial samples")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"label_names": list(d.label_names), "task_kind": d.task_kind}) + "\n")
-        for s in d.samples:
+        for i, s in enumerate(d.samples):
             obj = {"id": s.id, "text": s.text_a, "label": d.label_names[s.label]}
+            if origins is not None:
+                obj["origin_id"] = origins[i]
             if s.text_b is not None:
                 obj["text_pair"] = s.text_b
             fh.write(json.dumps(obj) + "\n")

@@ -59,9 +59,13 @@ def auroc_risk(log) -> float:
     return 1.0 - auroc(pos, neg)
 
 
-def sweep_thresholds(confidences: np.ndarray) -> np.ndarray:
-    """Sorted distinct confidence values plus the 0 and 1 endpoints."""
-    return np.unique(np.concatenate([confidences, [0.0, 1.0]]))
+def log_auroc_dconf(log) -> tuple[float | None, float | None]:
+    """AUROC and confidence gap of the log's right over its wrong predictions;
+    (None, None) when one of the two groups is empty."""
+    pos, neg = _split_by_correctness(log)
+    if pos.size == 0 or neg.size == 0:
+        return None, None
+    return auroc(pos, neg), delta_conf(pos, neg)
 
 
 def _sweep(log) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -72,7 +76,7 @@ def _sweep(log) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if conf.size == 0:
         raise ValueError("empty log")
     order = np.argsort(conf, kind="stable")
-    thresholds = sweep_thresholds(conf)
+    thresholds = np.unique(np.concatenate([conf, [0.0, 1.0]]))
     # The accepted set at t is the sorted suffix from the first value >= t.
     first = np.searchsorted(conf[order], thresholds, side="left")
     thresholds, first = thresholds[first < conf.size], first[first < conf.size]
@@ -136,13 +140,14 @@ DEFAULT_THRESHOLD_GRID = np.round(np.linspace(0.0, 1.0, 101), 2)
 
 
 def cascade_curve(small_log, large_correct, thresholds=None
-                  ) -> tuple[list[tuple[float, float]], float]:
+                  ) -> tuple[list[tuple[float, float, float]], float]:
     """Accuracy of a two-model cascade as the routing threshold varies.
 
     A sample is answered by the small model when its small-model confidence is
     >= t, and routed to the large model otherwise. Returns the (threshold,
-    accuracy) points and the area score: the normalized trapezoid of accuracy
-    over the threshold grid (the default grid is [0, 1] in steps of 0.01).
+    accuracy, routed fraction) points and the area score: the normalized
+    trapezoid of accuracy over the threshold grid, which must be strictly
+    increasing (the default grid is [0, 1] in steps of 0.01).
     """
     small_conf = np.asarray(small_log.confidence, dtype=np.float64)
     small_correct = np.asarray(small_log.correct, dtype=np.int64)
@@ -152,6 +157,8 @@ def cascade_curve(small_log, large_correct, thresholds=None
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRID
     thresholds = np.asarray(thresholds, dtype=np.float64)
+    if not np.all(np.diff(thresholds) > 0):
+        raise ValueError("cascade thresholds must be strictly increasing")
 
     # Routed at t: the prefix of the sorted confidences that are < t.
     order = np.argsort(small_conf, kind="stable")
@@ -159,7 +166,8 @@ def cascade_curve(small_log, large_correct, thresholds=None
     large_right = np.concatenate([[0], np.cumsum(large_correct[order])])
     small_right = np.concatenate([[0], np.cumsum(small_correct[order])])
     accs = (large_right[routed] + small_right[-1] - small_right[routed]) / small_conf.size
-    points = list(zip(thresholds.tolist(), accs.tolist()))
+    points = list(zip(thresholds.tolist(), accs.tolist(),
+                      (routed / small_conf.size).tolist()))
     if thresholds.size > 1:
         # np.trapezoid's formula, which NumPy < 2.0 does not have.
         trapezoid = (np.diff(thresholds) * (accs[1:] + accs[:-1]) / 2.0).sum()

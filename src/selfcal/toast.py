@@ -111,17 +111,21 @@ def annotate_with_model(params: ModelParameters, d: Dataset) -> list[Calibration
 
 
 def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
-    """K rounds of leave-one-fold-out annotation.
+    """K rounds of leave-one-fold-out annotation; under ``no_cross_annotation``
+    (the ablation) only round 0 of a ten-fold split, so the calibration set is
+    a tenth of the training data.
 
-    The output has exactly one record per input sample, and no record was
-    annotated by a model that saw it in training. Round ``i`` trains with seed
-    ``annotator seed + i`` so the rounds are independent but reproducible.
+    No record was annotated by a model that saw it in training, and without
+    the ablation there is exactly one record per input sample. Round ``i``
+    trains with seed ``annotator seed + i`` so the rounds are independent but
+    reproducible.
     """
-    folds = split_folds(d, cfg.k, cfg.train.seed)
+    ablated = cfg.no_cross_annotation
+    folds = split_folds(d, 10 if ablated else cfg.k, cfg.train.seed)
     base = cfg.annotator_config
     records: list[CalibrationRecord] = []
     rounds: list[AnnotationRound] = []
-    for i, heldout in enumerate(folds):
+    for i, heldout in enumerate(folds[:1] if ablated else folds):
         train_part = merge_datasets([f for j, f in enumerate(folds) if j != i])
         round_cfg = replace(base, seed=base.seed + i)
         params, _ = train_main(train_part, round_cfg)
@@ -130,20 +134,6 @@ def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
             round_index=i, seed=round_cfg.seed,
             train_ids=tuple(train_part.ids()), heldout_ids=tuple(heldout.ids())))
     return CrossAnnotation(tuple(records), tuple(rounds))
-
-
-def split_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
-    """Ablation variant of stage 1: train on 90% once and annotate the held-out
-    10%, so the calibration set is a tenth of the training data."""
-    tenths = split_folds(d, 10, cfg.train.seed)
-    heldout = tenths[0]
-    train_part = merge_datasets(tenths[1:])
-    params, _ = train_main(train_part, cfg.annotator_config)
-    records = annotate_with_model(params, heldout)
-    rounds = (AnnotationRound(
-        round_index=0, seed=cfg.annotator_config.seed,
-        train_ids=tuple(train_part.ids()), heldout_ids=tuple(heldout.ids())),)
-    return CrossAnnotation(tuple(records), rounds)
 
 
 def downsample_balance(records, rng: np.random.Generator) -> list[CalibrationRecord]:
@@ -320,10 +310,7 @@ def run_toast(d: Dataset, cfg: ToastConfig, lexicon: SynonymLexicon
     """Run the three stages, honoring the ablation flags, and return the
     trained model plus the audit bundle."""
     seed = cfg.train.seed
-    if cfg.no_cross_annotation:
-        annotation = split_annotate(d, cfg)
-    else:
-        annotation = cross_annotate(d, cfg)
+    annotation = cross_annotate(d, cfg)
     raw = list(annotation.records)
     raw_neg = sum(1 for r in raw if r.correctness == 0)
 

@@ -1,5 +1,6 @@
 """Textual transforms, the synonym lexicon, and the greedy attacker."""
 
+import json
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -16,9 +17,8 @@ from selfcal.augment import (
     attack_dataset,
     greedy_attack,
     random_transform,
-    save_adversarial,
 )
-from selfcal.corpus import class_tokens, load_dataset, noise_tokens
+from selfcal.corpus import class_tokens, load_dataset, noise_tokens, save_dataset
 from selfcal.model import predict
 
 
@@ -202,9 +202,14 @@ class TestGreedyAttack:
         test_ids = set(synth_data.test.ids())
         assert all(o in test_ids for o in origins)
         path = tmp_path / "adv.jsonl"
-        save_adversarial(adv, origins, path)
+        save_dataset(adv, path, origins)
         reloaded = load_dataset(path)
-        assert len(reloaded) == 5
+        assert reloaded.samples == adv.samples
+        records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert [list(r)[:4] for r in records] == [["id", "text", "label", "origin_id"]] * 5
+        assert [r["origin_id"] for r in records] == origins
+        with pytest.raises(ValueError, match="origins not aligned"):
+            save_dataset(adv, path, origins[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -399,11 +399,13 @@ def ref_detection_f1(id_scores, adv_scores, threshold):
 
 
 def ref_cascade_points(small_log, large_correct, thresholds):
-    """(threshold, accuracy) per threshold, each from its own routing mask."""
+    """(threshold, accuracy, routed fraction) per threshold, each from its own
+    routing mask."""
     points = []
     for t in np.asarray(thresholds, dtype=np.float64):
-        correct = np.where(small_log.confidence < t, large_correct, small_log.correct)
-        points.append((float(t), float(correct.mean())))
+        routed = small_log.confidence < t
+        correct = np.where(routed, large_correct, small_log.correct)
+        points.append((float(t), float(correct.mean()), float(routed.mean())))
     return points
 
 
@@ -433,7 +435,7 @@ def test_one_sort_cascade_curve_equals_the_threshold_loop(rows, extra):
                         np.array([int(s) for _, s, _ in rows]),
                         np.zeros(n, dtype=np.int64), ("id",) * n)
     large = np.array([int(x) for _, _, x in rows])
-    grid = np.sort(np.concatenate([extra, DEFAULT_THRESHOLD_GRID]))
+    grid = np.unique(np.concatenate([extra, DEFAULT_THRESHOLD_GRID]))
     assert cascade_curve(log, large, grid)[0] == ref_cascade_points(log, large, grid)
     assert cascade_curve(log, large)[0] == ref_cascade_points(log, large, DEFAULT_THRESHOLD_GRID)
 

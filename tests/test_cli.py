@@ -7,10 +7,12 @@ from dataclasses import replace
 
 import pytest
 
-from selfcal import cli
+from selfcal import apps, cli
+from selfcal.augment import attack_dataset
+from selfcal.calibrators import METHODS
 from selfcal.cli import ConfigError, load_config, main
 from selfcal.corpus import SynthConfig, load_dataset, load_hardness
-from selfcal.model import TrainConfig
+from selfcal.model import TrainConfig, train_main
 from selfcal.toast import ToastConfig
 
 TINY_CONFIG = """
@@ -113,6 +115,13 @@ class TestConfig:
         assert toast.train == library.train
         assert toast.annotator_config == library.annotator_config
         assert replace(toast, annotator_train=None) == library
+        assert cli._split_list(cfg["eval"]["calibrators"], str) == METHODS
+        assert cli._split_list(cfg["eval"]["applications"], str) == tuple(apps.APPLICATIONS)
+        assert cfg["sweep"]["kind"] == apps.SWEEP_KINDS[0]
+        grids = apps.PilotSweepConfig(annotator=None, train=None)
+        for key, typ in (("seeds", int), ("sizes", int), ("ratios", float),
+                         ("fixed_factors", int), ("ks", int)):
+            assert cli._split_list(cfg["sweep"][key], typ) == getattr(grids, key)
 
     @pytest.mark.parametrize("old, new", [("adversarial_budget", "attack.budget"),
                                           ("adversarial_max", "attack.max_successes")])
@@ -181,6 +190,25 @@ class TestEval:
         adversarial = json.loads((out / "metrics.json").read_text())["adversarial"]
         assert adversarial and all(0 < row["n_adv"] <= 3 for row in adversarial.values())
         assert len(load_dataset(out / "adversarial.jsonl")) <= 3
+
+    def test_adversarial_file_is_read_not_regenerated(self, config_path, tmp_path):
+        attack = tmp_path / "attack"
+        assert main(["attack", "--config", str(config_path), "--out", str(attack)]) == 0
+        adv_path = attack / "adversarial.jsonl"
+        n_records = len(adv_path.read_text().splitlines()) - 1  # minus the header
+        out = tmp_path / "run"
+        assert main(["eval", "--config", str(config_path), "--out", str(out),
+                     "--set", "eval.applications=adversarial",
+                     "--set", f"eval.adversarial_file={adv_path}"]) == 0
+        adversarial = json.loads((out / "metrics.json").read_text())["adversarial"]
+        assert adversarial and all(row["n_adv"] == n_records for row in adversarial.values())
+        assert not (out / "adversarial.jsonl").exists()
+        # The file holds exactly the samples the attack made.
+        cfg = load_config(str(config_path))
+        train_d, test_d, lexicon = cli._load_data(cfg)
+        params, _ = train_main(train_d, cli._train_config(cfg, cfg["run"]["seed"]))
+        adv, _ = attack_dataset(params, test_d, lexicon, **cfg["attack"])
+        assert load_dataset(adv_path).samples == adv.samples
 
     def test_bad_calibrator_name(self, config_path, tmp_path, capsys):
         rc = main(["eval", "--config", str(config_path), "--out", str(tmp_path / "o"),

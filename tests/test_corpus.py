@@ -89,6 +89,10 @@ class TestLoadDataset:
          ":1: label_names must be a list, got int"),
         ([{"text": "x", "label": "a"}, {"text": "", "label": "b"}],
          ":2: sample '2': text_a has no tokens"),
+        ([{"label_names": ["a", "a"]}, {"text": "x", "label": "a"}],
+         ":1: duplicate label names in ['a', 'a']"),
+        ([{"label_names": ["a", "b"], "task_kind": "bogus"}, {"text": "x", "label": "a"}],
+         ":1: unknown task_kind 'bogus'"),
     ])
     def test_bad_field_names_path_and_line(self, tmp_path, lines, message):
         p = tmp_path / "d.jsonl"
@@ -152,6 +156,10 @@ class TestDatasetInvariants:
     def test_needs_two_label_names(self):
         with pytest.raises(ValueError, match="2 label names"):
             Dataset((Sample("x", "a", None, 0),), ("only",))
+
+    def test_duplicate_label_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate label names"):
+            Dataset((Sample("x", "a", None, 0),), ("p", "q", "p"))
 
 
 class TestSplitFolds:

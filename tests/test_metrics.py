@@ -243,14 +243,14 @@ class TestCascadeCurve:
         small = make_log([0.9, 0.4, 0.7, 0.2], [1, 0, 1, 0])
         large_correct = np.array([1, 1, 0, 1])
         points, _ = cascade_curve(small, large_correct, thresholds=[0.0, 1.01])
-        assert points[0] == (0.0, pytest.approx(small.correct.mean()))
-        assert points[1] == (1.01, pytest.approx(large_correct.mean()))
+        assert points[0] == (0.0, pytest.approx(small.correct.mean()), 0.0)
+        assert points[1] == (1.01, pytest.approx(large_correct.mean()), 1.0)
 
     def test_identical_models_flat(self):
         small = make_log([0.9, 0.4, 0.7], [1, 0, 1])
         points, area = cascade_curve(small, small.correct.copy())
         expected = small.correct.mean()
-        assert all(a == pytest.approx(expected, abs=1e-12) for _, a in points)
+        assert all(a == pytest.approx(expected, abs=1e-12) for _, a, _ in points)
         assert area == pytest.approx(expected, abs=1e-12)
 
     def test_misaligned_inputs_error(self):
@@ -263,7 +263,14 @@ class TestCascadeCurve:
         small = make_log([0.9, 0.4, 0.7, 0.2], [0, 0, 1, 0])
         large_correct = np.array([1, 1, 1, 1])
         points, _ = cascade_curve(small, large_correct, thresholds=[0.5])
-        assert points[0][1] == pytest.approx(3 / 4)
+        assert points == [(0.5, pytest.approx(3 / 4), 0.5)]
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.5], [0.6, 0.4], [0.1, 0.5, 0.3],
+                                      [0.0, float("nan"), 1.0]])
+    def test_grid_not_strictly_increasing_errors(self, grid):
+        small = make_log([0.9, 0.4], [1, 0])
+        with pytest.raises(ValueError, match="^cascade thresholds must be strictly increasing$"):
+            cascade_curve(small, np.array([1, 1]), thresholds=grid)
 
 
 # ---------------------------------------------------------------------------

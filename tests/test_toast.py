@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FEATS, make_separable
 from selfcal.calibrators import Calibrator
-from selfcal.corpus import CalibrationRecord
+from selfcal.corpus import CalibrationRecord, split_folds
 from selfcal.metrics import delta_conf
 from selfcal.model import TrainConfig, get_flat_params
 from selfcal.augment import TransformKind
@@ -19,7 +19,6 @@ from selfcal.toast import (
     cross_annotate,
     downsample_balance,
     run_toast,
-    split_annotate,
     train_multitask,
 )
 
@@ -77,12 +76,18 @@ class TestCrossAnnotate:
         kinds = {r.correctness for r in result.records}
         assert kinds == {0, 1}
 
-    def test_split_annotate_is_a_tenth(self, synth_data):
-        result = split_annotate(synth_data.train, _toast_cfg(no_cross_annotation=True))
+    def test_no_cross_annotation_is_one_round_over_a_tenth(self, synth_data):
+        cfg = _toast_cfg(no_cross_annotation=True)
+        result = cross_annotate(synth_data.train, cfg)
         n = len(synth_data.train)
         assert abs(len(result.records) - n // 10) <= 1
-        rnd = result.rounds[0]
+        [rnd] = result.rounds
         assert not set(rnd.heldout_ids) & set(rnd.train_ids)
+        # Round 0 of a ten-fold split, trained with the annotator's own seed.
+        tenths = split_folds(synth_data.train, 10, cfg.train.seed)
+        assert rnd.heldout_ids == tuple(tenths[0].ids())
+        assert rnd.seed == cfg.annotator_config.seed
+        assert [r.sample_id for r in result.records] == list(rnd.heldout_ids)
 
 
 class TestDownsampleBalance:

@@ -183,6 +183,14 @@ def _pilot_point(train: Dataset, test: Dataset, records, cfg: PilotSweepConfig,
     return log_auroc_dconf(score_with_calibration_head(params, test, feature_mode))
 
 
+def _toast_point(train: Dataset, test: Dataset, cfg: ToastConfig, lexicon
+                 ) -> tuple[float | None, float | None]:
+    """Run the whole pipeline and measure its model on the test split. The
+    model is freed on return, before the next seed's pipeline trains."""
+    params, _ = run_toast(train, cfg, lexicon)
+    return log_auroc_dconf(Calibrator("toast", params).build_log(test, "id"))
+
+
 def _row(point: dict, per_seed, reason: str) -> dict:
     """The sweep row of ``point``: the mean and std over the seeds whose
     results are not None, or, when there is none, None values and ``reason``
@@ -199,12 +207,12 @@ def _row(point: dict, per_seed, reason: str) -> dict:
 def seed_annotations(train: Dataset, pool: Dataset, cfg: PilotSweepConfig
                      ) -> dict[int, list[CalibrationRecord]]:
     """One annotated copy of the pool per sweep seed (the expensive shared
-    step; every grid point reuses these)."""
+    step; every grid point reuses these). Each annotator is freed once it has
+    annotated, so one encoder is in memory at a time."""
     out = {}
     for seed in cfg.seeds:
         annotator_cfg = replace(cfg.annotator, seed=cfg.annotator.seed + seed)
-        params, _ = train_main(train, annotator_cfg)
-        out[seed] = annotate_with_model(params, pool)
+        out[seed] = annotate_with_model(train_main(train, annotator_cfg)[0], pool)
     return out
 
 
@@ -254,9 +262,7 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
                 train=replace(cfg.train, seed=cfg.train.seed + seed),
                 annotator_train=replace(cfg.annotator, seed=cfg.annotator.seed + seed),
             )
-            params, _ = run_toast(train, toast_cfg, lexicon)
-            log = Calibrator("toast", params).build_log(test, "id")
-            per_seed.append(log_auroc_dconf(log))
+            per_seed.append(_toast_point(train, test, toast_cfg, lexicon))
     else:
         for seed in cfg.seeds:
             records = annotations[seed]

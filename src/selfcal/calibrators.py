@@ -156,17 +156,24 @@ def fit_temperature(logits, labels) -> float:
     return float(np.exp((a + b) / 2.0))
 
 
+def baseline_split(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """The baselines' split of the training set: a seed-deterministic
+    stratified tenth held out for the temperature, and the other nine tenths
+    that every baseline model trains on."""
+    folds = split_folds(train, 10, seed)
+    return folds[0], merge_datasets(folds[1:])
+
+
 def train_with_temperature(train: Dataset, cfg) -> tuple[ModelParameters, float]:
-    """Train a plain model on all but a seed-deterministic stratified tenth of
-    the training set, and fit T on that held-out tenth.
+    """Train a plain model on the nine tenths of ``baseline_split`` and fit T
+    on the held-out tenth.
 
     Fitting T on data the model trained on degenerates (the memorized slice
     pushes T toward 0 and the scaled confidences saturate), so the slice must
     stay out of training. The returned model backs both the vanilla and the
     temperature calibrator, which keeps their scores directly comparable.
     """
-    folds = split_folds(train, 10, cfg.seed)
-    holdout, rest = folds[0], merge_datasets(folds[1:])
+    holdout, rest = baseline_split(train, cfg.seed)
     params, _ = train_main(rest, cfg)
     logits = predict_batch(params, holdout.features(params.features))[2]
     t = fit_temperature(logits, holdout.labels())

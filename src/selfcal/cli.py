@@ -26,16 +26,14 @@ from pathlib import Path
 
 from . import apps
 from .augment import SynonymLexicon, attack_dataset, synthetic_lexicon
-from .calibrators import METHODS, Calibrator, train_with_temperature
+from .calibrators import METHODS, Calibrator, baseline_split, train_with_temperature
 from .corpus import (
     Dataset,
     SynthConfig,
     generate_synthetic,
     load_dataset,
-    merge_datasets,
     save_dataset,
     save_hardness,
-    split_folds,
 )
 from .metrics import log_auroc_dconf
 from .model import FeaturizerConfig, TrainConfig, save_parameters, load_parameters, train_main
@@ -350,9 +348,8 @@ def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
         if "temperature" in methods:
             calibs["temperature"] = Calibrator("temperature", params, temperature=t)
         if "label_smoothing" in methods:
-            folds = split_folds(train_d, 10, seed)
             ls_params, _ = train_main(
-                merge_datasets(folds[1:]),
+                baseline_split(train_d, seed)[1],
                 _train_config(cfg, seed, hidden=hidden, epochs=epochs,
                               epsilon=cfg["train"]["label_smoothing_epsilon"]))
             calibs["label_smoothing"] = Calibrator("label_smoothing", ls_params)

@@ -154,6 +154,8 @@ def cascade_curve(small_log, large_correct, thresholds=None
     large_correct = np.asarray(large_correct, dtype=np.int64)
     if small_conf.shape != large_correct.shape:
         raise ValueError("small log and large predictions are misaligned")
+    if small_conf.size == 0:
+        raise ValueError("empty log")
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRID
     thresholds = np.asarray(thresholds, dtype=np.float64)

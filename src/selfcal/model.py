@@ -322,7 +322,8 @@ def encode(p: ModelParameters, m: FeatureMatrix) -> np.ndarray:
 def _encode_chunk(encoder: np.ndarray, indices: np.ndarray, values: np.ndarray,
                   starts: np.ndarray) -> np.ndarray:
     rows = encoder.take(indices, axis=0)
-    return np.add.reduceat(rows * values[:, None], starts, axis=0)
+    rows *= values[:, None]
+    return np.add.reduceat(rows, starts, axis=0)
 
 
 def _rowwise_matmul(h: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -474,7 +475,9 @@ def _encoder_grads(m: FeatureMatrix, dh: np.ndarray) -> tuple[np.ndarray, np.nda
     of the loss with respect to each row's encoder output: every nonzero adds
     its count times its row's ``dh`` to its bucket's encoder row."""
     row_of_nnz = np.repeat(np.arange(len(m)), np.diff(m.indptr))
-    return m.indices, m.values[:, None] * dh[row_of_nnz]
+    vals = dh[row_of_nnz]
+    vals *= m.values[:, None]
+    return m.indices, vals
 
 
 def main_batch_grads(p: ModelParameters, m: FeatureMatrix, labels,
@@ -580,7 +583,8 @@ def get_flat_params(p: ModelParameters) -> np.ndarray:
 
 def save_parameters(p: ModelParameters, path) -> None:
     """One file: a JSON header line (dims, featurizer config, seed) followed by
-    the raw little-endian float64 tensors in a fixed order."""
+    the raw little-endian float64 tensors in a fixed order. Each tensor is
+    written from its own buffer, without a bytes copy."""
     p.validate()
     header = {
         "format": "selfcal-model-v1",
@@ -597,10 +601,12 @@ def save_parameters(p: ModelParameters, path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for name in _TENSOR_ORDER:
-            fh.write(np.ascontiguousarray(getattr(p, name), dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(getattr(p, name), dtype="<f8")))
 
 
 def load_parameters(path) -> ModelParameters:
+    """The model that ``save_parameters`` wrote; each tensor is read straight
+    into its array."""
     with open(Path(path), "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -613,24 +619,18 @@ def load_parameters(path) -> ModelParameters:
                 raise ValueError(f"{path}: model header lacks key {key!r}")
         feats = FeaturizerConfig(**header["features"])
         c, h = header["num_classes"], header["hidden_dim"]
-        p = ModelParameters(
-            encoder=np.zeros((feats.hash_dim, h)),
-            w_main=np.zeros((h, c)),
-            b_main=np.zeros(c),
-            w_calib=np.zeros((h + c, 2)),
-            b_calib=np.zeros(2),
-            features=feats,
-            num_classes=c,
-            hidden_dim=h,
-            seed=header.get("seed"),
-        )
+        shapes = {"encoder": (feats.hash_dim, h), "w_main": (h, c), "b_main": (c,),
+                  "w_calib": (h + c, 2), "b_calib": (2,)}
+        tensors = {}
         for name in _TENSOR_ORDER:
-            arr = getattr(p, name)
-            buf = fh.read(arr.size * 8)
-            if len(buf) != arr.size * 8:
+            arr = np.empty(shapes[name], dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
                 raise ValueError(f"{path}: truncated tensor {name}")
-            arr[...] = np.frombuffer(buf, dtype="<f8").reshape(arr.shape)
+            # A no-op on little-endian machines; a byte swap elsewhere.
+            tensors[name] = arr.astype(np.float64, copy=False)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
+    p = ModelParameters(**tensors, features=feats, num_classes=c, hidden_dim=h,
+                        seed=header.get("seed"))
     p.validate()
     return p

@@ -118,7 +118,8 @@ def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
     No record was annotated by a model that saw it in training, and without
     the ablation there is exactly one record per input sample. Round ``i``
     trains with seed ``annotator seed + i`` so the rounds are independent but
-    reproducible.
+    reproducible. Only the records outlive a round, so one annotator encoder
+    is in memory at a time.
     """
     ablated = cfg.no_cross_annotation
     folds = split_folds(d, 10 if ablated else cfg.k, cfg.train.seed)
@@ -128,8 +129,9 @@ def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
     for i, heldout in enumerate(folds[:1] if ablated else folds):
         train_part = merge_datasets([f for j, f in enumerate(folds) if j != i])
         round_cfg = replace(base, seed=base.seed + i)
-        params, _ = train_main(train_part, round_cfg)
-        records.extend(annotate_with_model(params, heldout))
+        # The annotator is a temporary: it is freed once it has annotated,
+        # before the next round initialises its own encoder.
+        records.extend(annotate_with_model(train_main(train_part, round_cfg)[0], heldout))
         rounds.append(AnnotationRound(
             round_index=i, seed=round_cfg.seed,
             train_ids=tuple(train_part.ids()), heldout_ids=tuple(heldout.ids())))

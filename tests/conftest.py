@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from selfcal.augment import synthetic_lexicon
-from selfcal.calibrators import Calibrator, train_with_temperature
+from selfcal.calibrators import Calibrator, baseline_split, train_with_temperature
 from selfcal.corpus import (
     Dataset,
     Sample,
     SynthConfig,
     generate_synthetic,
-    merge_datasets,
-    split_folds,
 )
 from selfcal.model import (
     FeaturizerConfig,
@@ -95,8 +93,7 @@ def paired_runs():
         lex = synthetic_lexicon(cfg)
         tc = TrainConfig(epochs=5, hidden_dim=16, seed=seed + 100, features=FEATS)
         base_params, temperature = train_with_temperature(data.train, tc)
-        folds = split_folds(data.train, 10, tc.seed)
-        ls_params, _ = train_main(merge_datasets(folds[1:]),
+        ls_params, _ = train_main(baseline_split(data.train, tc.seed)[1],
                                   replace(tc, label_smoothing_epsilon=0.1))
         main_params, _ = train_main(data.train, tc)
         toast_params, artifacts = run_toast(

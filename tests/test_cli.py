@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from selfcal import apps, cli
+from selfcal import apps, calibrators, cli
 from selfcal.augment import attack_dataset
 from selfcal.calibrators import METHODS
 from selfcal.cli import ConfigError, load_config, main
@@ -209,6 +209,23 @@ class TestEval:
         params, _ = train_main(train_d, cli._train_config(cfg, cfg["run"]["seed"]))
         adv, _ = attack_dataset(params, test_d, lexicon, **cfg["attack"])
         assert load_dataset(adv_path).samples == adv.samples
+
+    def test_baselines_train_on_the_same_nine_tenths(self, config_path, monkeypatch):
+        trained = {}
+
+        def recording_train_main(d, cfg):
+            trained[cfg.label_smoothing_epsilon] = list(d.ids())
+            return train_main(d, cfg)
+
+        monkeypatch.setattr(cli, "train_main", recording_train_main)
+        monkeypatch.setattr(calibrators, "train_main", recording_train_main)
+        cfg = load_config(str(config_path))
+        train_d, _, lexicon = cli._load_data(cfg)
+        cli._build_calibrators(cfg, train_d, lexicon, ("vanilla", "label_smoothing"), 3)
+        # The vanilla/temperature model, then the label-smoothing one.
+        assert list(trained) == [0.0, 0.1]
+        assert trained[0.1] == trained[0.0]
+        assert len(trained[0.0]) < len(train_d)
 
     def test_bad_calibrator_name(self, config_path, tmp_path, capsys):
         rc = main(["eval", "--config", str(config_path), "--out", str(tmp_path / "o"),

@@ -1,0 +1,72 @@
+"""Peak memory, in encoders' bytes under tracemalloc: the pipeline and the
+sweeps train one model after another with one encoder in memory at a time,
+and model files are written and read without a second copy of a tensor."""
+
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from selfcal.apps import PilotSweepConfig, evaluate_point, seed_annotations
+from selfcal.model import (
+    FeaturizerConfig,
+    TrainConfig,
+    init_parameters,
+    load_parameters,
+    save_parameters,
+)
+from selfcal.toast import ToastConfig, run_toast
+
+# A 32 MiB encoder, large next to everything else a small run allocates.
+BIG = TrainConfig(epochs=2, hidden_dim=64, seed=100,
+                  features=FeaturizerConfig(hash_dim=2 ** 16))
+ENCODER_BYTES = BIG.features.hash_dim * BIG.hidden_dim * 8
+
+
+def peak_encoders(fn, *args) -> float:
+    """Peak bytes that ``fn(*args)`` allocates beyond what was live before
+    the call, in encoders."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / ENCODER_BYTES
+
+
+@pytest.fixture(scope="module")
+def sweep_cfg():
+    return PilotSweepConfig(annotator=BIG, train=replace(BIG, seed=200), seeds=(0, 1), ks=(2,))
+
+
+def test_run_toast_holds_one_encoder(synth_data, lexicon):
+    # Two annotators and the stage-3 model, one after another.
+    assert peak_encoders(run_toast, synth_data.train, ToastConfig(train=BIG), lexicon) < 1.5
+
+
+def test_seed_annotations_holds_one_encoder(synth_data, sweep_cfg):
+    assert peak_encoders(seed_annotations, synth_data.train, synth_data.test, sweep_cfg) < 1.5
+
+
+def test_k_point_holds_one_encoder(synth_data, lexicon, sweep_cfg):
+    # One whole pipeline per seed.
+    point = {"kind": "k", "point_id": "k=2", "k": 2}
+    assert peak_encoders(evaluate_point, point, synth_data.train, synth_data.test,
+                         sweep_cfg, None, lexicon) < 1.5
+
+
+@pytest.fixture(scope="module")
+def big_model():
+    return init_parameters(2, BIG)
+
+
+def test_saving_copies_no_tensor(big_model, tmp_path):
+    # validate()'s isfinite mask alone is an eighth of an encoder.
+    assert peak_encoders(save_parameters, big_model, tmp_path / "model.bin") < 0.25
+
+
+def test_loading_reads_into_the_arrays(big_model, tmp_path):
+    path = tmp_path / "model.bin"
+    save_parameters(big_model, path)
+    assert peak_encoders(load_parameters, path) < 1.25

@@ -258,6 +258,11 @@ class TestCascadeCurve:
         with pytest.raises(ValueError, match="misaligned"):
             cascade_curve(small, np.array([1, 0, 1]))
 
+    def test_empty_log_errors(self):
+        # The same error as risk_coverage, not nan points and a nan area.
+        with pytest.raises(ValueError, match="^empty log$"):
+            cascade_curve(make_log([], []), np.array([], dtype=np.int64), thresholds=[0.0, 1.0])
+
     def test_routing_rule(self):
         # At t=0.5 the low-confidence rows (conf < .5) switch to the large model.
         small = make_log([0.9, 0.4, 0.7, 0.2], [0, 0, 1, 0])

@@ -28,9 +28,6 @@ from .model import (
     ModelParameters,
     TrainConfig,
     featurize_batch,
-    loss_ce,
-    loss_kl,
-    predict,
     train_main,
 )
 from .toast import (
@@ -75,9 +72,6 @@ __all__ = [
     "generate_synthetic",
     "greedy_attack",
     "load_dataset",
-    "loss_ce",
-    "loss_kl",
-    "predict",
     "random_transform",
     "risk_coverage",
     "run_toast",

@@ -384,8 +384,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         written += toast_artifacts.save(out / "artifacts")
 
     metrics: dict = {"summary": {}}
-    for method, calib in calibs.items():
-        log = calib.build_log(test_d, "id")
+    for method in calibs:
+        log = calibs[method].build_log(test_d, "id")
         a, dc = log_auroc_dconf(log)
         metrics["summary"][method] = {"auroc": a, "delta_conf": dc,
                                       "accuracy": float(log.correct.mean())}
@@ -405,12 +405,16 @@ def cmd_eval(cfg: dict, out: Path) -> int:
                 adv = load_dataset(ev["adversarial_file"], cfg["data"]["task_kind"])
             else:
                 lex = _require_lexicon(lexicon, cfg)
-                attack_target = calibs.get("vanilla") or next(iter(calibs.values()))
-                adv, origins = attack_dataset(attack_target.params, test_d, lex, **cfg["attack"])
+                adv, origins = attack_dataset(
+                    (calibs.get("vanilla") or next(iter(calibs.values()))).params,
+                    test_d, lex, **cfg["attack"])
                 written.append(out / "adversarial.jsonl")
                 save_dataset(adv, written[-1], origins)
             run = partial(apps.adversarial_eval, id_samples=test_d, adv_samples=adv, seed=seed)
         else:  # cascade: small models of each method, one large model
+            # The cascade comes last, so the main models go before its own
+            # models initialise.
+            calibs.clear()
             large_params, _ = train_main(
                 train_d, _train_config(cfg, seed + 50, hidden=ev["cascade_large_hidden"],
                                        epochs=ev["cascade_large_epochs"]))
@@ -419,8 +423,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
                 hidden=ev["cascade_small_hidden"], epochs=ev["cascade_small_epochs"])
             run = partial(apps.cascade_eval, large_params=large_params, d=test_d)
         metrics[app] = {}
-        for method, calib in judged.items():
-            rep = run(calib)
+        for method in judged:
+            rep = run(judged[method])
             metrics[app][method] = {k: rep[k] for k in keys}
             for stem, key, columns in app_curves:
                 written.append(_write_csv(curves / f"{stem}_{method}.csv", columns, rep[key]))

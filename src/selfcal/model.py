@@ -367,13 +367,6 @@ def predict_batch(p: ModelParameters, m: FeatureMatrix
     return e.argmax(axis=1), 1.0 / s[:, 0], z, h
 
 
-def predict(p: ModelParameters, sample) -> tuple[int, float, np.ndarray]:
-    """(predicted label, its probability, full logits) of one sample."""
-    labels, conf, z, _ = predict_batch(
-        p, featurize_batch((sample.text_a,), (sample.text_b,), p.features))
-    return int(labels[0]), float(conf[0]), z[0]
-
-
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
@@ -390,21 +383,6 @@ def smooth_target(labels, num_classes: int, epsilon: float) -> np.ndarray:
     t = np.full(labels.shape + (num_classes,), epsilon / (num_classes - 1))
     np.put_along_axis(t, labels[..., None], 1.0 - epsilon, axis=-1)
     return t
-
-
-def loss_ce(probs: np.ndarray, label: int, epsilon: float = 0.0) -> float:
-    """Cross-entropy against the (optionally smoothed) target, log-floored at 1e-12."""
-    t = smooth_target(label, len(probs), epsilon)
-    return float(-(t * _safe_log(probs)).sum())
-
-
-def loss_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) with 1e-12 floors inside the logs; >= 0, and 0 iff p == q."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    return float((p * (_safe_log(p) - _safe_log(q))).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +549,10 @@ def train_main(d, cfg: TrainConfig) -> tuple[ModelParameters, list[float]]:
 
 
 # ---------------------------------------------------------------------------
-# Flattening and serialization
+# Serialization
 # ---------------------------------------------------------------------------
 
 _TENSOR_ORDER = ("encoder", "w_main", "b_main", "w_calib", "b_calib")
-
-
-def get_flat_params(p: ModelParameters) -> np.ndarray:
-    return np.concatenate([getattr(p, name).ravel() for name in _TENSOR_ORDER])
 
 
 def save_parameters(p: ModelParameters, path) -> None:
@@ -617,8 +591,16 @@ def load_parameters(path) -> ModelParameters:
         for key in ("features", "num_classes", "hidden_dim"):
             if key not in header:
                 raise ValueError(f"{path}: model header lacks key {key!r}")
-        feats = FeaturizerConfig(**header["features"])
-        c, h = header["num_classes"], header["hidden_dim"]
+        c, h, feats = header["num_classes"], header["hidden_dim"], header["features"]
+        for key, value, least in (("num_classes", c, 2), ("hidden_dim", h, 1)):
+            if type(value) is not int or value < least:
+                raise ValueError(f"{path}: model header {key} must be an int >= {least}, "
+                                 f"got {value!r}")
+        try:
+            # TypeError: not a mapping, or a key that is not a field.
+            feats = FeaturizerConfig(**feats)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: model header features: {exc}") from None
         shapes = {"encoder": (feats.hash_dim, h), "w_main": (h, c), "b_main": (c,),
                   "w_calib": (h + c, 2), "b_calib": (2,)}
         tensors = {}

@@ -19,7 +19,8 @@ from selfcal.model import (
     FeaturizerConfig,
     TrainConfig,
     _TENSOR_ORDER,
-    get_flat_params,
+    featurize_batch,
+    predict_batch,
     train_main,
 )
 from selfcal.toast import ToastConfig, run_toast
@@ -53,6 +54,15 @@ def train_cfg():
 def base_model(synth_data, train_cfg):
     params, _ = train_main(synth_data.train, train_cfg)
     return params
+
+
+def correct_mask(params, samples) -> np.ndarray:
+    """Whether the main head labels each of ``samples`` right, from one
+    predict_batch over all of them."""
+    samples = list(samples)
+    m = featurize_batch([s.text_a for s in samples], [s.text_b for s in samples],
+                        params.features)
+    return predict_batch(params, m)[0] == np.array([s.label for s in samples])
 
 
 def make_separable(n_per_class: int = 20, seed: int = 3) -> Dataset:
@@ -120,6 +130,11 @@ def paired_runs():
 # ---------------------------------------------------------------------------
 # Gradient oracle
 # ---------------------------------------------------------------------------
+
+def get_flat_params(params) -> np.ndarray:
+    """Every tensor of ``params``, raveled and concatenated in file order."""
+    return np.concatenate([getattr(params, name).ravel() for name in _TENSOR_ORDER])
+
 
 def grads_to_flat(params, grads) -> np.ndarray:
     """Densify a sparse-encoder Grads into one flat vector matching

@@ -9,7 +9,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import FEATS, SMALL_FEATS, grads_to_flat, numerical_grad, relative_error
+from conftest import (
+    FEATS,
+    SMALL_FEATS,
+    correct_mask,
+    grads_to_flat,
+    numerical_grad,
+    relative_error,
+)
 from selfcal.apps import PilotSweepConfig, adversarial_eval, cascade_eval, pilot_sweeps
 from selfcal.calibrators import Calibrator, ConfidenceLog, train_with_temperature
 from selfcal.corpus import SynthConfig, generate_synthetic
@@ -21,7 +28,6 @@ from selfcal.model import (
     featurize_batch,
     init_parameters,
     main_batch_grads,
-    predict,
     train_main,
 )
 from selfcal.toast import ToastConfig, cross_annotate, downsample_balance, run_toast
@@ -177,8 +183,7 @@ def test_criterion_5_directional_main_result():
             base_params, _ = train_with_temperature(data.train, tc)
             vanilla_log = Calibrator("vanilla", base_params).build_log(data.test, "id")
             main_params, _ = train_main(data.train, tc)
-            main_acc = np.mean([predict(main_params, s)[0] == s.label
-                                for s in data.test.samples])
+            main_acc = np.mean(correct_mask(main_params, data.test.samples))
             toast_params, _ = run_toast(
                 data.train,
                 ToastConfig(train=TrainConfig(epochs=8, hidden_dim=16, seed=seed + 100,
@@ -231,8 +236,7 @@ def test_criterion_7_applications_sanity(paired_runs, train_cfg):
         rep = cascade_eval(run["vanilla"], large, data.test)
         assert rep["curve"][0][1] == rep["small_accuracy"]
         small_log = run["vanilla"].build_log(data.test, "id")
-        large_correct = np.array([int(predict(large, s)[0] == s.label)
-                                  for s in data.test.samples])
+        large_correct = correct_mask(large, data.test.samples).astype(np.int64)
         past_max, _ = cascade_curve(small_log, large_correct, thresholds=[1.01])
         assert past_max[0][1] == rep["large_accuracy"]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import FEATS
+from conftest import FEATS, correct_mask
 from selfcal.apps import (
     PilotSweepConfig,
     adversarial_eval,
@@ -115,7 +115,7 @@ class TestCascadeEval:
         # Past every confidence, everything routes to the large model.
         log = calib.build_log(synth_data.test, "id")
         points, _ = cascade_curve(
-            log, np.array([int(x) for x in _large_correct(large, synth_data.test)]),
+            log, correct_mask(large, synth_data.test.samples).astype(np.int64),
             thresholds=[1.01])
         assert points[0][1] == pytest.approx(rep["large_accuracy"], abs=1e-15)
 
@@ -124,7 +124,7 @@ class TestCascadeEval:
         # Memorize the test set: a genuinely perfect "large" model.
         oracle, _ = train_main(synth_data.test,
                                replace(train_cfg, epochs=10, hidden_dim=32, seed=13))
-        oracle_acc = np.mean([int(x) for x in _large_correct(oracle, synth_data.test)])
+        oracle_acc = np.mean(correct_mask(oracle, synth_data.test.samples))
         assert oracle_acc == 1.0
         small, _ = train_main(synth_data.train, replace(train_cfg, epochs=2, hidden_dim=8))
         rep = cascade_eval(Calibrator("vanilla", small), oracle, synth_data.test)
@@ -132,11 +132,6 @@ class TestCascadeEval:
         assert all(b >= a - 1e-12 for a, b in zip(accs, accs[1:]))
         fracs = [f for _, _, f in rep["curve"]]
         assert all(b >= a - 1e-12 for a, b in zip(fracs, fracs[1:]))
-
-
-def _large_correct(params, d):
-    from selfcal.model import predict
-    return [predict(params, s)[0] == s.label for s in d.samples]
 
 
 class TestPilotSweeps:

@@ -18,8 +18,8 @@ from selfcal.augment import (
     greedy_attack,
     random_transform,
 )
+from conftest import correct_mask
 from selfcal.corpus import class_tokens, load_dataset, noise_tokens, save_dataset
-from selfcal.model import predict
 
 
 @pytest.fixture()
@@ -163,15 +163,14 @@ class TestGreedyAttack:
         return SynonymLexicon(entries)
 
     def test_zero_budget_always_fails(self, base_model, synth_data, attack_lexicon):
-        for s in synth_data.test.samples:
-            if predict(base_model, s)[0] == s.label:
-                assert greedy_attack(base_model, s, attack_lexicon, budget=0) is None
-                break
+        samples = synth_data.test.samples
+        s = samples[int(np.argmax(correct_mask(base_model, samples)))]
+        assert greedy_attack(base_model, s, attack_lexicon, budget=0) is None
 
     def test_requires_correctly_classified_input(self, base_model, synth_data,
                                                  attack_lexicon):
-        wrong = [s for s in synth_data.test.samples
-                 if predict(base_model, s)[0] != s.label]
+        samples = synth_data.test.samples
+        wrong = [s for s, ok in zip(samples, correct_mask(base_model, samples)) if not ok]
         assert wrong, "fixture model should make some mistakes"
         with pytest.raises(ValueError, match="correctly classified"):
             greedy_attack(base_model, wrong[0], attack_lexicon, budget=3)
@@ -179,20 +178,20 @@ class TestGreedyAttack:
     def test_success_flips_prediction_within_budget(self, base_model, synth_data,
                                                     attack_lexicon):
         budget = 5
-        successes = 0
-        for s in synth_data.test.samples[:60]:
-            if predict(base_model, s)[0] != s.label:
-                continue
-            adv = greedy_attack(base_model, s, attack_lexicon, budget=budget)
+        samples = synth_data.test.samples[:60]
+        advs = []
+        for s, ok in zip(samples, correct_mask(base_model, samples)):
+            adv = greedy_attack(base_model, s, attack_lexicon, budget=budget) if ok else None
             if adv is None:
                 continue
-            successes += 1
-            assert predict(base_model, adv)[0] != s.label
+            advs.append(adv)
+            assert adv.label == s.label
             orig = s.text_a.split()
             new = adv.text_a.split()
             assert len(orig) == len(new)  # substitution-only
             assert sum(a != b for a, b in zip(orig, new)) <= budget
-        assert successes > 0
+        assert advs
+        assert not correct_mask(base_model, advs).any()
 
     def test_attack_dataset_collects_origins(self, base_model, synth_data,
                                              attack_lexicon, tmp_path):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FEATS, grads_to_flat
+from conftest import FEATS, correct_mask, get_flat_params, grads_to_flat
 from selfcal.apps import cascade_eval, score_with_calibration_head
 from selfcal.augment import SynonymLexicon, greedy_attack
 from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog
@@ -49,10 +49,8 @@ from selfcal.model import (
     consistency_batch_grads,
     encode,
     featurize_batch,
-    get_flat_params,
     init_parameters,
     main_batch_grads,
-    predict,
     rows_plus_deltas,
     smooth_target,
     substitution_deltas,
@@ -784,8 +782,8 @@ def ref_greedy_attack(p, s, lexicon, budget):
 @pytest.mark.parametrize("budget", range(1, 7))
 def test_batched_attack_matches_per_candidate(budget, base_model, synth_data, lexicon):
     outcomes = []
-    attacked = [s for s in synth_data.test.samples[:80]
-                if predict(base_model, s)[0] == s.label][:40]
+    samples = synth_data.test.samples[:80]
+    attacked = [s for s, ok in zip(samples, correct_mask(base_model, samples)) if ok][:40]
     for s in attacked:
         got = greedy_attack(base_model, s, lexicon, budget)
         assert got == ref_greedy_attack(base_model, s, lexicon, budget)
@@ -867,7 +865,7 @@ def test_delta_rows_equal_featurizing_the_candidates(tokens, synonyms, text_b, p
 
 
 def attackable(p, samples, count):
-    attacked = [s for s in samples if predict(p, s)[0] == s.label][:count]
+    attacked = [s for s, ok in zip(samples, correct_mask(p, samples)) if ok][:count]
     assert len(attacked) == count
     return attacked
 

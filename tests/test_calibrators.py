@@ -13,7 +13,7 @@ from selfcal.calibrators import (
     train_with_temperature,
 )
 from selfcal.metrics import auroc
-from selfcal.model import TrainConfig, init_parameters
+from selfcal.model import TrainConfig, init_parameters, softmax
 from selfcal.toast import ToastConfig, run_toast
 
 
@@ -25,6 +25,50 @@ def read_log(path) -> ConfidenceLog:
                          np.array([int(r["correct"]) for r in rows], dtype=np.int64),
                          np.array([int(r["pred"]) for r in rows], dtype=np.int64),
                          tuple(r["group"] for r in rows))
+
+
+def sampled_labels(rng, logits, t=1.0):
+    """One label per row, drawn from softmax(logits / t): the NLL-optimal
+    temperature of such labels is near t, well inside [0.01, 100]."""
+    return np.array([rng.choice(logits.shape[1], p=p) for p in softmax(logits / t)])
+
+
+def ref_mean_nll(logits, labels, t):
+    z = logits / t
+    z = z - z.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(labels)), labels].mean())
+
+
+def ref_fit_temperature(logits, labels):
+    """The earlier search, kept as an oracle: a 200-point log-spaced grid over
+    [0.01, 100], then 60 golden-section steps on log T within the grid cells
+    next to the grid minimum. It pins T to about sqrt(machine epsilon)."""
+    grid = np.geomspace(0.01, 100.0, 200)
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    i = int(np.argmin([ref_mean_nll(logits, labels, t) for t in grid]))
+    a, b = np.log(grid[max(i - 1, 0)]), np.log(grid[min(i + 1, len(grid) - 1)])
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc = ref_mean_nll(logits, labels, np.exp(c))
+    fd = ref_mean_nll(logits, labels, np.exp(d))
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = ref_mean_nll(logits, labels, np.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = ref_mean_nll(logits, labels, np.exp(d))
+    return float(np.exp((a + b) / 2.0))
+
+
+def nll_slope(logits, labels, beta):
+    """Derivative of the mean NLL of softmax(beta * logits) in beta = 1/T."""
+    z = beta * logits
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return (p * logits).sum(axis=1).mean() - logits[np.arange(len(labels)), labels].mean()
 
 
 class TestScore:
@@ -105,6 +149,39 @@ class TestFitTemperature:
         t1 = fit_temperature(logits, labels)
         t2 = fit_temperature(2.0 * logits, labels)
         assert t2 / t1 == pytest.approx(2.0, rel=0.02)
+
+    def test_matches_the_grid_and_golden_section_search(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            n, num_classes = int(rng.integers(20, 400)), int(rng.integers(2, 5))
+            logits = rng.normal(scale=rng.uniform(0.5, 4.0), size=(n, num_classes))
+            labels = sampled_labels(rng, logits, rng.uniform(0.3, 3.0))
+            if len(np.unique(labels)) < 2:
+                continue
+            assert fit_temperature(logits, labels) == pytest.approx(
+                ref_fit_temperature(logits, labels), rel=1e-6)
+
+    def test_slope_changes_sign_within_1e12_of_the_fit(self):
+        # The NLL is convex in 1/T, so the fit is exact to 1e-12 relative when
+        # the slope is negative just below 1/T and positive just above it.
+        rng = np.random.default_rng(3)
+        for _ in range(16):
+            logits = rng.normal(scale=rng.uniform(0.5, 4.0), size=(500, 3))
+            labels = sampled_labels(rng, logits, rng.uniform(0.5, 3.0))
+            t = fit_temperature(logits, labels)
+            assert 0.01 < t < 100.0
+            assert nll_slope(logits, labels, 1 / (t * (1 + 1e-12))) < 0
+            assert nll_slope(logits, labels, 1 / (t * (1 - 1e-12))) > 0
+
+    def test_optimum_outside_the_range_returns_the_bound(self):
+        # Logits that say nothing about balanced labels: the NLL falls as
+        # T grows without end.
+        logits = np.tile([1.0, 0.0], (100, 1))
+        labels = np.arange(100) % 2
+        assert abs(fit_temperature(logits, labels) - 100.0) <= np.spacing(100.0)
+        # Logits that rank every gold label first: the NLL falls as T shrinks.
+        logits = np.eye(2)[labels]
+        assert abs(fit_temperature(logits, labels) - 0.01) <= np.spacing(0.01)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):

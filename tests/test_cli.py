@@ -376,3 +376,14 @@ class TestAttack:
         assert main(["attack", "--config", str(config_path), "--out", str(out),
                      "--model", str(trained / "model.bin")]) == 0
         assert (out / "adversarial.jsonl").exists()
+
+    def test_attack_on_a_bad_model_header_fails_in_one_line(self, config_path, tmp_path,
+                                                            capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_text(json.dumps({"format": "selfcal-model-v1", "num_classes": 2,
+                                   "hidden_dim": "x", "features": {}}) + "\n")
+        assert main(["attack", "--config", str(config_path), "--out", str(tmp_path / "attack"),
+                     "--model", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: ValueError: {bad}: model header hidden_dim "
+                                    "must be an int >= 1, got 'x'"]

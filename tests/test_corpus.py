@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import set_flat_params
+from conftest import correct_mask, get_flat_params, set_flat_params
 from selfcal.corpus import (
     Dataset,
     Sample,
@@ -27,10 +27,8 @@ from selfcal.corpus import (
 from selfcal.model import (
     FeaturizerConfig,
     TrainConfig,
-    get_flat_params,
     init_parameters,
     load_parameters,
-    predict,
     save_parameters,
     train_main,
 )
@@ -251,13 +249,12 @@ class TestGenerateSynthetic:
             data.train,
             TrainConfig(epochs=5, hidden_dim=16, seed=2,
                         features=FeaturizerConfig(hash_dim=2048)))
-        acc = np.mean([predict(params, s)[0] == s.label for s in data.test.samples])
+        acc = np.mean(correct_mask(params, data.test.samples))
         assert acc >= 0.99
 
     def test_hard_samples_are_harder(self, synth_data, train_cfg):
         params, _ = train_main(synth_data.train, train_cfg)
-        correct = np.array([predict(params, s)[0] == s.label
-                            for s in synth_data.test.samples])
+        correct = correct_mask(params, synth_data.test.samples)
         hard = np.array(synth_data.test_hard)
         assert hard.any() and (~hard).any()
         assert correct[hard].mean() < correct[~hard].mean()

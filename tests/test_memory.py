@@ -1,6 +1,7 @@
 """Peak memory, in encoders' bytes under tracemalloc: the pipeline and the
 sweeps train one model after another with one encoder in memory at a time,
-and model files are written and read without a second copy of a tensor."""
+eval frees its main models before the cascade trains its own, and model
+files are written and read without a second copy of a tensor."""
 
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from selfcal.apps import PilotSweepConfig, evaluate_point, seed_annotations
+from selfcal.cli import main
 from selfcal.model import (
     FeaturizerConfig,
     TrainConfig,
@@ -70,3 +72,39 @@ def test_loading_reads_into_the_arrays(big_model, tmp_path):
     path = tmp_path / "model.bin"
     save_parameters(big_model, path)
     assert peak_encoders(load_parameters, path) < 1.25
+
+
+# Every method and application, as in configs/default.ini, on less data and
+# with the encoder of BIG.
+EVAL_CONFIG = """
+[run]
+seed = 3
+
+[data]
+source = synthetic
+num_classes = 2
+vocab_size = 120
+samples_per_class = 60
+hardness_fraction = 0.3
+hard_flip_prob = 0.5
+
+[model]
+hash_dim = 65536
+hidden_dim = 64
+
+[attack]
+max_successes = 10
+"""
+
+
+def test_eval_frees_the_main_models_before_the_cascade(tmp_path):
+    # The cascade's large model (hidden 128) is two encoders and its three
+    # small ones (hidden 16) a quarter each; with the three main models still
+    # alive the peak would be near six.
+    cfg = tmp_path / "eval.ini"
+    cfg.write_text(EVAL_CONFIG)
+
+    def run_eval():
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+    assert peak_encoders(run_eval) < 3.5

@@ -7,8 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from conftest import SMALL_FEATS, grads_to_flat, numerical_grad, relative_error, set_flat_params
-from selfcal.corpus import Sample
+from conftest import (
+    SMALL_FEATS,
+    correct_mask,
+    get_flat_params,
+    grads_to_flat,
+    numerical_grad,
+    relative_error,
+    set_flat_params,
+)
 from selfcal.model import (
     FeaturizerConfig,
     TrainConfig,
@@ -16,13 +23,9 @@ from selfcal.model import (
     calib_head,
     consistency_batch_grads,
     featurize_batch,
-    get_flat_params,
     init_parameters,
     load_parameters,
-    loss_ce,
-    loss_kl,
     main_batch_grads,
-    predict,
     predict_batch,
     save_parameters,
     softmax,
@@ -167,39 +170,68 @@ class TestForwardCalib:
 
 
 class TestLosses:
+    """The batch losses against closed forms, mostly on hand-set heads: zero
+    weights, and biases that are the log-probabilities the head should output."""
+
     def test_ce_zero_for_confident_truth(self):
-        assert loss_ce(np.array([0.0, 1.0]), 1) == 0.0
+        p = init_parameters(2, TrainConfig(hidden_dim=4, features=SMALL_FEATS))
+        p.b_main[:] = [-np.inf, 0.0]  # probabilities (0, 1)
+        loss, _ = main_batch_grads(p, one_row("w", cfg=SMALL_FEATS), np.array([1]))
+        assert loss == 0.0
 
     def test_ce_analytic(self):
-        expected = -math.log(0.75)  # 0.2876820724...
-        assert loss_ce(np.array([0.25, 0.75]), 1) == pytest.approx(expected, abs=1e-12)
+        p = init_parameters(2, TrainConfig(hidden_dim=4, features=SMALL_FEATS))
+        p.b_main[:] = np.log([0.25, 0.75])
+        loss, _ = main_batch_grads(p, one_row("w", cfg=SMALL_FEATS), np.array([1]))
+        assert loss == pytest.approx(-math.log(0.75), abs=1e-12)  # 0.2876820724...
 
     def test_ce_smoothed_analytic(self):
         # C=2, eps=0.2: target (0.8, 0.2); both outcomes hit -ln(0.5), so ln 2.
-        got = loss_ce(np.array([0.5, 0.5]), 0, epsilon=0.2)
-        assert got == pytest.approx(math.log(2.0), abs=1e-12)
+        p = init_parameters(2, TrainConfig(hidden_dim=4, features=SMALL_FEATS))
+        p.b_main[:] = np.log([0.5, 0.5])
+        loss, _ = main_batch_grads(p, one_row("w", cfg=SMALL_FEATS), np.array([0]), 0.2)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        p.b_calib[:] = np.log([0.5, 0.5])
+        loss, _ = calib_batch_grads(p, one_row("w", cfg=SMALL_FEATS), np.array([1]),
+                                    np.array([0]), epsilon=0.2)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_kl_identical_is_zero(self):
-        p = np.array([0.3, 0.7])
-        assert loss_kl(p, p) == 0.0
+        # Zero weights: both branches output softmax(b_calib) = (0.3, 0.7).
+        p = init_parameters(3, TrainConfig(hidden_dim=4, features=SMALL_FEATS))
+        p.b_calib[:] = np.log([0.3, 0.7])
+        clean = featurize_batch(["w x", "y"], cfg=SMALL_FEATS)
+        aug = featurize_batch(["v", "u t s"], cfg=SMALL_FEATS)
+        loss, _ = consistency_batch_grads(p, clean, aug, np.array([0, 2]))
+        assert loss == 0.0
 
     def test_kl_analytic(self):
-        got = loss_kl(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-        assert got == pytest.approx(math.log(2.0), abs=1e-12)
+        # The clean text's encoder output is e_0 and the augmented one's is 0,
+        # so the clean branch has logits (0, ln 3) and the augmented (0, 0):
+        # KL((1/4, 3/4) || (1/2, 1/2)) = 1/4 ln(1/2) + 3/4 ln(3/2).
+        p = init_parameters(2, TrainConfig(hidden_dim=4, features=SMALL_FEATS))
+        clean, aug = one_row("w", cfg=SMALL_FEATS), one_row("v", cfg=SMALL_FEATS)
+        assert not set(clean.indices) & set(aug.indices)
+        p.encoder[:] = 0.0
+        p.encoder[clean.indices, 0] = 1.0 / clean.values
+        p.w_calib[0] = [0.0, math.log(3.0)]
+        loss, _ = consistency_batch_grads(p, clean, aug, np.array([1]))
+        expected = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
+        assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_kl_nonnegative(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            p = rng.dirichlet(np.ones(n))
-            q = rng.dirichlet(np.ones(n))
-            assert loss_kl(p, q) >= -1e-12
-        p = rng.dirichlet(np.ones(4))
-        assert loss_kl(p, p) <= 1e-9
+        for _ in range(50):
+            p, vecs, aug, labels, _ = _random_instance(rng, scale=3.0)
+            assert consistency_batch_grads(p, vecs, aug, labels)[0] >= -1e-12
+            assert consistency_batch_grads(p, vecs, vecs, labels)[0] <= 1e-9
 
     def test_kl_length_mismatch(self):
+        p = init_parameters(2, TrainConfig(hidden_dim=4, features=SMALL_FEATS))
+        clean = featurize_batch(["a", "b"], cfg=SMALL_FEATS)
+        aug = featurize_batch(["a", "b", "c"], cfg=SMALL_FEATS)
         with pytest.raises(ValueError):
-            loss_kl(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
+            consistency_batch_grads(p, clean, aug, np.array([0, 1]))
 
 
 def _random_instance(rng, num_classes=3, hidden=4, scale=1.0):
@@ -262,8 +294,7 @@ class TestGradients:
 
 class TestTrainMain:
     def test_separable_perfect_within_five_epochs(self, separable, separable_model):
-        correct = [predict(separable_model, s)[0] == s.label for s in separable.samples]
-        assert all(correct)
+        assert correct_mask(separable_model, separable.samples).all()
 
     def test_bit_identical_given_seed(self, separable):
         cfg = TrainConfig(epochs=2, hidden_dim=8, seed=9,
@@ -291,22 +322,22 @@ class TestPredict:
     def test_tie_break_to_lowest_index(self):
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(3, cfg)
-        label, conf, _ = predict(p, Sample("s", "whatever text", None, 0))
-        assert label == 0
-        assert conf == pytest.approx(1 / 3, abs=1e-12)
+        labels, conf, _, _ = predict_batch(p, one_row("whatever text", cfg=SMALL_FEATS))
+        assert labels[0] == 0
+        assert conf[0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_hand_set_probabilities(self):
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(2, cfg)
         p.b_main[:] = np.log([0.1, 0.9])
-        label, conf, logits = predict(p, Sample("s", "w", None, 0))
-        assert label == 1
-        assert conf == pytest.approx(0.9, rel=1e-12)
-        assert logits.shape == (2,)
+        labels, conf, logits, _ = predict_batch(p, one_row("w", cfg=SMALL_FEATS))
+        assert labels[0] == 1
+        assert conf[0] == pytest.approx(0.9, rel=1e-12)
+        assert logits.shape == (1, 2)
 
     def test_matches_gold_on_separable(self, separable, separable_model):
-        for s in separable.samples:
-            assert predict(separable_model, s)[0] == s.label
+        m = separable.features(separable_model.features)
+        assert np.array_equal(predict_batch(separable_model, m)[0], separable.labels())
 
 
 class TestSerialization:
@@ -365,6 +396,26 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             load_parameters(path)
         assert str(info.value) == f"{path}: model header lacks key '{missing}'"
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_dim", "x"),
+        ("hidden_dim", -3),
+        ("num_classes", "2"),
+        ("features", [1]),
+        ("features", {"hash_dim": 64, "ngram_range": 2}),
+        ("features", {"hash_dim": 3}),
+    ])
+    def test_bad_header_value_rejected(self, separable_model, tmp_path, key, value):
+        path = tmp_path / "model.bin"
+        save_parameters(separable_model, path)
+        data = path.read_bytes()
+        end = data.index(b"\n")
+        header = json.loads(data[:end])
+        header[key] = value
+        path.write_bytes(json.dumps(header).encode("utf-8") + data[end:])
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: model header ")) as info:
+            load_parameters(path)
+        assert len(str(info.value).splitlines()) == 1
 
     def test_trailing_bytes_rejected(self, separable_model, tmp_path):
         path = tmp_path / "model.bin"

@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import FEATS, make_separable
+from conftest import FEATS, get_flat_params, make_separable
 from selfcal.calibrators import Calibrator
 from selfcal.corpus import CalibrationRecord, split_folds
 from selfcal.metrics import delta_conf
-from selfcal.model import TrainConfig, get_flat_params
+from selfcal.model import TrainConfig
 from selfcal.augment import TransformKind
 from selfcal.toast import (
     AugmentedRecord,

@@ -245,8 +245,13 @@ def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
     """Attack every correctly classified sample until ``max_successes`` hits.
 
     Returns the successful adversarial samples as a dataset (gold labels kept)
-    plus the originating sample ids, aligned.
+    plus the originating sample ids, aligned. ``max_successes=None`` means no
+    limit.
     """
+    if budget < 1:
+        raise ValueError(f"attack budget must be >= 1, got {budget}")
+    if max_successes is not None and max_successes < 1:
+        raise ValueError(f"attack max_successes must be >= 1 or None, got {max_successes}")
     preds = predict_batch(p, d.features(p.features))[0]
     adv_samples: list[Sample] = []
     origins: list[str] = []

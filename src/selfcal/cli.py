@@ -370,6 +370,8 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     seed = cfg["run"]["seed"]
     methods = _split_list(cfg["eval"]["calibrators"], str)
     applications = _split_list(cfg["eval"]["applications"], str)
+    if not methods:
+        raise ConfigError("eval.calibrators is empty: name at least one of " + ",".join(METHODS))
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown calibrator {m!r} in eval.calibrators")

@@ -210,6 +210,24 @@ class TestGreedyAttack:
         with pytest.raises(ValueError, match="origins not aligned"):
             save_dataset(adv, path, origins[:-1])
 
+    @pytest.mark.parametrize("kwargs, key", [({"budget": 0}, "budget"),
+                                             ({"budget": -1}, "budget"),
+                                             ({"budget": 5, "max_successes": 0}, "max_successes"),
+                                             ({"budget": 5, "max_successes": -2}, "max_successes")])
+    def test_attack_dataset_rejects_an_empty_attack(self, base_model, synth_data,
+                                                    attack_lexicon, kwargs, key):
+        with pytest.raises(ValueError, match=f"attack {key} must be >= 1"):
+            attack_dataset(base_model, synth_data.test, attack_lexicon, **kwargs)
+
+    def test_attack_dataset_without_a_success_limit(self, base_model, synth_data,
+                                                    attack_lexicon):
+        limited, _ = attack_dataset(base_model, synth_data.test, attack_lexicon,
+                                    budget=5, max_successes=5)
+        unlimited, _ = attack_dataset(base_model, synth_data.test, attack_lexicon,
+                                      budget=5, max_successes=None)
+        assert len(unlimited) > 5
+        assert unlimited.samples[:5] == limited.samples
+
 
 # ---------------------------------------------------------------------------
 # Properties

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FEATS, correct_mask, get_flat_params, grads_to_flat
+from selfcal import model
 from selfcal.apps import cascade_eval, score_with_calibration_head
 from selfcal.augment import SynonymLexicon, greedy_attack
 from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog
@@ -38,7 +39,7 @@ from selfcal.metrics import (
     risk_coverage,
 )
 from selfcal.model import (
-    ENCODE_CHUNK,
+    ENCODE_BLOCK_BYTES,
     FEATURE_MODES,
     FeaturizerConfig,
     Grads,
@@ -239,19 +240,27 @@ def random_dataset(seed, n, max_len=40, num_classes=3):
     return Dataset(samples, tuple(f"c{k}" for k in range(num_classes)))
 
 
-def test_chunked_encode_matches_one_row_at_a_time():
-    p = random_params(0)
+def test_chunked_encode_matches_one_row_at_a_time(monkeypatch):
     d = random_dataset(1, 400, max_len=60)
-    long = Sample(id="long", text_a=" ".join(f"t{i}" for i in range(ENCODE_CHUNK)))
-    d = Dataset(d.samples[:200] + (long,) + d.samples[200:], d.label_names)
-    m = d.features(p.features)
-    assert m.indptr[-1] > 3 * ENCODE_CHUNK
-    whole = encode(p, m)
-    for i, s in enumerate(d.samples):
-        one = encode(p, featurize_batch([s.text_a], [s.text_b], p.features))
-        assert np.array_equal(whole[i], one[0])
-        indices, values = ref_featurize(s.text_a, s.text_b, p.features)
-        np.testing.assert_allclose(whole[i], values @ p.encoder[indices], rtol=0, atol=TOL)
+    for hidden in (16, 64, 128):
+        # Buckets enough for one row longer than a block even at hidden 16.
+        p = random_params(0, hidden=hidden, feats=FeaturizerConfig(hash_dim=2 ** 15))
+        block = ENCODE_BLOCK_BYTES // (8 * hidden)
+        long = Sample(id="long", text_a=" ".join(f"t{i}" for i in range(block)))
+        samples = d.samples[:200] + (long,) + d.samples[200:]
+        m = Dataset(samples, d.label_names).features(p.features)
+        assert m.indptr[-1] > 3 * block
+        assert np.diff(m.indptr).max() > block
+        whole = encode(p, m)
+        for i, s in enumerate(samples):
+            one = encode(p, featurize_batch([s.text_a], [s.text_b], p.features))
+            assert np.array_equal(whole[i], one[0])
+            indices, values = ref_featurize(s.text_a, s.text_b, p.features)
+            np.testing.assert_allclose(whole[i], values @ p.encoder[indices], rtol=0, atol=TOL)
+        # One nonzero per block: every row is a block of its own.
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "ENCODE_BLOCK_BYTES", 8 * hidden)
+            assert np.array_equal(encode(p, m), whole)
 
 
 def test_encode_rejects_other_hash_dim():

@@ -233,6 +233,14 @@ class TestEval:
         assert rc == 2
         assert "platt" in capsys.readouterr().err
 
+    def test_empty_calibrator_list(self, config_path, tmp_path, capsys):
+        rc = main(["eval", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                   "--set", "eval.calibrators=", "--set", "eval.applications=selective"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "eval.calibrators is empty" in err[0]
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
     def test_reused_out_hashes_only_this_runs_files(self, config_path, tmp_path):
         out = tmp_path / "run"
         assert main(["eval", "--config", str(config_path), "--out", str(out)]) == 0
@@ -376,6 +384,18 @@ class TestAttack:
         assert main(["attack", "--config", str(config_path), "--out", str(out),
                      "--model", str(trained / "model.bin")]) == 0
         assert (out / "adversarial.jsonl").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("attack.budget=0", "attack budget must be >= 1, got 0"),
+        ("attack.budget=-1", "attack budget must be >= 1, got -1"),
+        ("attack.max_successes=0", "attack max_successes must be >= 1 or None, got 0")])
+    def test_attack_that_cannot_succeed_fails_in_one_line(self, config_path, tmp_path,
+                                                          capsys, setting, message):
+        out = tmp_path / "attack"
+        assert main(["attack", "--config", str(config_path), "--out", str(out),
+                     "--set", setting]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: ValueError: {message}"]
+        assert not (out / "adversarial.jsonl").exists()
 
     def test_attack_on_a_bad_model_header_fails_in_one_line(self, config_path, tmp_path,
                                                             capsys):

@@ -1,18 +1,23 @@
-"""Peak memory, in encoders' bytes under tracemalloc: the pipeline and the
-sweeps train one model after another with one encoder in memory at a time,
-eval frees its main models before the cascade trains its own, and model
-files are written and read without a second copy of a tensor."""
+"""Peak memory under tracemalloc, mostly in encoders' bytes: the pipeline and
+the sweeps train one model after another with one encoder in memory at a
+time, eval frees its main models before the cascade trains its own, model
+files are written and read without a second copy of a tensor, and the
+batched encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time."""
 
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from selfcal.apps import PilotSweepConfig, evaluate_point, seed_annotations
 from selfcal.cli import main
 from selfcal.model import (
+    ENCODE_BLOCK_BYTES,
     FeaturizerConfig,
     TrainConfig,
+    encode,
+    featurize_batch,
     init_parameters,
     load_parameters,
     save_parameters,
@@ -25,16 +30,21 @@ BIG = TrainConfig(epochs=2, hidden_dim=64, seed=100,
 ENCODER_BYTES = BIG.features.hash_dim * BIG.hidden_dim * 8
 
 
-def peak_encoders(fn, *args) -> float:
+def peak_bytes(fn, *args) -> tuple[int, object]:
     """Peak bytes that ``fn(*args)`` allocates beyond what was live before
-    the call, in encoders."""
+    the call, and what the call returned."""
     tracemalloc.start()
     try:
-        fn(*args)
+        result = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / ENCODER_BYTES
+    return peak, result
+
+
+def peak_encoders(fn, *args) -> float:
+    """``peak_bytes`` of the call, in encoders."""
+    return peak_bytes(fn, *args)[0] / ENCODER_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +66,17 @@ def test_k_point_holds_one_encoder(synth_data, lexicon, sweep_cfg):
     point = {"kind": "k", "point_id": "k=2", "k": 2}
     assert peak_encoders(evaluate_point, point, synth_data.train, synth_data.test,
                          sweep_cfg, None, lexicon) < 1.5
+
+
+def test_encode_gathers_one_block_at_a_time():
+    # At hidden 128 a block is 1024 nonzeros; 4096 of them would be 4 MiB.
+    p = init_parameters(2, TrainConfig(hidden_dim=128, features=FeaturizerConfig(hash_dim=2 ** 14)))
+    rng = np.random.default_rng(0)
+    m = featurize_batch([" ".join(f"w{j}" for j in rng.integers(0, 5000, size=40))
+                         for _ in range(400)], cfg=p.features)
+    assert m.indptr[-1] >= 20_000
+    peak, out = peak_bytes(encode, p, m)
+    assert peak < out.nbytes + 2 * ENCODE_BLOCK_BYTES
 
 
 @pytest.fixture(scope="module")

@@ -239,6 +239,16 @@ def greedy_attack(p: ModelParameters, s: Sample, lexicon: SynonymLexicon,
     return None
 
 
+def check_attack_limits(budget: int, max_successes: int | None) -> None:
+    """Raise a one-line ValueError unless an attack with these limits can
+    succeed: at least one substitution, and room for at least one success
+    (``max_successes=None`` means no limit)."""
+    if budget < 1:
+        raise ValueError(f"attack budget must be >= 1, got {budget}")
+    if max_successes is not None and max_successes < 1:
+        raise ValueError(f"attack max_successes must be >= 1 or None, got {max_successes}")
+
+
 def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
                    budget: int, max_successes: int | None = None
                    ) -> tuple[Dataset, list[str]]:
@@ -248,10 +258,7 @@ def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
     plus the originating sample ids, aligned. ``max_successes=None`` means no
     limit.
     """
-    if budget < 1:
-        raise ValueError(f"attack budget must be >= 1, got {budget}")
-    if max_successes is not None and max_successes < 1:
-        raise ValueError(f"attack max_successes must be >= 1 or None, got {max_successes}")
+    check_attack_limits(budget, max_successes)
     preds = predict_batch(p, d.features(p.features))[0]
     adv_samples: list[Sample] = []
     origins: list[str] = []

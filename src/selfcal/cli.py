@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 
 from . import apps
-from .augment import SynonymLexicon, attack_dataset, synthetic_lexicon
+from .augment import SynonymLexicon, attack_dataset, check_attack_limits, synthetic_lexicon
 from .calibrators import METHODS, Calibrator, baseline_split, train_with_temperature
 from .corpus import (
     Dataset,
@@ -157,6 +157,12 @@ def load_config(path: str, overrides=()) -> dict[str, dict]:
         values[section][key] = _parse(section, key, raw)
     if values["run"]["seed"] is None:
         raise ConfigError("run.seed is required (seeds are config-only, never wall clock)")
+    # Checked here too, so that a run that cannot attack fails before any
+    # model is trained or any file is written.
+    try:
+        check_attack_limits(**values["attack"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return values
 
 

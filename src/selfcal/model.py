@@ -270,6 +270,17 @@ def init_parameters(num_classes: int, cfg: TrainConfig) -> ModelParameters:
 # 1 MiB blocks, and blocks of 256 KiB to 1 MiB were equally fast at every width.
 ENCODE_BLOCK_BYTES = 2 ** 20
 
+# Bytes of float64 (nonzeros x hidden) gradient rows that apply_grads forms per
+# block of an encoder-gradient part: 2 ** 18 // (8 * hidden) nonzeros, 512 at
+# hidden 64. With the int64 flat index of the same size, a block's temporaries
+# stay small enough for glibc to reuse from step to step instead of returning
+# them to the OS and faulting them in again. On run_toast with perfbench's
+# toast_train data (1200 x 24-token texts, 2 ** 18 x 64 encoder; Xeon with
+# 2 MiB L2, numpy 2.4), minor page faults per run were 140-163k with whole
+# materialised parts, 158-188k with 1 MiB blocks and 2-3k with 256 KiB blocks;
+# 64 KiB blocks faulted as little but ran slower for their extra ufunc.at calls.
+GRAD_BLOCK_BYTES = 2 ** 18
+
 
 def _exp_and_sum(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
@@ -403,16 +414,20 @@ def smooth_target(labels, num_classes: int, epsilon: float) -> np.ndarray:
 
 @dataclass
 class Grads:
-    """Batch-mean gradients. The encoder gradient stays sparse and split by loss
-    part: ``enc_parts`` holds one ``(buckets, vals)`` pair per part, each adding
-    row ``vals[i]`` to encoder row ``buckets[i]`` (buckets may repeat within and
-    across parts; accumulation happens at update time, in part order)."""
+    """Batch-mean gradients. The encoder gradient stays sparse, factored and
+    split by loss part: ``enc_parts`` holds one ``(m, dh, scales)`` triple per
+    part, where ``m`` is the part's ``FeatureMatrix`` rows, ``dh`` (rows x
+    hidden) the gradient of the loss with respect to each row's encoder output
+    and ``scales`` the factors the part was scaled by, in order. Every nonzero
+    of row ``i`` adds its count times ``dh[i]``, times each scale, to its
+    bucket's encoder row (buckets may repeat within and across parts);
+    ``apply_grads`` forms these rows a block at a time, in part order."""
 
     w_main: np.ndarray
     b_main: np.ndarray
     w_calib: np.ndarray
     b_calib: np.ndarray
-    enc_parts: list[tuple[np.ndarray, np.ndarray]]
+    enc_parts: list[tuple[FeatureMatrix, np.ndarray, tuple[float, ...]]]
 
     @classmethod
     def zeros(cls, p: ModelParameters) -> "Grads":
@@ -434,8 +449,8 @@ class Grads:
         )
 
     def scaled(self, a: float) -> "Grads":
-        return Grads(self.w_main * a, self.b_main * a, self.w_calib * a,
-                     self.b_calib * a, [(b, v * a) for b, v in self.enc_parts])
+        return Grads(self.w_main * a, self.b_main * a, self.w_calib * a, self.b_calib * a,
+                     [(m, dh, scales + (a,)) for m, dh, scales in self.enc_parts])
 
 
 def _flat_index(buckets: np.ndarray, hidden: int) -> np.ndarray:
@@ -445,10 +460,14 @@ def _flat_index(buckets: np.ndarray, hidden: int) -> np.ndarray:
 
 
 def apply_grads(p: ModelParameters, g: Grads, lr: float) -> None:
-    """One SGD update. Each encoder part is one 1-D ``np.subtract.at`` on the
-    flattened encoder: every element receives the same subtractions in the same
-    order as one 2-D row scatter of all parts concatenated, so the result is
-    bit-identical, without copying the parts together."""
+    """One SGD update. The rows of each encoder part are formed
+    ``GRAD_BLOCK_BYTES`` of nonzeros at a time (a block may end inside a text's
+    row): ``dh`` of the nonzero's row, times its count, times each scale, times
+    ``lr``. Each block is then one 1-D ``np.subtract.at`` on the flattened
+    encoder. Every element receives the same products, subtracted in the same
+    order, as in one 2-D row scatter of all parts materialised and
+    concatenated, so the result is bit-identical, and no nonzeros x hidden
+    array outlives its block."""
     if not p.encoder.flags.c_contiguous:
         raise ValueError("encoder must be a C-contiguous array to be updated in place")
     p.w_main -= lr * g.w_main
@@ -456,18 +475,17 @@ def apply_grads(p: ModelParameters, g: Grads, lr: float) -> None:
     p.w_calib -= lr * g.w_calib
     p.b_calib -= lr * g.b_calib
     flat = p.encoder.reshape(-1)
-    for buckets, vals in g.enc_parts:
-        np.subtract.at(flat, _flat_index(buckets, p.hidden_dim), (lr * vals).ravel())
-
-
-def _encoder_grads(m: FeatureMatrix, dh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse encoder gradient of the rows of ``m``, given the gradient ``dh``
-    of the loss with respect to each row's encoder output: every nonzero adds
-    its count times its row's ``dh`` to its bucket's encoder row."""
-    row_of_nnz = np.repeat(np.arange(len(m)), np.diff(m.indptr))
-    vals = dh[row_of_nnz]
-    vals *= m.values[:, None]
-    return m.indices, vals
+    block = max(1, GRAD_BLOCK_BYTES // (8 * p.hidden_dim))
+    for m, dh, scales in g.enc_parts:
+        row_of_nnz = np.repeat(np.arange(len(m)), np.diff(m.indptr))
+        for lo in range(0, len(row_of_nnz), block):
+            nz = slice(lo, lo + block)
+            vals = dh[row_of_nnz[nz]]
+            vals *= m.values[nz, None]
+            for a in scales:
+                vals *= a
+            vals *= lr
+            np.subtract.at(flat, _flat_index(m.indices[nz], p.hidden_dim), vals.ravel())
 
 
 def main_batch_grads(p: ModelParameters, m: FeatureMatrix, labels,
@@ -482,7 +500,7 @@ def main_batch_grads(p: ModelParameters, m: FeatureMatrix, labels,
     g = Grads.zeros(p)
     g.w_main = h.T @ dz
     g.b_main = dz.sum(0)
-    g.enc_parts = [_encoder_grads(m, dz @ p.w_main.T)]
+    g.enc_parts = [(m, dz @ p.w_main.T, ())]
     return loss, g
 
 
@@ -497,7 +515,7 @@ def _calib_grads(p: ModelParameters, m: FeatureMatrix, h: np.ndarray, y_stars,
         np.add.at(g.w_calib[hd:], y_stars, dz)
     if feature_mode != "no_sample":
         g.w_calib[:hd] = h.T @ dz
-        g.enc_parts = [_encoder_grads(m, dz @ p.w_calib[:hd].T)]
+        g.enc_parts = [(m, dz @ p.w_calib[:hd].T, ())]
     return g
 
 

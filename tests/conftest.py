@@ -136,12 +136,24 @@ def get_flat_params(params) -> np.ndarray:
     return np.concatenate([getattr(params, name).ravel() for name in _TENSOR_ORDER])
 
 
+def part_rows(part) -> tuple[np.ndarray, np.ndarray]:
+    """A factored encoder-gradient part ``(m, dh, scales)`` materialised: the
+    bucket of every nonzero of ``m`` and its gradient row, the count times its
+    row's ``dh``, times each scale in order."""
+    m, dh, scales = part
+    vals = dh[np.repeat(np.arange(len(m)), np.diff(m.indptr))]
+    vals *= m.values[:, None]
+    for a in scales:
+        vals *= a
+    return m.indices, vals
+
+
 def grads_to_flat(params, grads) -> np.ndarray:
     """Densify a sparse-encoder Grads into one flat vector matching
     get_flat_params ordering."""
     enc = np.zeros_like(params.encoder)
-    for buckets, vals in grads.enc_parts:
-        np.add.at(enc, buckets, vals)
+    for part in grads.enc_parts:
+        np.add.at(enc, *part_rows(part))
     return np.concatenate([enc.ravel(), grads.w_main.ravel(), grads.b_main.ravel(),
                            grads.w_calib.ravel(), grads.b_calib.ravel()])
 

@@ -4,10 +4,11 @@ The references below are the per-sample featurizer, forward pass, training
 gradients, greedy attack, O(n^2) risk-coverage sweep, per-threshold detection
 and cascade loops and the batch cycler that the batched code replaced. Feature
 rows, curve points, batches and attack results must match them exactly; batched confidences, losses and gradients may differ from the
-per-sample ones only in summation order, by at most 1e-12. The encoder update
-must match one 2-D row scatter of all gradient parts bit for bit, and the
-attack's candidate rows (the current row plus a count delta) must equal
-featurizing the candidate texts, dtypes and bytes.
+per-sample ones only in summation order, by at most 1e-12. The encoder update,
+in blocks of any size, must match one 2-D row scatter of all gradient parts,
+materialised, bit for bit, and the attack's candidate rows (the current row
+plus a count delta) must equal featurizing the candidate texts, dtypes and
+bytes.
 """
 
 import copy
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FEATS, correct_mask, get_flat_params, grads_to_flat
+from conftest import FEATS, correct_mask, get_flat_params, grads_to_flat, part_rows
 from selfcal import model
 from selfcal.apps import cascade_eval, score_with_calibration_head
 from selfcal.augment import SynonymLexicon, greedy_attack
@@ -41,6 +42,7 @@ from selfcal.metrics import (
 from selfcal.model import (
     ENCODE_BLOCK_BYTES,
     FEATURE_MODES,
+    FeatureMatrix,
     FeaturizerConfig,
     Grads,
     TrainConfig,
@@ -503,12 +505,18 @@ def ref_safe_log(x):
     return np.log(np.maximum(x, 1e-12))
 
 
+def ref_part(p, indices, values, dh):
+    """The encoder-gradient part of one (indices, values) row whose encoder
+    output has the loss gradient ``dh``."""
+    m = FeatureMatrix(np.array([0, len(indices)]), indices, values, p.features.hash_dim)
+    return m, dh[None, :], ()
+
+
 def ref_main_batch_grads(p, vecs, labels, epsilon=0.0):
     """Per-sample loop over (indices, values) rows, as the model had it."""
     g = Grads.zeros(p)
     n = len(vecs)
     loss = 0.0
-    rows, vals = [], []
     for (indices, values), y in zip(vecs, labels):
         h = values @ p.encoder[indices]
         probs = ref_softmax(h @ p.w_main + p.b_main)
@@ -517,10 +525,7 @@ def ref_main_batch_grads(p, vecs, labels, epsilon=0.0):
         dz = (probs - t) / n
         g.w_main += np.outer(h, dz)
         g.b_main += dz
-        dh = p.w_main @ dz
-        rows.append(indices)
-        vals.append(values[:, None] * dh[None, :])
-    g.enc_parts = list(zip(rows, vals))
+        g.enc_parts.append(ref_part(p, indices, values, p.w_main @ dz))
     return loss / n, g
 
 
@@ -528,7 +533,6 @@ def ref_calib_batch_grads(p, vecs, y_stars, cs, epsilon=0.0, feature_mode="all")
     g = Grads.zeros(p)
     n = len(vecs)
     loss = 0.0
-    rows, vals = [], []
     hd = p.hidden_dim
     for (indices, values), y_star, c in zip(vecs, y_stars, cs):
         h = values @ p.encoder[indices]
@@ -540,10 +544,7 @@ def ref_calib_batch_grads(p, vecs, y_stars, cs, epsilon=0.0, feature_mode="all")
         g.w_calib += np.outer(u, dz)
         g.b_calib += dz
         if feature_mode != "no_sample":
-            dh = p.w_calib[:hd] @ dz
-            rows.append(indices)
-            vals.append(values[:, None] * dh[None, :])
-    g.enc_parts = list(zip(rows, vals))
+            g.enc_parts.append(ref_part(p, indices, values, p.w_calib[:hd] @ dz))
     return loss / n, g
 
 
@@ -551,7 +552,6 @@ def ref_consistency_batch_grads(p, clean_vecs, aug_vecs, y_stars, feature_mode="
     g = Grads.zeros(p)
     n = len(clean_vecs)
     loss = 0.0
-    rows, vals = [], []
     hd = p.hidden_dim
     for fc, fa, y_star in zip(clean_vecs, aug_vecs, y_stars):
         y_star = int(y_star)
@@ -570,10 +570,7 @@ def ref_consistency_batch_grads(p, clean_vecs, aug_vecs, y_stars, feature_mode="
         g.b_calib += dzc + dza
         if feature_mode != "no_sample":
             for (indices, values), dz in ((fc, dzc), (fa, dza)):
-                dh = p.w_calib[:hd] @ dz
-                rows.append(indices)
-                vals.append(values[:, None] * dh[None, :])
-    g.enc_parts = list(zip(rows, vals))
+                g.enc_parts.append(ref_part(p, indices, values, p.w_calib[:hd] @ dz))
     return loss / n, g
 
 
@@ -631,15 +628,15 @@ def test_consistency_batch_grads_match_per_sample(feature_mode):
 # ---------------------------------------------------------------------------
 
 def ref_apply_grads(p, g, lr):
-    """The update as one 2-D row scatter of all encoder parts concatenated."""
+    """The update as one 2-D row scatter of all encoder parts, materialised
+    and concatenated."""
     p.w_main -= lr * g.w_main
     p.b_main -= lr * g.b_main
     p.w_calib -= lr * g.w_calib
     p.b_calib -= lr * g.b_calib
     if g.enc_parts:
-        rows = np.concatenate([b for b, _ in g.enc_parts])
-        vals = np.concatenate([v for _, v in g.enc_parts])
-        np.subtract.at(p.encoder, rows, lr * vals)
+        rows, vals = zip(*map(part_rows, g.enc_parts))
+        np.subtract.at(p.encoder, np.concatenate(rows), lr * np.concatenate(vals))
 
 
 def multitask_step(p, d, calib, clean, aug, batches, feature_mode, alpha):
@@ -669,13 +666,43 @@ def test_apply_grads_is_bit_identical_to_one_row_scatter(feature_mode, alpha):
         batches = [rng.choice(60, size=16) for _ in range(3)]
         g = multitask_step(p, d, calib, clean, aug, batches, feature_mode, alpha)
         g_ref = multitask_step(q, d, calib, clean, aug, batches, feature_mode, alpha)
-        parts = [b for b, _ in g.enc_parts]
+        parts = [m.indices for m, _, _ in g.enc_parts]
         assert len(np.unique(parts[0])) < len(parts[0])
         if feature_mode == "no_sample":
             assert len(parts) == 1   # the calibration head never reads the encoder
         else:
             assert len(parts) == 4
             assert np.intersect1d(parts[0], parts[1]).size > 0
+            assert [scales for _, _, scales in g.enc_parts] == [(), (), (alpha,), (alpha,)]
+        apply_grads(p, g, 0.5)
+        ref_apply_grads(q, g_ref, 0.5)
+        assert np.array_equal(get_flat_params(p), get_flat_params(q)), step
+
+
+@pytest.mark.parametrize("feature_mode,alpha", [("all", 0.37), ("no_sample", 0.37),
+                                                ("no_prediction", 1.0)])
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_apply_grads_in_blocks_is_bit_identical_to_one_row_scatter(monkeypatch, feature_mode,
+                                                                   alpha, block):
+    # At hidden 64 a block is 512 nonzeros; 1 and 7 nonzeros per block put
+    # boundaries inside nearly every row.
+    hidden = 64
+    if block is not None:
+        monkeypatch.setattr(model, "GRAD_BLOCK_BYTES", 8 * hidden * block)
+    block = model.GRAD_BLOCK_BYTES // (8 * hidden)
+    rng = np.random.default_rng(8)
+    feats = [random_dataset(seed, 120, max_len=60).features(FEATS) for seed in range(30, 34)]
+    p = random_params(35, hidden=hidden)
+    q = copy.deepcopy(p)
+    for step in range(4):
+        batches = [rng.choice(120, size=48) for _ in range(3)]
+        g = multitask_step(p, *feats, batches, feature_mode, alpha)
+        g_ref = multitask_step(q, *feats, batches, feature_mode, alpha)
+        m = g.enc_parts[0][0]
+        assert len(m.indices) > 2 * block   # the part spans several blocks
+        starts = np.arange(0, len(m.indices), block)
+        assert not np.isin(starts, m.indptr).all()   # a block starts inside a row
+        assert len(g.enc_parts) == (1 if feature_mode == "no_sample" else 4)
         apply_grads(p, g, 0.5)
         ref_apply_grads(q, g_ref, 0.5)
         assert np.array_equal(get_flat_params(p), get_flat_params(q)), step
@@ -710,7 +737,9 @@ def test_apply_grads_rejects_a_non_contiguous_encoder():
     p = random_params(25)
     p.encoder = np.asfortranarray(p.encoder)
     g = Grads.zeros(p)
-    g.enc_parts = [(np.array([3], dtype=np.uint32), np.ones((1, p.hidden_dim)))]
+    m = FeatureMatrix(np.array([0, 1]), np.array([3], dtype=np.uint32),
+                      np.ones(1, dtype=np.float32), p.features.hash_dim)
+    g.enc_parts = [(m, np.ones((1, p.hidden_dim)), ())]
     with pytest.raises(ValueError, match="C-contiguous"):
         apply_grads(p, g, 0.1)
 

@@ -241,6 +241,16 @@ class TestEval:
         assert len(err) == 1 and "eval.calibrators is empty" in err[0]
         assert not (tmp_path / "o" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("setting", ["attack.budget=0", "attack.max_successes=0"])
+    def test_attack_that_cannot_succeed_fails_before_training(self, config_path, tmp_path,
+                                                              capsys, setting):
+        out = tmp_path / "run"
+        assert main(["eval", "--config", str(config_path), "--out", str(out),
+                     "--set", setting]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: attack ")
+        assert not out.exists()
+
     def test_reused_out_hashes_only_this_runs_files(self, config_path, tmp_path):
         out = tmp_path / "run"
         assert main(["eval", "--config", str(config_path), "--out", str(out)]) == 0
@@ -393,9 +403,9 @@ class TestAttack:
                                                           capsys, setting, message):
         out = tmp_path / "attack"
         assert main(["attack", "--config", str(config_path), "--out", str(out),
-                     "--set", setting]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: ValueError: {message}"]
-        assert not (out / "adversarial.jsonl").exists()
+                     "--set", setting]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
 
     def test_attack_on_a_bad_model_header_fails_in_one_line(self, config_path, tmp_path,
                                                             capsys):

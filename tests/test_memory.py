@@ -1,8 +1,10 @@
 """Peak memory under tracemalloc, mostly in encoders' bytes: the pipeline and
 the sweeps train one model after another with one encoder in memory at a
 time, eval frees its main models before the cascade trains its own, model
-files are written and read without a second copy of a tensor, and the
-batched encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time."""
+files are written and read without a second copy of a tensor, the batched
+encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time, and an
+SGD step forms its encoder-gradient rows one block of ``GRAD_BLOCK_BYTES`` at
+a time."""
 
 import tracemalloc
 from dataclasses import replace
@@ -16,10 +18,14 @@ from selfcal.model import (
     ENCODE_BLOCK_BYTES,
     FeaturizerConfig,
     TrainConfig,
+    apply_grads,
+    calib_batch_grads,
+    consistency_batch_grads,
     encode,
     featurize_batch,
     init_parameters,
     load_parameters,
+    main_batch_grads,
     save_parameters,
 )
 from selfcal.toast import ToastConfig, run_toast
@@ -77,6 +83,30 @@ def test_encode_gathers_one_block_at_a_time():
     assert m.indptr[-1] >= 20_000
     peak, out = peak_bytes(encode, p, m)
     assert peak < out.nbytes + 2 * ENCODE_BLOCK_BYTES
+
+
+def test_multitask_step_forms_encoder_gradients_one_block_at_a_time():
+    # A stage-3 step at hidden 64 on batches of 32 texts of 24 tokens: each of
+    # its four encoder-gradient parts has about 1500 nonzeros, 0.75 MiB of
+    # float64 rows if materialised (5.9 MiB with their alpha-scaled copies and
+    # the update's temporaries). The step may hold one encode gather and one
+    # gradient block at a time (0.85 MiB), never a whole part's rows.
+    p = init_parameters(2, TrainConfig(hidden_dim=64, features=FeaturizerConfig(hash_dim=2 ** 15)))
+    rng = np.random.default_rng(0)
+    main_m, calib_m, clean_m, aug_m = (
+        featurize_batch([" ".join(f"w{j}" for j in rng.integers(0, 20_000, size=24))
+                         for _ in range(32)], cfg=p.features)
+        for _ in range(4))
+    assert all(1400 < m.indptr[-1] < 1600 for m in (main_m, calib_m, clean_m, aug_m))
+    labels = rng.integers(0, 2, size=32)
+
+    def step():
+        _, g = main_batch_grads(p, main_m, labels, 0.1)
+        _, gc = calib_batch_grads(p, calib_m, labels, labels, 0.1)
+        _, ga = consistency_batch_grads(p, clean_m, aug_m, labels)
+        apply_grads(p, g.add(gc).add(ga.scaled(0.37)), 0.5)
+
+    assert peak_bytes(step)[0] < 1.5 * 2 ** 20
 
 
 @pytest.fixture(scope="module")

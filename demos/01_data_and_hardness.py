@@ -39,8 +39,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nJSONL round trip: {len(reloaded)} samples, lossless:",
           reloaded.samples == data.train.samples)
 
+# Folds are row positions; data.train.subset(fold) makes one a dataset.
 folds = split_folds(data.train, 3, seed=0)
 print("\nstratified 3-fold split sizes:", [len(f) for f in folds])
 for i, fold in enumerate(folds):
-    counts = np.bincount(fold.labels(), minlength=2)
+    counts = np.bincount(data.train.labels()[fold], minlength=2)
     print(f"  fold {i}: per-class counts {counts.tolist()}")

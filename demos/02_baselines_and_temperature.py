@@ -9,8 +9,7 @@ must be for a monotone transform); it only stretches the confidence gap.
 from dataclasses import replace
 
 from selfcal import Calibrator, FeaturizerConfig, SynthConfig, TrainConfig, auroc, delta_conf, generate_synthetic
-from selfcal.calibrators import train_with_temperature
-from selfcal.corpus import merge_datasets, split_folds
+from selfcal.calibrators import baseline_split, train_with_temperature
 from selfcal.model import train_main
 
 cfg = SynthConfig(num_classes=2, vocab_size=200, samples_per_class=300,
@@ -25,8 +24,7 @@ train_cfg = TrainConfig(epochs=5, hidden_dim=16, seed=100,
 base_params, temperature = train_with_temperature(data.train, train_cfg)
 print(f"fitted temperature: {temperature:.3f}")
 
-folds = split_folds(data.train, 10, train_cfg.seed)
-ls_params, _ = train_main(merge_datasets(folds[1:]),
+ls_params, _ = train_main(baseline_split(data.train, train_cfg.seed)[1],
                           replace(train_cfg, label_smoothing_epsilon=0.1))
 
 calibrators = {

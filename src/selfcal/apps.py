@@ -103,8 +103,8 @@ def adversarial_eval(calibrator: Calibrator, id_samples: Dataset,
         rng = np.random.default_rng((seed, 7))
         picked = np.sort(rng.choice(len(id_samples), size=max_id, replace=False))
         id_samples = id_samples.subset(picked)
-    id_scores = calibrator.confidences(id_samples)
-    adv_scores = calibrator.confidences(adv_samples)
+    id_scores = calibrator.build_log(id_samples, "id").confidence
+    adv_scores = calibrator.build_log(adv_samples, "adv").confidence
     return {
         "method": calibrator.method,
         "auroc": auroc(id_scores, adv_scores),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, merge_datasets, split_folds
+from .corpus import Dataset, split_folds
 from .model import (
     FeatureMatrix,
     ModelParameters,
@@ -99,10 +99,6 @@ class Calibrator:
         correct = (preds == d.labels()).astype(np.int64)
         return ConfidenceLog(conf, correct, preds, (group,) * len(d))
 
-    def confidences(self, d: Dataset) -> np.ndarray:
-        """Confidence column only (used where gold labels are irrelevant)."""
-        return self.score_batch(d.features(self.params.features))[1]
-
 
 # ---------------------------------------------------------------------------
 # Temperature fitting
@@ -140,7 +136,7 @@ def baseline_split(train: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     stratified tenth held out for the temperature, and the other nine tenths
     that every baseline model trains on."""
     folds = split_folds(train, 10, seed)
-    return folds[0], merge_datasets(folds[1:])
+    return train.subset(folds[0]), train.subset(np.concatenate(folds[1:]))
 
 
 def train_with_temperature(train: Dataset, cfg) -> tuple[ModelParameters, float]:
@@ -152,6 +148,7 @@ def train_with_temperature(train: Dataset, cfg) -> tuple[ModelParameters, float]
     stay out of training. The returned model backs both the vanilla and the
     temperature calibrator, which keeps their scores directly comparable.
     """
+    train.features(cfg.features)  # hashed once; both parts take its rows
     holdout, rest = baseline_split(train, cfg.seed)
     params, _ = train_main(rest, cfg)
     logits = predict_batch(params, holdout.features(params.features))[2]

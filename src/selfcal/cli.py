@@ -107,6 +107,13 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
+# Each comma-separated list key's entry type; the config keeps the string.
+LIST_KEYS = {
+    ("eval", "targets"): float,
+    **{("sweep", f.name): type(f.default[0]) for f in fields(apps.PilotSweepConfig)
+       if isinstance(f.default, tuple)},
+}
+
 # Keys that were removed, and the key that now sets the same thing.
 REMOVED_KEYS = {
     "eval.adversarial_budget": "attack.budget",
@@ -138,7 +145,8 @@ def _parse(section: str, key: str, raw: str):
 
 def load_config(path: str, overrides=()) -> dict[str, dict]:
     """Parse + validate the INI config, apply ``section.key=value`` overrides,
-    and fill defaults. Unknown sections or keys are rejected by name."""
+    and fill defaults. Unknown sections or keys, and bad values, are rejected
+    by name here, before any model is trained or any file is written."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -157,12 +165,26 @@ def load_config(path: str, overrides=()) -> dict[str, dict]:
         values[section][key] = _parse(section, key, raw)
     if values["run"]["seed"] is None:
         raise ConfigError("run.seed is required (seeds are config-only, never wall clock)")
-    # Checked here too, so that a run that cannot attack fails before any
-    # model is trained or any file is written.
-    try:
+    try:  # checked here too, so that a run that cannot attack fails early
         check_attack_limits(**values["attack"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for (section, key), typ in LIST_KEYS.items():
+        try:
+            _split_list(values[section][key], typ)
+        except ValueError:
+            raise ConfigError(f"config key {section}.{key}: cannot parse "
+                              f"{values[section][key]!r} as a list of {typ.__name__}") from None
+    ev = values["eval"]
+    if not all(0.0 < t <= 1.0 for t in _split_list(ev["targets"], float)):
+        raise ConfigError(f"config key eval.targets: {ev['targets']!r} has an entry outside (0, 1]")
+    if not _split_list(ev["calibrators"], str):
+        raise ConfigError("eval.calibrators is empty: name at least one of " + ",".join(METHODS))
+    for key, known in (("calibrators", METHODS), ("applications", apps.APPLICATIONS)):
+        if bad := [name for name in _split_list(ev[key], str) if name not in known]:
+            raise ConfigError(f"unknown {key[:-1]} {bad[0]!r} in eval.{key}")
+    if values["sweep"]["kind"] not in apps.SWEEP_KINDS:
+        raise ConfigError(f"unknown sweep kind {values['sweep']['kind']!r} in sweep.kind")
     return values
 
 
@@ -376,14 +398,6 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     seed = cfg["run"]["seed"]
     methods = _split_list(cfg["eval"]["calibrators"], str)
     applications = _split_list(cfg["eval"]["applications"], str)
-    if not methods:
-        raise ConfigError("eval.calibrators is empty: name at least one of " + ",".join(METHODS))
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown calibrator {m!r} in eval.calibrators")
-    for a in applications:
-        if a not in apps.APPLICATIONS:
-            raise ConfigError(f"unknown application {a!r} in eval.applications")
 
     train_d, test_d, lexicon = _load_data(cfg)
     calibs, toast_artifacts = _build_calibrators(cfg, train_d, lexicon, methods, seed)
@@ -468,11 +482,8 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     sweep_cfg = apps.PilotSweepConfig(
         annotator=_train_config(cfg, seed),
         train=_train_config(cfg, seed + 10, epochs=cfg["toast"]["epochs"]),
-        seeds=_split_list(sw["seeds"], int),
-        sizes=_split_list(sw["sizes"], int),
-        ratios=_split_list(sw["ratios"], float),
-        fixed_factors=_split_list(sw["fixed_factors"], int),
-        ks=_split_list(sw["ks"], int),
+        **{key: _split_list(sw[key], typ)
+           for (section, key), typ in LIST_KEYS.items() if section == "sweep"},
     )
     points = apps.grid_points(kind, sweep_cfg)
 

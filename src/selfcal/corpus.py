@@ -88,10 +88,17 @@ class Dataset:
             self._features[cfg] = m
         return m
 
-    def subset(self, indices) -> "Dataset":
-        """New dataset holding the samples at ``indices``, in that order."""
-        picked = tuple(self.samples[int(i)] for i in indices)
-        return Dataset(picked, self.label_names, self.task_kind)
+    def subset(self, rows) -> "Dataset":
+        """New dataset of the samples at ``rows``, in that order, holding those
+        rows, read-only, of each feature matrix built here: it hashes no text."""
+        rows = np.arange(len(self))[np.asarray(rows, dtype=np.int64)]  # negatives resolved
+        child = Dataset(tuple(self.samples[i] for i in rows.tolist()),
+                        self.label_names, self.task_kind)
+        for cfg, m in self._features.items():
+            child._features[cfg] = m = m.take(rows)
+            for a in (m.indptr, m.indices, m.values):
+                a.setflags(write=False)
+        return child
 
 
 @dataclass(frozen=True)
@@ -206,8 +213,9 @@ def save_dataset(d: Dataset, path, origins=None) -> None:
 # Splitting
 # ---------------------------------------------------------------------------
 
-def split_folds(d: Dataset, k: int, seed: int) -> list[Dataset]:
-    """Split ``d`` into ``k`` disjoint, label-stratified folds.
+def split_folds(d: Dataset, k: int, seed: int) -> list[np.ndarray]:
+    """Split the rows of ``d`` into ``k`` disjoint, label-stratified folds:
+    sorted int64 arrays of row positions, which ``d.subset`` takes.
 
     Fold sizes differ by at most one, both overall and per class. The split is
     a pure function of (dataset order, k, seed).
@@ -219,32 +227,11 @@ def split_folds(d: Dataset, k: int, seed: int) -> list[Dataset]:
 
     rng = np.random.default_rng(seed)
     labels = d.labels()
-    # Deal samples class by class through one continuing cyclic pointer, so
-    # remainders rotate across folds instead of piling up on fold 0.
-    fold_indices: list[list[int]] = [[] for _ in range(k)]
-    pointer = 0
-    for cls in range(d.num_classes):
-        cls_idx = np.flatnonzero(labels == cls)
-        rng.shuffle(cls_idx)
-        for i in cls_idx:
-            fold_indices[pointer % k].append(int(i))
-            pointer += 1
-    # Keep dataset order inside each fold.
-    return [d.subset(sorted(idx)) for idx in fold_indices]
-
-
-def merge_datasets(parts: list[Dataset]) -> Dataset:
-    """Concatenate datasets that share label names and task kind."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    first = parts[0]
-    for p in parts[1:]:
-        if p.label_names != first.label_names or p.task_kind != first.task_kind:
-            raise ValueError("datasets disagree on label names or task kind")
-    samples: list[Sample] = []
-    for p in parts:
-        samples.extend(p.samples)
-    return Dataset(tuple(samples), first.label_names, first.task_kind)
+    # Deal the shuffled rows class by class round the folds, so remainders rotate
+    # across folds instead of piling up on fold 0; folds keep dataset order.
+    dealt = np.concatenate([rng.permutation(np.flatnonzero(labels == cls))
+                            for cls in range(d.num_classes)], dtype=np.int64)
+    return [np.sort(dealt[f::k]) for f in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import SynonymLexicon, TransformKind, random_transform
-from .corpus import CalibrationRecord, Dataset, merge_datasets, split_folds
+from .corpus import CalibrationRecord, Dataset, split_folds
 from .model import (
     ModelParameters,
     TrainConfig,
@@ -124,10 +124,13 @@ def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
     ablated = cfg.no_cross_annotation
     folds = split_folds(d, 10 if ablated else cfg.k, cfg.train.seed)
     base = cfg.annotator_config
+    d.features(base.features)  # hashed once; every fold takes its rows
     records: list[CalibrationRecord] = []
     rounds: list[AnnotationRound] = []
-    for i, heldout in enumerate(folds[:1] if ablated else folds):
-        train_part = merge_datasets([f for j, f in enumerate(folds) if j != i])
+    for i in range(1 if ablated else len(folds)):
+        # The other folds in fold order, which train_main's shuffle depends on.
+        train_part = d.subset(np.concatenate(folds[:i] + folds[i + 1:]))
+        heldout = d.subset(folds[i])
         round_cfg = replace(base, seed=base.seed + i)
         # The annotator is a temporary: it is freed once it has annotated,
         # before the next round initialises its own encoder.

@@ -24,10 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FEATS, correct_mask, get_flat_params, grads_to_flat, part_rows
-from selfcal import model
+from selfcal import augment, calibrators, corpus, model, toast
 from selfcal.apps import cascade_eval, score_with_calibration_head
 from selfcal.augment import SynonymLexicon, greedy_attack
-from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog
+from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog, train_with_temperature
 from selfcal.corpus import Dataset, Sample, vocabulary
 from selfcal.metrics import (
     DEFAULT_THRESHOLD_GRID,
@@ -192,6 +192,33 @@ def test_take_equals_featurizing_the_rows(seed):
             [s.text_a for s in picked], [s.text_b for s in picked], FEATS))
 
 
+SUBSET_CONFIGS = (FeaturizerConfig(hash_dim=1024), FeaturizerConfig(
+    lowercase=False, ngram_max=3, hash_dim=64, segment_tagging=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 30), pair=st.booleans(),
+       data=st.data())
+def test_subset_matrices_equal_featurizing_the_rows(seed, n, pair, data):
+    d = random_dataset(seed, n)
+    if pair:  # every sample has a second segment, tagged under one config
+        d = Dataset([replace(s, text_b=f"{s.text_a} b{i % 4}") for i, s in enumerate(d)],
+                    d.label_names, "pair")
+    for cfg in SUBSET_CONFIGS:
+        d.features(cfg)
+    perm = np.random.default_rng(seed).permutation(n)
+    drawn = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    for rows in (drawn, [], (), np.arange(n)[::-1], perm, perm[: n // 2], tuple(perm - n)):
+        sub = d.subset(rows)
+        picked = [d.samples[int(i)] for i in rows]
+        assert sub.samples == tuple(picked) and sub.task_kind == d.task_kind
+        for cfg in SUBSET_CONFIGS:
+            m = sub.features(cfg)
+            assert_same_matrix(m, featurize_batch(
+                [s.text_a for s in picked], [s.text_b for s in picked], cfg))
+            assert not any(a.flags.writeable for a in (m.indptr, m.indices, m.values))
+
+
 def test_featurize_batch_rejects_empty_text():
     with pytest.raises(ValueError, match="no tokens"):
         featurize_batch(["fine", "  "])
@@ -283,7 +310,6 @@ def test_batched_scores_match_per_sample(method):
             assert abs(log.confidence[i] - conf) <= TOL
             # One request scores exactly as the same text inside a batch.
             assert c.score(s) == (log.pred[i], log.confidence[i])
-        assert np.array_equal(c.confidences(d), log.confidence)
 
 
 def test_trained_calibrators_match_per_sample(paired_runs):
@@ -320,6 +346,30 @@ def test_memoised_matrix_is_shared_and_read_only():
             a[0] = 1
     # The memo is a cache, not part of the dataset's value.
     assert d == Dataset(d.samples, d.label_names)
+
+
+@pytest.mark.parametrize("flags", [{"k": 3}, {"no_cross_annotation": True}])
+def test_each_dataset_is_hashed_once(synth_data, lexicon, monkeypatch, flags):
+    """Folds and the baselines' split take rows of the parent's matrix; only
+    the calibration records and both sides of the augmented pairs are hashed
+    on their own."""
+    hashed = []
+
+    def counting(texts_a, texts_b=None, cfg=FeaturizerConfig()):
+        texts_a = list(texts_a)
+        hashed.append(len(texts_a))
+        return featurize_batch(texts_a, texts_b, cfg)
+
+    for module in (augment, calibrators, corpus, toast):
+        monkeypatch.setattr(module, "featurize_batch", counting)
+    tc = TrainConfig(epochs=2, hidden_dim=8, seed=3, features=FEATS)
+    d = Dataset(synth_data.train.samples, synth_data.train.label_names)
+    _, art = run_toast(d, ToastConfig(train=tc, **flags), lexicon)
+    assert art.daug and sum(hashed) == len(d) + len(art.dstar) + 2 * len(art.daug)
+    hashed.clear()
+    train = Dataset(synth_data.train.samples, synth_data.train.label_names)
+    train_with_temperature(train, tc)
+    assert sum(hashed) == len(train)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ from conftest import FEATS, SMALL_FEATS
 from selfcal.calibrators import (
     Calibrator,
     ConfidenceLog,
+    baseline_split,
     fit_temperature,
     train_with_temperature,
 )
+from selfcal.corpus import split_folds
 from selfcal.metrics import auroc
 from selfcal.model import TrainConfig, init_parameters, softmax
 from selfcal.toast import ToastConfig, run_toast
@@ -188,6 +190,13 @@ class TestFitTemperature:
             fit_temperature(np.zeros((1, 2)), np.array([0]))
         with pytest.raises(ValueError):
             fit_temperature(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+    def test_baseline_split_is_fold_zero_and_the_rest_in_fold_order(self, synth_data):
+        d = synth_data.train
+        holdout, rest = baseline_split(d, 11)
+        folds = [[d.samples[i].id for i in f] for f in split_folds(d, 10, 11)]
+        assert holdout.ids() == folds[0]
+        assert rest.ids() == [x for f in folds[1:] for x in f]
 
     def test_holdout_protocol_gives_moderate_temperature(self, synth_data, train_cfg):
         params, t = train_with_temperature(synth_data.train, train_cfg)

@@ -123,6 +123,26 @@ class TestConfig:
                          ("fixed_factors", int), ("ks", int)):
             assert cli._split_list(cfg["sweep"][key], typ) == getattr(grids, key)
 
+    @pytest.mark.parametrize("setting", [
+        "eval.targets=1.5", "eval.targets=abc", "eval.targets=0", "eval.targets=0.9,nan",
+        "eval.calibrators=bogus", "eval.applications=ranking", "sweep.kind=bogus",
+        "sweep.sizes=abc", "sweep.ratios=0.1,x", "sweep.seeds=1.5"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_bad_list_value_fails_before_anything_runs(self, config_path, tmp_path, capsys,
+                                                        command, setting):
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config_path), "--out", str(out),
+                     "--set", setting]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error")
+        assert setting.split("=")[0] in err[0]
+        assert not out.exists()
+
+    def test_list_values_are_kept_as_given(self, config_path):
+        cfg = load_config(str(config_path), ["eval.targets=0.5, 1", "sweep.sizes= 7,3"])
+        assert cfg["eval"]["targets"] == "0.5, 1"
+        assert cfg["sweep"]["sizes"] == "7,3"
+
     @pytest.mark.parametrize("old, new", [("adversarial_budget", "attack.budget"),
                                           ("adversarial_max", "attack.max_successes")])
     def test_removed_eval_keys_name_their_replacement(self, config_path, tmp_path,
@@ -224,7 +244,7 @@ class TestEval:
         cli._build_calibrators(cfg, train_d, lexicon, ("vanilla", "label_smoothing"), 3)
         # The vanilla/temperature model, then the label-smoothing one.
         assert list(trained) == [0.0, 0.1]
-        assert trained[0.1] == trained[0.0]
+        assert trained[0.1] == trained[0.0] == calibrators.baseline_split(train_d, 3)[1].ids()
         assert len(trained[0.0]) < len(train_d)
 
     def test_bad_calibrator_name(self, config_path, tmp_path, capsys):

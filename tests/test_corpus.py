@@ -19,7 +19,6 @@ from selfcal.corpus import (
     generate_synthetic,
     load_dataset,
     load_hardness,
-    merge_datasets,
     save_dataset,
     save_hardness,
     split_folds,
@@ -165,8 +164,12 @@ class TestSplitFolds:
         d = synth_data.train.subset(range(10))
         folds = split_folds(d, 2, seed=0)
         assert [len(f) for f in folds] == [5, 5]
-        ids = sorted(i for f in folds for i in f.ids())
-        assert ids == sorted(d.ids())
+        assert sorted(np.concatenate(folds).tolist()) == list(range(10))
+
+    def test_folds_are_sorted_int64_rows(self, synth_data):
+        for f in split_folds(synth_data.train, 3, seed=5):
+            assert f.dtype == np.int64
+            assert np.all(np.diff(f) > 0)
 
     def test_sizes_differ_by_at_most_one(self, synth_data):
         d = synth_data.train.subset(range(9))
@@ -178,15 +181,16 @@ class TestSplitFolds:
         samples = tuple(Sample(f"s{i}", f"tok{i} filler", None, i % 2) for i in range(100))
         d = Dataset(samples, ("a", "b"))
         for fold in split_folds(d, 2, seed=11):
-            counts = Counter(s.label for s in fold.samples)
+            counts = Counter(d.labels()[fold].tolist())
             assert counts[0] == 25 and counts[1] == 25
 
     def test_per_class_counts_within_one(self, synth_data):
         d = synth_data.train
+        labels = d.labels()
         for k in (2, 3, 7):
             folds = split_folds(d, k, seed=4)
             for cls in range(d.num_classes):
-                per = [sum(1 for s in f.samples if s.label == cls) for f in folds]
+                per = [int(np.sum(labels[f] == cls)) for f in folds]
                 assert max(per) - min(per) <= 1
 
     def test_partition_property(self, synth_data):
@@ -195,14 +199,13 @@ class TestSplitFolds:
         for _ in range(10):
             k = int(rng.integers(2, 8))
             folds = split_folds(d, k, seed=int(rng.integers(0, 1000)))
-            all_ids = [i for f in folds for i in f.ids()]
-            assert sorted(all_ids) == sorted(d.ids())
-            assert len(set(all_ids)) == len(all_ids)
+            rows = np.concatenate(folds)
+            assert sorted(rows.tolist()) == list(range(len(d)))
 
     def test_deterministic(self, synth_data):
         a = split_folds(synth_data.train, 3, seed=9)
         b = split_folds(synth_data.train, 3, seed=9)
-        assert [f.ids() for f in a] == [f.ids() for f in b]
+        assert [f.tolist() for f in a] == [f.tolist() for f in b]
 
     def test_too_many_folds(self, synth_data):
         small = synth_data.train.subset(range(3))
@@ -210,19 +213,6 @@ class TestSplitFolds:
             split_folds(small, 4, seed=0)
         with pytest.raises(ValueError):
             split_folds(small, 1, seed=0)
-
-
-class TestMergeDatasets:
-    def test_merge_restores_partition(self, synth_data):
-        folds = split_folds(synth_data.train, 4, seed=2)
-        merged = merge_datasets(folds)
-        assert sorted(merged.ids()) == sorted(synth_data.train.ids())
-
-    def test_merge_rejects_mismatched_labels(self):
-        a = Dataset((Sample("1", "x", None, 0),), ("p", "q"))
-        b = Dataset((Sample("2", "y", None, 0),), ("p", "r"))
-        with pytest.raises(ValueError):
-            merge_datasets([a, b])
 
 
 class TestGenerateSynthetic:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import FEATS, get_flat_params, make_separable
+from selfcal import toast
 from selfcal.calibrators import Calibrator
 from selfcal.corpus import CalibrationRecord, split_folds
 from selfcal.metrics import delta_conf
-from selfcal.model import TrainConfig
+from selfcal.model import TrainConfig, train_main
 from selfcal.augment import TransformKind
 from selfcal.toast import (
     AugmentedRecord,
@@ -66,6 +67,29 @@ class TestCrossAnnotate:
                 assert rec.sample_id not in train_ids
         assert offset == len(result.records)
 
+    @pytest.mark.parametrize("flags", [{"k": 3}, {"k": 5}, {"no_cross_annotation": True}])
+    def test_rounds_train_on_the_other_folds_in_fold_order(self, synth_data, monkeypatch,
+                                                           flags):
+        # train_main shuffles positions, so the order of its training set is
+        # part of each annotator; it is the fold order.
+        trained = []
+
+        def recording_train_main(part, tc):
+            trained.append(part.ids())
+            return train_main(part, tc)
+
+        monkeypatch.setattr(toast, "train_main", recording_train_main)
+        d = synth_data.train
+        cfg = _toast_cfg(**flags)
+        result = cross_annotate(d, cfg)
+        k = 10 if cfg.no_cross_annotation else cfg.k
+        folds = [[d.samples[i].id for i in f] for f in split_folds(d, k, cfg.train.seed)]
+        assert len(result.rounds) == len(trained) == (1 if cfg.no_cross_annotation else k)
+        for rnd, ids in zip(result.rounds, trained):
+            others = [x for j, f in enumerate(folds) if j != rnd.round_index for x in f]
+            assert list(rnd.train_ids) == ids == others
+            assert list(rnd.heldout_ids) == folds[rnd.round_index]
+
     def test_rounds_use_distinct_seeds(self, synth_data):
         result = cross_annotate(synth_data.train, _toast_cfg(k=3))
         seeds = [r.seed for r in result.rounds]
@@ -85,7 +109,7 @@ class TestCrossAnnotate:
         assert not set(rnd.heldout_ids) & set(rnd.train_ids)
         # Round 0 of a ten-fold split, trained with the annotator's own seed.
         tenths = split_folds(synth_data.train, 10, cfg.train.seed)
-        assert rnd.heldout_ids == tuple(tenths[0].ids())
+        assert rnd.heldout_ids == tuple(synth_data.train.subset(tenths[0]).ids())
         assert rnd.seed == cfg.annotator_config.seed
         assert [r.sample_id for r in result.records] == list(rnd.heldout_ids)
 

@@ -55,12 +55,6 @@ def _ngram_keys(tokens: list[str], ngram_max: int) -> list[str]:
     return keys
 
 
-def _overlapping_keys(words: list[str], start: int, stop: int, ngram_max: int) -> list[str]:
-    """The n-grams (1..ngram_max) of ``words`` that overlap ``words[start:stop]``."""
-    return [" ".join(words[i:i + n]) for n in range(1, ngram_max + 1)
-            for i in range(max(0, start - n + 1), min(stop, len(words) - n + 1))]
-
-
 def _buckets(keys: list[str], mask: int):
     return map(mask.__and__, map(crc32, map(str.encode, keys)))
 
@@ -130,61 +124,6 @@ def featurize_batch(texts_a, texts_b=None,
     return FeatureMatrix(np.frombuffer(indptr.tobytes(), dtype=np.int64),
                          np.frombuffer(indices.tobytes(), dtype=np.uint32),
                          values, cfg.hash_dim)
-
-
-def substitution_deltas(tokens: list[str], pos: int, replacements: list[str],
-                        cfg: FeaturizerConfig = FeaturizerConfig()
-                        ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The count delta of replacing ``tokens[pos]`` by each of ``replacements``
-    in the text ``" ".join(tokens)``, as an int64 bucket array and a float64
-    sign array: -1 for every n-gram that overlaps the old token, +1 for every
-    n-gram of the new text that overlaps the replacement.
-
-    Tokens and replacements may hold several words, split the way
-    ``featurize_batch`` splits the joined text, and hold at least one
-    (``SynonymLexicon`` rejects a synonym without one). So the n-grams that
-    overlap ``pos`` lie within ``ngram_max - 1`` tokens of it, and a
-    substitution changes only the deltas of positions that near.
-    """
-    n, lowercase, mask = cfg.ngram_max, cfg.lowercase, cfg.hash_dim - 1
-    left = _tokens(" ".join(tokens[max(0, pos - n + 1):pos]), lowercase)
-    right = _tokens(" ".join(tokens[pos + 1:pos + n]), lowercase)
-    # The old token's keys, then each replacement's, hashed in one pass.
-    keys, ends = [], []
-    for text in (tokens[pos], *replacements):
-        middle = _tokens(text, lowercase)
-        keys += _overlapping_keys(left + middle + right, len(left), len(left) + len(middle), n)
-        ends.append(len(keys))
-    buckets = np.fromiter(_buckets(keys, mask), dtype=np.int64, count=len(keys))
-    removed = buckets[:ends[0]]
-    signs = np.ones(len(keys))
-    signs[:ends[0]] = -1.0
-    return [(np.concatenate([removed, buckets[lo:hi]]), signs[:ends[0] + hi - lo])
-            for lo, hi in zip(ends, ends[1:])]
-
-
-def rows_plus_deltas(row: FeatureMatrix, deltas) -> FeatureMatrix:
-    """One row per ``(buckets, signs)`` delta: the one row of ``row`` plus the
-    delta, without the buckets whose count falls to zero.
-
-    Counts are small integers, exact in float64, so each row is equal, down
-    to dtypes and bytes, to ``featurize_batch`` of the text the delta leads to.
-    """
-    k, dim = len(deltas), row.dim
-    cands = np.arange(k, dtype=np.int64)
-    owner = np.concatenate([np.repeat(cands, len(row.indices)),
-                            np.repeat(cands, [len(b) for b, _ in deltas])])
-    keys = owner * dim + np.concatenate([np.tile(row.indices, k), *(b for b, _ in deltas)])
-    keys, inverse = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inverse, np.concatenate([np.tile(row.values, k),
-                                                  *(s for _, s in deltas)]),
-                         minlength=len(keys))
-    keep = counts != 0
-    keys = keys[keep]
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // dim, minlength=k), out=indptr[1:])
-    return FeatureMatrix(indptr, (keys % dim).astype(np.uint32),
-                         counts[keep].astype(np.float32), dim)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,21 @@
 the sweeps train one model after another with one encoder in memory at a
 time, eval frees its main models before the cascade trains its own, model
 files are written and read without a second copy of a tensor, the batched
-encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time, and an
-SGD step forms its encoder-gradient rows one block of ``GRAD_BLOCK_BYTES`` at
-a time."""
+encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time, an SGD
+step forms its encoder-gradient rows one block of ``GRAD_BLOCK_BYTES`` at a
+time, and the attack scores one group of ``ATTACK_GROUP`` samples' candidates
+at a time."""
 
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from selfcal import cli
 from selfcal.apps import PilotSweepConfig, evaluate_point, seed_annotations
+from selfcal.augment import attack_dataset
 from selfcal.cli import main
 from selfcal.model import (
     ENCODE_BLOCK_BYTES,
@@ -27,6 +31,7 @@ from selfcal.model import (
     load_parameters,
     main_batch_grads,
     save_parameters,
+    train_main,
 )
 from selfcal.toast import ToastConfig, run_toast
 
@@ -107,6 +112,20 @@ def test_multitask_step_forms_encoder_gradients_one_block_at_a_time():
         apply_grads(p, g.add(gc).add(ga.scaled(0.37)), 0.5)
 
     assert peak_bytes(step)[0] < 1.5 * 2 ** 20
+
+
+def test_attack_scores_one_group_at_a_time():
+    # configs/default.ini's attack on its test split: 300 samples, 200
+    # successes, 400-500 candidate rows per step of a group of 16. Under
+    # tracemalloc (numpy 2.4) the peak was 2.0 MiB with groups of 16, 3.7 MiB
+    # with 32, 7.2 MiB with 64 and 21 MiB with the whole split as one group.
+    cfg = cli.load_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.ini"))
+    train_d, test_d, lexicon = cli._load_data(cfg)
+    params, _ = train_main(train_d, cli._train_config(cfg, cfg["run"]["seed"]))
+    test_d.features(params.features)
+    peak, (adv, _) = peak_bytes(attack_dataset, params, test_d, lexicon, 6, 200)
+    assert peak < 4 * 2 ** 20
+    assert len(adv) == 200   # the success limit ends the attack, many groups in
 
 
 @pytest.fixture(scope="module")

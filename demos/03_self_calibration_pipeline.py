@@ -28,10 +28,12 @@ print(f"  annotated {counts['annotated']} records "
 print("stage 2 - post-processing")
 print(f"  balanced calibration set: {counts['dstar']} records")
 print(f"  augmented wrong-prediction records: {counts['daug']}")
-neg = next(r for r in artifacts.dstar if r.correctness == 0)
-aug = next(a for a in artifacts.daug if a.sample_id == neg.sample_id)
+# The augmented set holds positions into the calibration set, each with its
+# transformed text and the transform that made it.
+daug = artifacts.daug
+neg = artifacts.dstar[daug.rows[0]]
 print(f"  example: {neg.text_a}")
-print(f"       ->  {aug.augmented_text}   ({aug.transform.value})")
+print(f"       ->  {daug.texts[0]}   ({daug.kinds[0].value})")
 print("stage 3 - multi-task training")
 first, last = artifacts.losses[0], artifacts.losses[-1]
 print(f"  total loss {first['l_total']:.3f} -> {last['l_total']:.3f} "

@@ -12,6 +12,7 @@ config-driven command line.
 from .augment import SynonymLexicon, TransformKind, apply_transform, greedy_attack, random_transform
 from .calibrators import Calibrator, ConfidenceLog, fit_temperature
 from .corpus import (
+    Annotations,
     CalibrationRecord,
     Dataset,
     Sample,
@@ -31,7 +32,7 @@ from .model import (
     train_main,
 )
 from .toast import (
-    AugmentedRecord,
+    AugmentSet,
     ToastConfig,
     build_augment_set,
     cross_annotate,
@@ -43,7 +44,8 @@ from .toast import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedRecord",
+    "Annotations",
+    "AugmentSet",
     "CalibrationRecord",
     "Calibrator",
     "ConfidenceLog",

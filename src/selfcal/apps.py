@@ -15,7 +15,7 @@ import numpy as np
 
 from .augment import SynonymLexicon
 from .calibrators import Calibrator, ConfidenceLog
-from .corpus import CalibrationRecord, Dataset
+from .corpus import Annotations, Dataset
 from .metrics import (
     DEFAULT_THRESHOLD_GRID,
     accuracy_coverage_curve,
@@ -172,14 +172,13 @@ def score_with_calibration_head(params: ModelParameters, d: Dataset,
     return ConfidenceLog(conf, correct, preds, ("id",) * len(d))
 
 
-def _pilot_point(train: Dataset, test: Dataset, records, cfg: PilotSweepConfig,
+def _pilot_point(train: Dataset, test: Dataset, dstar: Annotations, cfg: PilotSweepConfig,
                  seed: int, feature_mode: str = "all"
                  ) -> tuple[float | None, float | None]:
-    """Train one multi-task model on (train, records) and measure the
+    """Train one multi-task model on (train, dstar) and measure the
     calibration head on the test split."""
     tc = replace(cfg.train, seed=cfg.train.seed + seed)
-    params, _ = train_multitask(
-        train, records, [], ToastConfig(train=tc, no_augment=True), feature_mode)
+    params, _ = train_multitask(train, dstar, None, ToastConfig(train=tc), feature_mode)
     return log_auroc_dconf(score_with_calibration_head(params, test, feature_mode))
 
 
@@ -205,9 +204,9 @@ def _row(point: dict, per_seed, reason: str) -> dict:
 
 
 def seed_annotations(train: Dataset, pool: Dataset, cfg: PilotSweepConfig
-                     ) -> dict[int, list[CalibrationRecord]]:
-    """One annotated copy of the pool per sweep seed (the expensive shared
-    step; every grid point reuses these). Each annotator is freed once it has
+                     ) -> dict[int, Annotations]:
+    """One annotation of the pool per sweep seed (the expensive shared step;
+    every grid point takes its rows). Each annotator is freed once it has
     annotated, so one encoder is in memory at a time."""
     out = {}
     for seed in cfg.seeds:
@@ -237,15 +236,6 @@ def grid_points(kind: str, cfg: PilotSweepConfig) -> list[dict]:
     raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
 
 
-def _shuffled_by_class(records, rng_seed) -> tuple[list, list]:
-    rng = np.random.default_rng(rng_seed)
-    neg = [r for r in records if r.correctness == 0]
-    pos = [r for r in records if r.correctness == 1]
-    rng.shuffle(neg)
-    rng.shuffle(pos)
-    return neg, pos
-
-
 def evaluate_point(point: dict, train: Dataset, test: Dataset,
                    cfg: PilotSweepConfig, annotations, lexicon=None) -> dict:
     """Run one grid point across all seeds and aggregate. Seeds for which the
@@ -265,21 +255,22 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
             per_seed.append(_toast_point(train, test, toast_cfg, lexicon))
     else:
         for seed in cfg.seeds:
-            records = annotations[seed]
+            annotated = annotations[seed]
             mode = "all"
             if kind == "size":
                 n = point["size"]
-                if n > len(records):
-                    reasons.append(f"seed {seed}: pool has {len(records)} < {n} records")
+                if n > len(annotated):
+                    reasons.append(f"seed {seed}: pool has {len(annotated)} < {n} records")
                     continue
-                order = np.random.default_rng((cfg.train.seed + seed, 8)).permutation(len(records))
-                subset = [records[i] for i in order[:n]]
+                rng = np.random.default_rng((cfg.train.seed + seed, 8))
+                rows = rng.permutation(len(annotated))[:n]
             elif kind == "features":
                 mode = point["feature_mode"]
-                subset = downsample_balance(
-                    records, np.random.default_rng((cfg.train.seed + seed, 10)))
+                rows = downsample_balance(
+                    annotated.correct, np.random.default_rng((cfg.train.seed + seed, 10)))
             else:  # imbalance
-                neg, pos = _shuffled_by_class(records, (cfg.train.seed + seed, 9))
+                rng = np.random.default_rng((cfg.train.seed + seed, 9))
+                neg, pos = (rng.permutation(np.flatnonzero(annotated.correct == c)) for c in (0, 1))
                 if point["mode"] == "ratio":
                     max_side = max(max(cfg.ratios), 1.0 - min(cfg.ratios))
                     total = int(min(len(neg), len(pos)) / max_side)
@@ -290,10 +281,10 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
                             f"seed {seed}: cannot draw {n_neg}/{n_pos} from "
                             f"{len(neg)} negatives / {len(pos)} positives")
                         continue
-                    subset = neg[:n_neg] + pos[:n_pos]
+                    rows = np.concatenate([neg[:n_neg], pos[:n_pos]])
                 else:
-                    # `base` records of the fixed class against factor x base
-                    # of the other one.
+                    # `base` rows of the fixed class against factor x base of
+                    # the other one.
                     factor = point["factor"]
                     fixed, other = (neg, pos) if point["mode"] == "fixed_negative" else (pos, neg)
                     base = min(len(fixed), len(other) // max(cfg.fixed_factors))
@@ -302,8 +293,8 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
                             f"seed {seed}: class too small for factor {factor} "
                             f"({len(neg)} negatives / {len(pos)} positives)")
                         continue
-                    subset = fixed[:base] + other[:base * factor]
-            per_seed.append(_pilot_point(train, test, subset, cfg, seed, mode))
+                    rows = np.concatenate([fixed[:base], other[:base * factor]])
+            per_seed.append(_pilot_point(train, test, annotated.take(rows), cfg, seed, mode))
 
     if per_seed:
         return _row(point, per_seed, "degenerate evaluation (single correctness class)")

@@ -101,21 +101,45 @@ class Dataset:
         return child
 
 
+@dataclass(frozen=True, eq=False)
+class Annotations:
+    """Rows of an annotated dataset, each with a model's predicted label and
+    whether it was right. ``data`` is a ``Dataset.subset`` of the annotated
+    dataset, so it carries that dataset's feature matrices."""
+
+    data: Dataset
+    predicted: np.ndarray
+    correct: np.ndarray
+
+    def __post_init__(self):
+        for name in ("predicted", "correct"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        if not len(self.predicted) == len(self.correct) == len(self.data):
+            raise ValueError(f"annotations not aligned: {len(self.data)} rows, "
+                             f"{len(self.predicted)} predictions, {len(self.correct)} correctness")
+        if np.any((self.correct != 0) & (self.correct != 1)):
+            raise ValueError("correctness must be 0 or 1")
+        if np.any((self.predicted < 0) | (self.predicted >= self.data.num_classes)):
+            raise ValueError(f"predicted labels must be in [0, {self.data.num_classes})")
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def take(self, rows) -> "Annotations":
+        """The annotations at ``rows`` (distinct), in that order; hashes no text."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return Annotations(self.data.subset(rows), self.predicted[rows], self.correct[rows])
+
+
 @dataclass(frozen=True)
 class CalibrationRecord:
-    """A sample, the model's prediction on it, and whether that prediction was right."""
+    """One annotated row, as the audit bundle writes it."""
 
     sample_id: str
     text_a: str
     text_b: str | None
     predicted_label: int
     correctness: int
-
-    def __post_init__(self):
-        if self.correctness not in (0, 1):
-            raise ValueError(f"correctness must be 0 or 1, got {self.correctness}")
-        if self.predicted_label < 0:
-            raise ValueError(f"negative predicted_label {self.predicted_label}")
 
 
 # ---------------------------------------------------------------------------

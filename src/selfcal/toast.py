@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import SynonymLexicon, TransformKind, random_transform
-from .corpus import CalibrationRecord, Dataset, split_folds
+from .corpus import Annotations, CalibrationRecord, Dataset, split_folds
 from .model import (
     ModelParameters,
     TrainConfig,
@@ -76,16 +76,17 @@ class ToastConfig:
         return 1.0 if self.no_alpha_decay else self.alpha
 
 
-@dataclass(frozen=True)
-class AugmentedRecord:
-    """A wrong-prediction record paired with a transformed copy of its text."""
+@dataclass(frozen=True, eq=False)
+class AugmentSet:
+    """Transformed copies of wrong-prediction rows: positions into the
+    calibration set, each row's augmented first segment, and its transform."""
 
-    sample_id: str
-    text_a: str
-    text_b: str | None
-    augmented_text: str
-    predicted_label: int
-    transform: TransformKind
+    rows: np.ndarray
+    texts: list[str]
+    kinds: list[TransformKind]
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -98,16 +99,14 @@ class AnnotationRound:
 
 @dataclass(frozen=True)
 class CrossAnnotation:
-    records: tuple[CalibrationRecord, ...]
+    annotations: Annotations
     rounds: tuple[AnnotationRound, ...]
 
 
-def annotate_with_model(params: ModelParameters, d: Dataset) -> list[CalibrationRecord]:
-    """Label each sample with the model's prediction and whether it was right."""
+def annotate_with_model(params: ModelParameters, d: Dataset) -> Annotations:
+    """Every row of ``d`` with the model's prediction and whether it was right."""
     preds = predict_batch(params, d.features(params.features))[0]
-    return [CalibrationRecord(sample_id=s.id, text_a=s.text_a, text_b=s.text_b,
-                              predicted_label=int(y_star), correctness=int(y_star == s.label))
-            for s, y_star in zip(d.samples, preds)]
+    return Annotations(d, preds, preds == d.labels())
 
 
 def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
@@ -115,18 +114,17 @@ def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
     (the ablation) only round 0 of a ten-fold split, so the calibration set is
     a tenth of the training data.
 
-    No record was annotated by a model that saw it in training, and without
-    the ablation there is exactly one record per input sample. Round ``i``
-    trains with seed ``annotator seed + i`` so the rounds are independent but
-    reproducible. Only the records outlive a round, so one annotator encoder
-    is in memory at a time.
+    The annotations are the held-out rows in round order: none was annotated
+    by a model that saw it in training, and without the ablation each input
+    row is annotated once. Round ``i`` trains with seed ``annotator seed + i``.
+    Only the predictions outlive a round, so one annotator encoder is in
+    memory at a time.
     """
     ablated = cfg.no_cross_annotation
     folds = split_folds(d, 10 if ablated else cfg.k, cfg.train.seed)
     base = cfg.annotator_config
     d.features(base.features)  # hashed once; every fold takes its rows
-    records: list[CalibrationRecord] = []
-    rounds: list[AnnotationRound] = []
+    done, rounds = [], []
     for i in range(1 if ablated else len(folds)):
         # The other folds in fold order, which train_main's shuffle depends on.
         train_part = d.subset(np.concatenate(folds[:i] + folds[i + 1:]))
@@ -134,49 +132,43 @@ def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
         round_cfg = replace(base, seed=base.seed + i)
         # The annotator is a temporary: it is freed once it has annotated,
         # before the next round initialises its own encoder.
-        records.extend(annotate_with_model(train_main(train_part, round_cfg)[0], heldout))
+        done.append(annotate_with_model(train_main(train_part, round_cfg)[0], heldout))
         rounds.append(AnnotationRound(
             round_index=i, seed=round_cfg.seed,
             train_ids=tuple(train_part.ids()), heldout_ids=tuple(heldout.ids())))
-    return CrossAnnotation(tuple(records), tuple(rounds))
+    held = d.subset(np.concatenate(folds[:len(done)]))  # the held-out rows, in round order
+    predicted = np.concatenate([a.predicted for a in done])
+    return CrossAnnotation(Annotations(held, predicted, predicted == held.labels()), tuple(rounds))
 
 
-def downsample_balance(records, rng: np.random.Generator) -> list[CalibrationRecord]:
-    """Down-sample the majority correctness class to the exact minority count.
-
-    Majority members are chosen uniformly without replacement; the minority is
-    untouched; the surviving records keep their input order.
-    """
-    records = list(records)
-    if not records:
+def downsample_balance(correct, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions that keep every row of the minority correctness class
+    and as many rows of the majority, chosen uniformly without replacement."""
+    correct = np.asarray(correct)
+    if not len(correct):
         raise ValueError("no calibration records")
-    neg = [i for i, r in enumerate(records) if r.correctness == 0]
-    pos = [i for i, r in enumerate(records) if r.correctness == 1]
-    if not neg or not pos:
+    neg, pos = np.flatnonzero(correct == 0), np.flatnonzero(correct == 1)
+    if not len(neg) or not len(pos):
         raise ValueError(
             "calibration classes degenerate; annotator is perfectly right or wrong")
     minority, majority = (neg, pos) if len(neg) <= len(pos) else (pos, neg)
     chosen = rng.choice(len(majority), size=len(minority), replace=False)
-    keep = set(minority) | {majority[int(i)] for i in chosen}
-    return [r for i, r in enumerate(records) if i in keep]
+    return np.sort(np.concatenate([minority, majority[chosen]]))
 
 
-def build_augment_set(records, lexicon: SynonymLexicon, cfg: ToastConfig,
-                      rng: np.random.Generator) -> list[AugmentedRecord]:
-    """One transformed variant per wrong-prediction record (``augment_per_negative``
-    of them). Only correctness-0 records are used; pair tasks transform the
-    first segment and carry the second through unchanged."""
-    out: list[AugmentedRecord] = []
-    for r in records:
-        if r.correctness != 0:
-            continue
+def build_augment_set(dstar: Annotations, lexicon: SynonymLexicon, cfg: ToastConfig,
+                      rng: np.random.Generator) -> AugmentSet:
+    """``augment_per_negative`` transformed variants of each wrong-prediction
+    row of ``dstar``, in row order. Pair tasks transform the first segment
+    and carry the second through unchanged."""
+    rows, texts, kinds = [], [], []
+    for i in np.flatnonzero(dstar.correct == 0).tolist():
         for _ in range(cfg.augment_per_negative):
-            kind, text = random_transform(r.text_a, cfg.rate, lexicon, rng)
-            out.append(AugmentedRecord(
-                sample_id=r.sample_id, text_a=r.text_a, text_b=r.text_b,
-                augmented_text=text, predicted_label=r.predicted_label,
-                transform=kind))
-    return out
+            kind, text = random_transform(dstar.data.samples[i].text_a, cfg.rate, lexicon, rng)
+            rows.append(i)
+            texts.append(text)
+            kinds.append(kind)
+    return AugmentSet(np.array(rows, dtype=np.int64), texts, kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +187,21 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
             yield order[start:start + size]
 
 
-def train_multitask(d: Dataset, dstar, daug, cfg: ToastConfig,
-                    feature_mode: str = "all"
+def train_multitask(d: Dataset, dstar: Annotations, daug: AugmentSet | None,
+                    cfg: ToastConfig, feature_mode: str = "all"
                     ) -> tuple[ModelParameters, list[dict]]:
     """Train a fresh model on the joint objective for ``cfg.train.epochs``.
 
     Every step draws one batch from each of the task data, the calibration
-    records, and (if present) the augmented pairs; smaller collections cycle.
-    The returned trace has one row per step with the three component losses
-    and their weighted total.
+    rows, and (if present) the augmented pairs; smaller collections cycle.
+    Both take rows of ``dstar``'s feature matrix; only the augmented texts
+    are hashed here. The returned trace has one row per step with the three
+    component losses and their weighted total.
     """
     if len(d) == 0:
         raise ValueError("empty task dataset")
-    dstar = list(dstar)
-    daug = list(daug)
-    if not dstar:
+    if not len(dstar):
         raise ValueError("empty calibration set")
-    if cfg.no_augment:
-        daug = []
 
     tc = cfg.train
     params = init_parameters(d.num_classes, tc)
@@ -220,19 +209,17 @@ def train_multitask(d: Dataset, dstar, daug, cfg: ToastConfig,
 
     d_feats = d.features(tc.features)
     d_labels = d.labels()
-    c_feats = featurize_batch([r.text_a for r in dstar], [r.text_b for r in dstar],
-                              tc.features)
-    c_ystars = np.array([r.predicted_label for r in dstar])
-    c_targets = np.array([r.correctness for r in dstar])
-    a_text_b = [r.text_b for r in daug]
-    a_clean = featurize_batch([r.text_a for r in daug], a_text_b, tc.features)
-    a_aug = featurize_batch([r.augmented_text for r in daug], a_text_b, tc.features)
-    a_ystars = np.array([r.predicted_label for r in daug])
-
+    c_feats = dstar.data.features(tc.features)
     main_cycle = _batches(len(d), tc.batch_size, np.random.default_rng((tc.seed, 2)))
     calib_cycle = _batches(len(dstar), tc.batch_size, np.random.default_rng((tc.seed, 3)))
-    aug_cycle = (_batches(len(daug), tc.batch_size, np.random.default_rng((tc.seed, 4)))
-                 if daug else None)
+    aug_cycle = None
+    if daug and not cfg.no_augment:
+        # A take, not a subset: a row repeats under augment_per_negative > 1.
+        a_clean = c_feats.take(daug.rows)
+        a_aug = featurize_batch(daug.texts, [dstar.data.samples[i].text_b for i in daug.rows],
+                                tc.features)
+        a_ystars = dstar.predicted[daug.rows]
+        aug_cycle = _batches(len(daug), tc.batch_size, np.random.default_rng((tc.seed, 4)))
 
     steps_per_epoch = -(-len(d) // tc.batch_size)
     trace: list[dict] = []
@@ -244,7 +231,7 @@ def train_multitask(d: Dataset, dstar, daug, cfg: ToastConfig,
 
             b = next(calib_cycle)
             l_calib, gc = calib_batch_grads(
-                params, c_feats.take(b), c_ystars[b], c_targets[b], eps, feature_mode)
+                params, c_feats.take(b), dstar.predicted[b], dstar.correct[b], eps, feature_mode)
             g = g.add(gc)
 
             l_cons = 0.0
@@ -274,7 +261,7 @@ class ToastArtifacts:
     """Everything needed to audit a pipeline run."""
 
     dstar: list[CalibrationRecord]
-    daug: list[AugmentedRecord]
+    daug: AugmentSet | None
     losses: list[dict]
     meta: dict
 
@@ -282,23 +269,21 @@ class ToastArtifacts:
         """Write the bundle under ``out_dir``; returns the paths written."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "dstar.jsonl", "w", encoding="utf-8") as fh:
-            for r in self.dstar:
-                obj = {"sample_id": r.sample_id, "text": r.text_a,
-                       "predicted_label": r.predicted_label,
-                       "correctness": r.correctness}
-                if r.text_b is not None:
-                    obj["text_pair"] = r.text_b
-                fh.write(json.dumps(obj) + "\n")
-        with open(out / "daug.jsonl", "w", encoding="utf-8") as fh:
-            for a in self.daug:
-                obj = {"sample_id": a.sample_id, "text": a.text_a,
-                       "augmented_text": a.augmented_text,
-                       "predicted_label": a.predicted_label,
-                       "transform": a.transform.value}
-                if a.text_b is not None:
-                    obj["text_pair"] = a.text_b
-                fh.write(json.dumps(obj) + "\n")
+        # A line holds a record's id and text, its fields, then a pair's second text.
+        aug = zip(self.daug.rows.tolist(), self.daug.texts, self.daug.kinds) if self.daug else ()
+        for name, rows in (
+                ("dstar.jsonl", [(r, {"predicted_label": r.predicted_label,
+                                      "correctness": r.correctness}) for r in self.dstar]),
+                ("daug.jsonl", [(self.dstar[i], {"augmented_text": text,
+                                                 "predicted_label": self.dstar[i].predicted_label,
+                                                 "transform": kind.value})
+                                for i, text, kind in aug])):
+            with open(out / name, "w", encoding="utf-8") as fh:
+                for r, fields in rows:
+                    obj = {"sample_id": r.sample_id, "text": r.text_a, **fields}
+                    if r.text_b is not None:
+                        obj["text_pair"] = r.text_b
+                    fh.write(json.dumps(obj) + "\n")
         with open(out / "losses.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["step", "l_main", "l_calib", "l_consistency", "l_total"])
@@ -315,19 +300,15 @@ def run_toast(d: Dataset, cfg: ToastConfig, lexicon: SynonymLexicon
     """Run the three stages, honoring the ablation flags, and return the
     trained model plus the audit bundle."""
     seed = cfg.train.seed
+    d.features(cfg.train.features)  # before any subset, so dstar carries stage 3's rows
     annotation = cross_annotate(d, cfg)
-    raw = list(annotation.records)
-    raw_neg = sum(1 for r in raw if r.correctness == 0)
+    raw = annotation.annotations
+    raw_neg = int(np.count_nonzero(raw.correct == 0))
 
-    if cfg.no_downsample:
-        dstar = raw
-    else:
-        dstar = downsample_balance(raw, np.random.default_rng((seed, 5)))
-
-    if cfg.no_augment:
-        daug: list[AugmentedRecord] = []
-    else:
-        daug = build_augment_set(dstar, lexicon, cfg, np.random.default_rng((seed, 6)))
+    dstar = raw if cfg.no_downsample else raw.take(
+        downsample_balance(raw.correct, np.random.default_rng((seed, 5))))
+    daug = None if cfg.no_augment else build_augment_set(
+        dstar, lexicon, cfg, np.random.default_rng((seed, 6)))
 
     params, trace = train_multitask(d, dstar, daug, cfg)
 
@@ -357,7 +338,9 @@ def run_toast(d: Dataset, cfg: ToastConfig, lexicon: SynonymLexicon
             "annotated_negatives": raw_neg,
             "annotated_positives": len(raw) - raw_neg,
             "dstar": len(dstar),
-            "daug": len(daug),
+            "daug": len(daug) if daug else 0,
         },
     }
-    return params, ToastArtifacts(dstar=dstar, daug=daug, losses=trace, meta=meta)
+    records = [CalibrationRecord(s.id, s.text_a, s.text_b, y, c) for s, y, c in
+               zip(dstar.data.samples, dstar.predicted.tolist(), dstar.correct.tolist())]
+    return params, ToastArtifacts(dstar=records, daug=daug, losses=trace, meta=meta)

@@ -136,24 +136,25 @@ def test_criterion_3_pipeline_invariants(synth_data):
             cfg = ToastConfig(k=k, train=TrainConfig(epochs=5, hidden_dim=16,
                                                      seed=100, features=FEATS))
             result = cross_annotate(synth_data.train, cfg)
-            assert len(result.records) == len(synth_data.train)
+            assert len(result.annotations) == len(synth_data.train)
+            ids = result.annotations.data.ids()
             offset = 0
             for rnd in result.rounds:
                 train_ids = set(rnd.train_ids)
                 heldout = set(rnd.heldout_ids)
                 assert not train_ids & heldout
-                for rec in result.records[offset:offset + len(rnd.heldout_ids)]:
-                    assert rec.sample_id in heldout
-                    assert rec.sample_id not in train_ids
+                for sample_id in ids[offset:offset + len(rnd.heldout_ids)]:
+                    assert sample_id in heldout
+                    assert sample_id not in train_ids
                 offset += len(rnd.heldout_ids)
 
-        records = list(cross_annotate(
+        records = cross_annotate(
             synth_data.train,
             ToastConfig(train=TrainConfig(epochs=5, hidden_dim=16, seed=100,
-                                          features=FEATS))).records)
-        balanced = downsample_balance(records, np.random.default_rng(0))
-        n_pos = sum(r.correctness == 1 for r in balanced)
-        n_neg = sum(r.correctness == 0 for r in balanced)
+                                          features=FEATS))).annotations
+        balanced = records.correct[downsample_balance(records.correct, np.random.default_rng(0))]
+        n_pos = np.count_nonzero(balanced == 1)
+        n_neg = np.count_nonzero(balanced == 0)
         assert n_pos == n_neg
 
 

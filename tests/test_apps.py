@@ -15,7 +15,7 @@ from selfcal.apps import (
     selective_eval,
 )
 from selfcal.calibrators import Calibrator
-from selfcal.corpus import CalibrationRecord, generate_synthetic
+from selfcal.corpus import Annotations, generate_synthetic
 from selfcal.metrics import auroc, cascade_curve
 from selfcal.model import TrainConfig, init_parameters, train_main
 from selfcal.toast import ToastConfig, cross_annotate, train_multitask
@@ -170,19 +170,18 @@ class TestPilotSweeps:
         # Reassign predicted labels at random, independent of correctness:
         # with the sample block zeroed the head sees pure noise, so the
         # confidence gap collapses; with all features it stays substantial.
-        records = list(cross_annotate(
-            synth_data.train, ToastConfig(train=sweep_cfg.annotator)).records)
+        records = cross_annotate(
+            synth_data.train, ToastConfig(train=sweep_cfg.annotator)).annotations
         rng = np.random.default_rng(5)
-        shuffled = [CalibrationRecord(r.sample_id, r.text_a, r.text_b,
-                                      int(rng.integers(0, 2)), r.correctness)
-                    for r in records]
-        pos = [r for r in shuffled if r.correctness == 1]
-        neg = [r for r in shuffled if r.correctness == 0]
-        balanced = pos[:len(neg)] + neg
+        shuffled = Annotations(records.data, rng.integers(0, 2, size=len(records)),
+                               records.correct)
+        pos = np.flatnonzero(shuffled.correct == 1)
+        neg = np.flatnonzero(shuffled.correct == 0)
+        balanced = shuffled.take(np.concatenate([pos[:len(neg)], neg]))
 
         def dconf_for(mode):
             params, _ = train_multitask(
-                synth_data.train, balanced, [],
+                synth_data.train, balanced, None,
                 ToastConfig(train=sweep_cfg.train, no_augment=True), mode)
             log = score_with_calibration_head(params, synth_data.test, mode)
             c = log.confidence

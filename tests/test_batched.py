@@ -13,6 +13,7 @@ equal featurizing the candidate texts, dtypes and bytes.
 """
 
 import copy
+import itertools
 import os
 import subprocess
 import sys
@@ -26,10 +27,10 @@ from hypothesis import strategies as st
 
 from conftest import FEATS, correct_mask, get_flat_params, grads_to_flat, part_rows
 from selfcal import augment, calibrators, corpus, model, toast
-from selfcal.apps import cascade_eval, score_with_calibration_head
+from selfcal.apps import PilotSweepConfig, cascade_eval, pilot_sweeps, score_with_calibration_head
 from selfcal.augment import SynonymLexicon, greedy_attack
 from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog, train_with_temperature
-from selfcal.corpus import Dataset, Sample, vocabulary
+from selfcal.corpus import Dataset, Sample, generate_synthetic, vocabulary
 from selfcal.metrics import (
     DEFAULT_THRESHOLD_GRID,
     _tied_ranks,
@@ -62,7 +63,7 @@ from selfcal.model import (
     softmax,
     train_main,
 )
-from selfcal.toast import ToastConfig, _batches, run_toast
+from selfcal.toast import ToastConfig, _batches, downsample_balance, run_toast
 
 TOL = 1e-12
 
@@ -351,11 +352,8 @@ def test_memoised_matrix_is_shared_and_read_only():
     assert d == Dataset(d.samples, d.label_names)
 
 
-@pytest.mark.parametrize("flags", [{"k": 3}, {"no_cross_annotation": True}])
-def test_each_dataset_is_hashed_once(synth_data, lexicon, monkeypatch, flags):
-    """Folds and the baselines' split take rows of the parent's matrix; only
-    the calibration records and both sides of the augmented pairs are hashed
-    on their own."""
+def count_hashed_rows(monkeypatch) -> list[int]:
+    """Patch every module's ``featurize_batch`` to log its batch sizes."""
     hashed = []
 
     def counting(texts_a, texts_b=None, cfg=FeaturizerConfig()):
@@ -365,14 +363,117 @@ def test_each_dataset_is_hashed_once(synth_data, lexicon, monkeypatch, flags):
 
     for module in (augment, calibrators, corpus, toast):
         monkeypatch.setattr(module, "featurize_batch", counting)
+    return hashed
+
+
+def fresh(d: Dataset) -> Dataset:
+    """``d`` with no memoised feature matrix."""
+    return Dataset(d.samples, d.label_names, d.task_kind)
+
+
+@pytest.mark.parametrize("flags", [{"k": 3}, {"no_cross_annotation": True},
+                                   {"augment_per_negative": 2}])
+def test_each_dataset_is_hashed_once(synth_data, lexicon, monkeypatch, flags):
+    """Folds, the calibration rows, the clean side of the augmented pairs and
+    the baselines' split take rows of the parent's matrix; only the augmented
+    texts are hashed on their own."""
+    hashed = count_hashed_rows(monkeypatch)
     tc = TrainConfig(epochs=2, hidden_dim=8, seed=3, features=FEATS)
-    d = Dataset(synth_data.train.samples, synth_data.train.label_names)
+    d = fresh(synth_data.train)
     _, art = run_toast(d, ToastConfig(train=tc, **flags), lexicon)
-    assert art.daug and sum(hashed) == len(d) + len(art.dstar) + 2 * len(art.daug)
+    assert art.daug and sum(hashed) == len(d) + len(art.daug)
     hashed.clear()
-    train = Dataset(synth_data.train.samples, synth_data.train.label_names)
+    train = fresh(synth_data.train)
     train_with_temperature(train, tc)
     assert sum(hashed) == len(train)
+
+
+def test_annotators_on_other_features_hash_each_text_once_per_config(synth_data, lexicon,
+                                                                    monkeypatch):
+    # No text is hashed twice under one FeaturizerConfig: the task rows once
+    # per config, then the augmented texts.
+    hashed = count_hashed_rows(monkeypatch)
+    tc = TrainConfig(epochs=2, hidden_dim=8, seed=3, features=FEATS)
+    cfg = ToastConfig(train=tc, annotator_train=replace(
+        tc, epochs=1, features=FeaturizerConfig(hash_dim=512, ngram_max=1)))
+    d = fresh(synth_data.train)
+    _, art = run_toast(d, cfg, lexicon)
+    assert art.daug and sum(hashed) == 2 * len(d) + len(art.daug)
+
+
+@pytest.mark.parametrize("flags", [{"k": 3}, {"no_cross_annotation": True}])
+def test_stage_3_matrices_equal_featurizing_the_records(synth_data, lexicon, monkeypatch,
+                                                        flags):
+    """On a pair task, the matrices stage 3 trains on are byte-equal to
+    featurizing the audit bundle's texts: the calibration rows, the clean
+    side of the augmented pairs, and the augmented texts with their second
+    segments."""
+    d = Dataset([replace(s, text_b=" ".join(s.text_a.split()[::-2]) + f" b{i % 5}")
+                 for i, s in enumerate(synth_data.train)], synth_data.train.label_names, "pair")
+    # Every batch is the whole collection, so the first step sees each matrix.
+    monkeypatch.setattr(toast, "_batches", lambda n, size, rng: itertools.repeat(np.arange(n)))
+    seen = {}
+    for name in ("calib_batch_grads", "consistency_batch_grads"):
+        def recording(p, *args, _name=name, _fn=getattr(toast, name)):
+            seen.setdefault(_name, args)
+            return _fn(p, *args)
+        monkeypatch.setattr(toast, name, recording)
+    tc = TrainConfig(epochs=1, hidden_dim=8, seed=3, batch_size=len(d), features=FEATS)
+    _, art = run_toast(d, ToastConfig(train=tc, augment_per_negative=2, **flags), lexicon)
+
+    rows = art.daug.rows.tolist()
+    assert rows and rows[::2] == rows[1::2]   # each wrong row augmented twice
+    dstar = art.dstar
+    assert_same_matrix(seen["calib_batch_grads"][0], featurize_batch(
+        [r.text_a for r in dstar], [r.text_b for r in dstar], FEATS))
+    clean, aug = seen["consistency_batch_grads"][:2]
+    text_b = [dstar[i].text_b for i in rows]
+    assert all(text_b)
+    assert_same_matrix(clean, featurize_batch([dstar[i].text_a for i in rows], text_b, FEATS))
+    assert_same_matrix(aug, featurize_batch(art.daug.texts, text_b, FEATS))
+    assert not np.array_equal(aug.indptr, featurize_batch(art.daug.texts, None, FEATS).indptr)
+
+
+@pytest.mark.parametrize("kind", ["size", "imbalance", "features"])
+def test_pilot_sweeps_hash_each_dataset_once(synth_data, synth_cfg, monkeypatch, kind):
+    """Grid points take rows of the annotated pool; no point hashes a text,
+    and no empty batch is hashed for the absent augmented pairs."""
+    hashed = count_hashed_rows(monkeypatch)
+    tc = TrainConfig(epochs=1, hidden_dim=8, seed=3, features=FEATS)
+    cfg = PilotSweepConfig(annotator=tc, train=replace(tc, seed=4), seeds=(0, 1),
+                           sizes=(20, 80), ratios=(0.3, 0.7), fixed_factors=(1, 2))
+    train, test = fresh(synth_data.train), fresh(synth_data.test)
+    pool = generate_synthetic(replace(synth_cfg, seed=77)).train
+    rows = pilot_sweeps(train, pool, test, kind, cfg)
+    assert any(r["n_seeds"] for r in rows)
+    assert sum(hashed) == len(train) + len(pool) + len(test)
+    assert 0 not in hashed
+
+
+def ref_downsample_balance(correct, rng):
+    """The record-list rebalancing: kept positions in input order."""
+    neg = [i for i, c in enumerate(correct) if c == 0]
+    pos = [i for i, c in enumerate(correct) if c == 1]
+    minority, majority = (neg, pos) if len(neg) <= len(pos) else (pos, neg)
+    chosen = rng.choice(len(majority), size=len(minority), replace=False)
+    keep = set(minority) | {majority[int(i)] for i in chosen}
+    return [i for i in range(len(correct)) if i in keep]
+
+
+@settings(max_examples=80, deadline=None)
+@given(correct=st.lists(st.integers(0, 1), min_size=2, max_size=80),
+       seed=st.integers(0, 2 ** 16))
+def test_row_rebalancing_draws_what_the_record_lists_drew(correct, seed):
+    # The same draws from the same streams as the record lists, so the
+    # calibration sets and the imbalance sweep's class orders do not move.
+    if len(set(correct)) == 2:
+        got = downsample_balance(np.array(correct), np.random.default_rng(seed))
+        assert got.tolist() == ref_downsample_balance(correct, np.random.default_rng(seed))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for c in (0, 1):
+        listed = [i for i, x in enumerate(correct) if x == c]
+        ref_rng.shuffle(listed)
+        assert rng.permutation(np.flatnonzero(np.array(correct) == c)).tolist() == listed
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import correct_mask, get_flat_params, set_flat_params
 from selfcal.corpus import (
+    Annotations,
     Dataset,
     Sample,
     SynthConfig,
@@ -157,6 +158,36 @@ class TestDatasetInvariants:
     def test_duplicate_label_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate label names"):
             Dataset((Sample("x", "a", None, 0),), ("p", "q", "p"))
+
+
+class TestAnnotations:
+    DATA = Dataset((Sample("a", "x y", label=0), Sample("b", "y z", label=1),
+                    Sample("c", "z x", label=2)), ("n", "p", "q"))
+
+    @pytest.mark.parametrize("predicted,correct,message", [
+        ([0, 1], [1, 1, 0], "not aligned: 3 rows, 2 predictions, 3 correctness"),
+        ([0, 1, 2], [1, 1, 0, 1], "not aligned: 3 rows, 3 predictions, 4 correctness"),
+        ([0, 1, 2], [1, 2, 0], "correctness must be 0 or 1"),
+        ([0, 1, 2], [1, -1, 0], "correctness must be 0 or 1"),
+        ([0, -1, 2], [1, 0, 1], r"predicted labels must be in \[0, 3\)"),
+        ([0, 1, 3], [1, 1, 0], r"predicted labels must be in \[0, 3\)"),
+    ])
+    def test_bad_annotations_fail_in_one_line(self, predicted, correct, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            Annotations(self.DATA, predicted, correct)
+        assert "\n" not in str(exc.value)
+
+    def test_take_selects_rows_and_carries_the_matrices(self):
+        d = Dataset(self.DATA.samples, self.DATA.label_names)
+        m = d.features(FeaturizerConfig(hash_dim=64))
+        a = Annotations(d, [True, 1, 0], np.array([1, 1, 0], dtype=np.int8)).take([2, 0])
+        assert a.predicted.dtype == a.correct.dtype == np.int64
+        assert len(a) == 2 and a.data.ids() == ["c", "a"]
+        assert a.predicted.tolist() == a.correct.tolist() == [0, 1]
+        taken = m.take([2, 0])
+        got = a.data._features[FeaturizerConfig(hash_dim=64)]
+        assert all(np.array_equal(getattr(got, k), getattr(taken, k))
+                   for k in ("indptr", "indices", "values"))
 
 
 class TestSplitFolds:

@@ -9,12 +9,12 @@ import pytest
 from conftest import FEATS, get_flat_params, make_separable
 from selfcal import toast
 from selfcal.calibrators import Calibrator
-from selfcal.corpus import CalibrationRecord, split_folds
+from selfcal.corpus import Annotations, Dataset, Sample, split_folds
 from selfcal.metrics import delta_conf
 from selfcal.model import TrainConfig, train_main
 from selfcal.augment import TransformKind
 from selfcal.toast import (
-    AugmentedRecord,
+    AugmentSet,
     ToastConfig,
     build_augment_set,
     cross_annotate,
@@ -29,43 +29,47 @@ def _toast_cfg(seed=100, **kwargs) -> ToastConfig:
     return ToastConfig(train=train, **kwargs)
 
 
-def _records(n_pos, n_neg):
-    recs = []
-    for i in range(n_pos):
-        recs.append(CalibrationRecord(f"p{i}", f"tok{i} words", None, 0, 1))
-    for i in range(n_neg):
-        recs.append(CalibrationRecord(f"n{i}", f"tok{i} other", None, 1, 0))
-    return recs
+def _records(n_pos, n_neg) -> Annotations:
+    """``n_pos`` right predictions, then ``n_neg`` wrong ones, of label 0."""
+    samples = [Sample(f"p{i}", f"tok{i} words") for i in range(n_pos)]
+    samples += [Sample(f"n{i}", f"tok{i} other") for i in range(n_neg)]
+    return Annotations(Dataset(samples, ("a", "b")),
+                       [0] * n_pos + [1] * n_neg, [1] * n_pos + [0] * n_neg)
+
+
+def _ids(annotations, rows):
+    return [annotations.data.samples[i].id for i in rows]
 
 
 class TestCrossAnnotate:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_output_size_equals_input_size(self, synth_data, k):
         result = cross_annotate(synth_data.train, _toast_cfg(k=k))
-        assert len(result.records) == len(synth_data.train)
+        assert len(result.annotations) == len(synth_data.train)
 
     def test_perfect_annotator_marks_everything_correct(self):
         d = make_separable(n_per_class=30)
         result = cross_annotate(d, ToastConfig(
             train=TrainConfig(epochs=5, hidden_dim=8, seed=4, features=FEATS)))
-        assert all(r.correctness == 1 for r in result.records)
+        assert all(result.annotations.correct == 1)
 
     def test_leakage_freedom(self, synth_data):
         cfg = _toast_cfg(k=3)
         result = cross_annotate(synth_data.train, cfg)
-        # Records come out round by round; each record's id must sit in its
-        # round's held-out fold and never in that round's training ids.
+        # Rows come out round by round; each row's id must sit in its round's
+        # held-out fold and never in that round's training ids.
+        ids = result.annotations.data.ids()
         offset = 0
         for rnd in result.rounds:
             heldout = set(rnd.heldout_ids)
             train_ids = set(rnd.train_ids)
             assert not heldout & train_ids
-            chunk = result.records[offset:offset + len(rnd.heldout_ids)]
+            chunk = ids[offset:offset + len(rnd.heldout_ids)]
             offset += len(rnd.heldout_ids)
-            for rec in chunk:
-                assert rec.sample_id in heldout
-                assert rec.sample_id not in train_ids
-        assert offset == len(result.records)
+            for sample_id in chunk:
+                assert sample_id in heldout
+                assert sample_id not in train_ids
+        assert offset == len(result.annotations)
 
     @pytest.mark.parametrize("flags", [{"k": 3}, {"k": 5}, {"no_cross_annotation": True}])
     def test_rounds_train_on_the_other_folds_in_fold_order(self, synth_data, monkeypatch,
@@ -97,51 +101,53 @@ class TestCrossAnnotate:
 
     def test_mixed_correctness_on_hard_data(self, synth_data):
         result = cross_annotate(synth_data.train, _toast_cfg())
-        kinds = {r.correctness for r in result.records}
+        kinds = set(result.annotations.correct.tolist())
         assert kinds == {0, 1}
 
     def test_no_cross_annotation_is_one_round_over_a_tenth(self, synth_data):
         cfg = _toast_cfg(no_cross_annotation=True)
         result = cross_annotate(synth_data.train, cfg)
         n = len(synth_data.train)
-        assert abs(len(result.records) - n // 10) <= 1
+        assert abs(len(result.annotations) - n // 10) <= 1
         [rnd] = result.rounds
         assert not set(rnd.heldout_ids) & set(rnd.train_ids)
         # Round 0 of a ten-fold split, trained with the annotator's own seed.
         tenths = split_folds(synth_data.train, 10, cfg.train.seed)
         assert rnd.heldout_ids == tuple(synth_data.train.subset(tenths[0]).ids())
         assert rnd.seed == cfg.annotator_config.seed
-        assert [r.sample_id for r in result.records] == list(rnd.heldout_ids)
+        assert result.annotations.data.ids() == list(rnd.heldout_ids)
 
 
 class TestDownsampleBalance:
     def test_majority_cut_to_minority(self):
-        out = downsample_balance(_records(90, 10), np.random.default_rng(0))
-        pos = [r for r in out if r.correctness == 1]
-        neg = [r for r in out if r.correctness == 0]
+        recs = _records(90, 10)
+        out = downsample_balance(recs.correct, np.random.default_rng(0))
+        pos = [i for i in out if recs.correct[i] == 1]
+        neg = [i for i in out if recs.correct[i] == 0]
         assert len(pos) == len(neg) == 10
+        assert out.dtype == np.int64 and np.all(np.diff(out) > 0)
 
     def test_already_balanced_unchanged(self):
         recs = _records(10, 10)
-        out = downsample_balance(recs, np.random.default_rng(0))
-        assert out == recs
+        out = downsample_balance(recs.correct, np.random.default_rng(0))
+        assert out.tolist() == list(range(len(recs)))
 
     def test_minority_untouched(self):
         recs = _records(50, 7)
-        out = downsample_balance(recs, np.random.default_rng(1))
-        kept_neg = [r.sample_id for r in out if r.correctness == 0]
-        assert kept_neg == [r.sample_id for r in recs if r.correctness == 0]
+        out = downsample_balance(recs.correct, np.random.default_rng(1))
+        kept_neg = _ids(recs, [i for i in out if recs.correct[i] == 0])
+        assert kept_neg == _ids(recs, np.flatnonzero(recs.correct == 0))
 
     def test_no_duplicates_in_selection(self):
-        out = downsample_balance(_records(100, 20), np.random.default_rng(2))
-        ids = [r.sample_id for r in out]
+        recs = _records(100, 20)
+        ids = _ids(recs, downsample_balance(recs.correct, np.random.default_rng(2)))
         assert len(ids) == len(set(ids))
 
     def test_degenerate_classes_error(self):
         with pytest.raises(ValueError, match="degenerate"):
-            downsample_balance(_records(30, 0), np.random.default_rng(0))
+            downsample_balance(_records(30, 0).correct, np.random.default_rng(0))
         with pytest.raises(ValueError, match="degenerate"):
-            downsample_balance(_records(0, 30), np.random.default_rng(0))
+            downsample_balance(_records(0, 30).correct, np.random.default_rng(0))
 
 
 class TestBuildAugmentSet:
@@ -155,18 +161,20 @@ class TestBuildAugmentSet:
         cfg = _toast_cfg(augment_per_negative=3)
         out = build_augment_set(recs, lexicon, cfg, np.random.default_rng(3))
         assert len(out) == 12
+        assert out.rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
 
     def test_sources_are_negatives_only(self, lexicon):
         recs = _records(5, 5)
-        neg_ids = {r.sample_id for r in recs if r.correctness == 0}
+        neg_ids = set(_ids(recs, np.flatnonzero(recs.correct == 0)))
         out = build_augment_set(recs, lexicon, _toast_cfg(), np.random.default_rng(4))
-        assert {a.sample_id for a in out} <= neg_ids
+        assert set(_ids(recs, out.rows)) <= neg_ids
 
     def test_deterministic_given_seed(self, lexicon):
         recs = _records(2, 8)
         a = build_augment_set(recs, lexicon, _toast_cfg(), np.random.default_rng(5))
         b = build_augment_set(recs, lexicon, _toast_cfg(), np.random.default_rng(5))
-        assert a == b
+        assert np.array_equal(a.rows, b.rows)
+        assert (a.texts, a.kinds) == (b.texts, b.kinds)
 
 
 class TestTrainMultitask:
@@ -182,13 +190,13 @@ class TestTrainMultitask:
         # With alpha=0, the consistency term exists but cannot move parameters,
         # so the trajectory must match a run without the term entirely.
         d = synth_data.train.subset(range(80))
-        records = cross_annotate(d, _toast_cfg()).records
-        balanced = downsample_balance(list(records), np.random.default_rng(0))
+        records = cross_annotate(d, _toast_cfg()).annotations
+        balanced = records.take(downsample_balance(records.correct, np.random.default_rng(0)))
         daug = build_augment_set(balanced, lexicon, _toast_cfg(),
                                  np.random.default_rng(1))
         cfg_two_term = _toast_cfg(no_augment=True)
         cfg_alpha_zero = _toast_cfg(alpha=0.0)
-        a, trace_a = train_multitask(d, balanced, [], cfg_two_term)
+        a, trace_a = train_multitask(d, balanced, None, cfg_two_term)
         b, trace_b = train_multitask(d, balanced, daug, cfg_alpha_zero)
         assert np.array_equal(get_flat_params(a), get_flat_params(b))
         assert [r["l_main"] for r in trace_a] == [r["l_main"] for r in trace_b]
@@ -197,18 +205,18 @@ class TestTrainMultitask:
 
     def test_identity_transform_gives_zero_consistency(self, synth_data):
         d = synth_data.train.subset(range(80))
-        records = list(cross_annotate(d, _toast_cfg()).records)
-        balanced = downsample_balance(records, np.random.default_rng(0))
-        daug = [AugmentedRecord(r.sample_id, r.text_a, r.text_b, r.text_a,
-                                r.predicted_label,
-                                transform=TransformKind.SYNONYM_SUBSTITUTION)
-                for r in balanced if r.correctness == 0]
+        records = cross_annotate(d, _toast_cfg()).annotations
+        balanced = records.take(downsample_balance(records.correct, np.random.default_rng(0)))
+        rows = np.flatnonzero(balanced.correct == 0)
+        daug = AugmentSet(rows, [balanced.data.samples[i].text_a for i in rows],
+                          [TransformKind.SYNONYM_SUBSTITUTION] * len(rows))
         _, trace = train_multitask(d, balanced, daug, _toast_cfg())
         assert all(row["l_consistency"] == 0.0 for row in trace)
 
     def test_empty_calibration_set_rejected(self, synth_data):
         with pytest.raises(ValueError, match="calibration"):
-            train_multitask(synth_data.train, [], [], _toast_cfg())
+            train_multitask(synth_data.train, Annotations(synth_data.train.subset([]), [], []),
+                            None, _toast_cfg())
 
     def test_deterministic(self, synth_data, lexicon):
         cfg = _toast_cfg()

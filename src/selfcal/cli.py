@@ -472,7 +472,23 @@ def _sweep_fingerprint(cfg: dict, kind: str, points: list[dict]) -> str:
     return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+# The sweep's point evaluator in a worker process, with the inputs shared by
+# every point bound in, set once per worker by the pool's initializer.
+_sweep_worker = None
+
+
+def _init_sweep_worker(worker) -> None:
+    global _sweep_worker
+    _sweep_worker = worker
+
+
+def _run_sweep_point(point: dict) -> dict:
+    return _sweep_worker(point)
+
+
 def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     out.mkdir(parents=True, exist_ok=True)
     kind = kind or cfg["sweep"]["kind"]
     sw = cfg["sweep"]
@@ -510,11 +526,15 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
         annotations = apps.seed_annotations(train_d, _load_pool(cfg), sweep_cfg)
     worker = partial(apps.evaluate_point, train=train_d, test=test_d,
                      cfg=sweep_cfg, annotations=annotations, lexicon=lexicon)
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(todo) > 1 else None
+    pool = None
+    if jobs > 1 and len(todo) > 1:
+        # Each worker gets the shared inputs once, and each task only its point.
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_sweep_worker,
+                                   initargs=(worker,))
     with pool or nullcontext():
         # Each row is appended as soon as it arrives, so an interrupted sweep
         # keeps its finished points.
-        for row in (pool.map if pool else map)(worker, todo):
+        for row in (pool.map(_run_sweep_point, todo) if pool else map(worker, todo)):
             done[row["point_id"]] = row
             new_file = not csv_path.exists()
             with open(csv_path, "a", encoding="utf-8", newline="") as fh:

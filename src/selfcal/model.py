@@ -15,7 +15,7 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from zlib import crc32
 
@@ -90,28 +90,79 @@ class FeatureMatrix:
         return FeatureMatrix(indptr, self.indices[src], self.values[src], self.dim)
 
 
+# featurize_batch hashes a call of fewer tokens than this text by text (a
+# Counter of each text's n-gram buckets) and a larger one through the
+# token-id core, which has a fixed numpy cost of about 0.1 ms a chunk. On
+# texts of the benchmark's 400-word vocabulary (hash 2 ** 14, 2-core Xeon,
+# numpy 2.4) one text of 128 tokens took 118 us in the core against 88 us
+# text by text, one of 512 tokens 293 us against 337 us, and 16 texts of 8
+# tokens 119 us against 137 us: the paths break even between 128 and 512
+# tokens. Single requests stay text by text; both paths give byte-identical
+# matrices.
+ID_CORE_MIN_TOKENS = 256
+
+# Tokens per chunk of the token-id core: the chunk's n-gram codes, sorts and
+# per-occurrence keys are a few int64 arrays of about this length, so the
+# core's temporaries stay under 1 MiB whatever the size of the call. On 8000
+# texts of 8/32/128 tokens the whole call as one chunk peaked at 16x the
+# returned matrix's bytes, against 2x with chunks of 4096 tokens, which ran
+# as fast as chunks of 1024 to 16384.
+CHUNK_TOKENS = 4096
+
+
 def featurize_batch(texts_a, texts_b=None,
                     cfg: FeaturizerConfig = FeaturizerConfig()) -> FeatureMatrix:
     """Hash unigrams..ngram_max of each text (pair) into ``cfg.hash_dim``
     count buckets, one matrix row per text.
 
-    Deterministic (crc32-based, unsalted). When a ``texts_b`` entry is present
-    and segment tagging is on, its tokens carry a marker so "x" in segment a
-    and "x" in segment b land in different buckets.
+    Deterministic (crc32-based, unsalted): an n-gram's bucket is the crc32 of
+    its words joined by spaces, masked to ``hash_dim``. When a ``texts_b``
+    entry is present and segment tagging is on, its tokens carry a marker so
+    "x" in segment a and "x" in segment b land in different buckets; no
+    n-gram spans the two segments.
+
+    A call of fewer than ``ID_CORE_MIN_TOKENS`` tokens (a single request) is
+    hashed text by text, with one ``Counter`` per text. A larger one goes
+    through the token-id core in chunks of about ``CHUNK_TOKENS`` tokens,
+    which hashes each distinct n-gram of a chunk once rather than each
+    occurrence (see ``_hash_chunk``). Both give the same arrays, byte for
+    byte, so a text hashes the same alone and in any batch.
     """
-    mask = cfg.hash_dim - 1
-    indptr, indices, counts = array("q", [0]), array("I"), array("I")
+    texts = _tokenized(texts_a, texts_b, cfg)
+    head, size = [], 0
+    for text in texts:
+        head.append(text)
+        size += len(text[0]) + len(text[1] or ())
+        if size >= ID_CORE_MIN_TOKENS:
+            return _hash_chunks(chain(head, texts), cfg, CHUNK_TOKENS)
+    return _hash_per_text(head, cfg)
+
+
+def _tokenized(texts_a, texts_b, cfg: FeaturizerConfig):
+    """Each text (pair)'s tokens: ``(tokens_a, tokens_b)``, where ``tokens_b``
+    is None for a missing second segment and carries the segment-b marker
+    under segment tagging."""
     pairs = (zip(texts_a, repeat(None)) if texts_b is None
              else zip(texts_a, texts_b, strict=True))
     for text_a, text_b in pairs:
         toks = _tokens(text_a, cfg.lowercase)
         if not toks:
             raise ValueError("text_a has no tokens")
-        keys = _ngram_keys(toks, cfg.ngram_max)
+        toks_b = None
         if text_b is not None:
             toks_b = _tokens(text_b, cfg.lowercase)
             if cfg.segment_tagging:
                 toks_b = [_SEGMENT_B_MARK + t for t in toks_b]
+        yield toks, toks_b
+
+
+def _hash_per_text(texts, cfg: FeaturizerConfig) -> FeatureMatrix:
+    """The matrix of tokenized texts, one ``Counter`` of n-gram buckets each."""
+    mask = cfg.hash_dim - 1
+    indptr, indices, counts = array("q", [0]), array("I"), array("I")
+    for toks, toks_b in texts:
+        keys = _ngram_keys(toks, cfg.ngram_max)
+        if toks_b is not None:
             keys += _ngram_keys(toks_b, cfg.ngram_max)
         row = Counter(_buckets(keys, mask))
         buckets = sorted(row)
@@ -124,6 +175,90 @@ def featurize_batch(texts_a, texts_b=None,
     return FeatureMatrix(np.frombuffer(indptr.tobytes(), dtype=np.int64),
                          np.frombuffer(indices.tobytes(), dtype=np.uint32),
                          values, cfg.hash_dim)
+
+
+def _hash_chunks(texts, cfg: FeaturizerConfig, chunk_tokens: int) -> FeatureMatrix:
+    """The matrix of tokenized texts through the token-id core, a chunk of at
+    least ``chunk_tokens`` tokens (the last chunk may hold fewer) at a time.
+    Each word's crc32 and ``b" " + word`` are computed once per call."""
+    words: dict[str, tuple[int, bytes]] = {}
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32),
+              np.empty(0, dtype=np.float32))]
+    chunk, size = [], 0
+    for text in texts:
+        chunk.append(text)
+        size += len(text[0]) + len(text[1] or ())
+        if size >= chunk_tokens:
+            parts.append(_hash_chunk(chunk, cfg, words))
+            chunk, size = [], 0
+    if chunk:
+        parts.append(_hash_chunk(chunk, cfg, words))
+    lengths, indices, values = map(np.concatenate, zip(*parts))
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    for a in (indptr, indices, values):
+        a.setflags(write=False)
+    return FeatureMatrix(indptr, indices, values, cfg.hash_dim)
+
+
+def _hash_chunk(chunk: list, cfg: FeaturizerConfig, words: dict
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The token-id core on one chunk of tokenized texts: per row, its number
+    of distinct buckets, then the sorted buckets of all rows (uint32) and
+    their counts (float32).
+
+    The chunk's T tokens, every segment end to end, become word ids below T.
+    Level n codes every n-gram that ends inside its segment as (index of its
+    first n - 1 words among the distinct (n-1)-grams) * T + (id of its last
+    word), starting from the word ids at level 1, so a code stays below T ** 2
+    at every level. One ``np.unique`` per level numbers the distinct n-grams,
+    and each one's crc32 is chained once from its prefix's,
+    ``crc32(b" " + word, crc32(prefix)) == crc32(prefix + b" " + word)``. One
+    ``np.unique`` of ``(row << 32) | bucket`` over every occurrence then gives
+    each row's sorted buckets and their counts."""
+    mask = min(cfg.hash_dim, 2 ** 32) - 1   # a crc32 is below 2 ** 32
+    toks, seg_lengths, seg_rows = [], [], []
+    for row, (toks_a, toks_b) in enumerate(chunk):
+        toks += toks_a
+        seg_lengths.append(len(toks_a))
+        seg_rows.append(row)
+        if toks_b:
+            toks += toks_b
+            seg_lengths.append(len(toks_b))
+            seg_rows.append(row)
+    # A word's id is the position of its first occurrence in the chunk.
+    n_toks, first = len(toks), {}
+    ids = np.fromiter(map(first.setdefault, toks, count()), dtype=np.int64, count=n_toks)
+    crcs, spaced = [0] * n_toks, [b""] * n_toks
+    for w, i in first.items():
+        got = words.get(w)
+        if got is None:
+            b = w.encode()
+            got = words[w] = (crc32(b), b" " + b)
+        crcs[i], spaced[i] = got
+    seg_lengths = np.array(seg_lengths, dtype=np.int64)
+    row_of_tok = np.repeat(np.array(seg_rows, dtype=np.int64), seg_lengths)
+    # Tokens from each position to the end of its segment.
+    left = np.repeat(np.cumsum(seg_lengths), seg_lengths) - np.arange(n_toks)
+
+    starts, prefix = np.arange(n_toks), ids
+    level_crcs = np.array(crcs, dtype=np.int64)
+    keys = [(row_of_tok << 32) | (level_crcs[ids] & mask)]
+    for n in range(2, cfg.ngram_max + 1):
+        keep = left[starts] >= n
+        starts = starts[keep]
+        if not len(starts):
+            break
+        codes = prefix[keep] * n_toks + ids[starts + (n - 1)]
+        distinct, prefix = np.unique(codes, return_inverse=True)
+        heads, lasts = np.divmod(distinct, n_toks)
+        crcs = list(map(crc32, map(spaced.__getitem__, lasts.tolist()),
+                        map(crcs.__getitem__, heads.tolist())))
+        level_crcs = np.array(crcs, dtype=np.int64)
+        keys.append((row_of_tok[starts] << 32) | (level_crcs[prefix] & mask))
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    row_lengths = np.bincount(keys >> 32, minlength=len(chunk))
+    return row_lengths, (keys & 0xFFFFFFFF).astype(np.uint32), counts.astype(np.float32)
 
 
 @dataclass(frozen=True)

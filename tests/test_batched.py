@@ -238,17 +238,61 @@ def test_empty_batch():
 WORDS = st.text(alphabet="abAB\x02é", min_size=1, max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(texts=st.lists(st.tuples(st.lists(WORDS, min_size=1, max_size=8),
                                 st.one_of(st.none(), st.lists(WORDS, max_size=5))),
-                      min_size=1, max_size=6),
-       ngram_max=st.integers(1, 3), lowercase=st.booleans(), tagging=st.booleans())
-def test_featurize_batch_property(texts, ngram_max, lowercase, tagging):
-    cfg = FeaturizerConfig(lowercase=lowercase, ngram_max=ngram_max, hash_dim=64,
+                      max_size=8),
+       ngram_max=st.integers(1, 4), hash_dim=st.sampled_from([2, 64, 2 ** 32]),
+       lowercase=st.booleans(), tagging=st.booleans(), chunk_tokens=st.integers(1, 12))
+# A text_a token that starts with the segment-b marker, next to a tagged
+# text_b: both are the same word, in one chunk.
+@example(texts=[(["\x02a", "b"], ["a", "b"])], ngram_max=2, hash_dim=2 ** 32,
+         lowercase=True, tagging=True, chunk_tokens=12)
+# An empty text_b (no tokens) next to a missing one.
+@example(texts=[(["a"], []), (["b", "a"], None), (["a"], [])], ngram_max=3, hash_dim=64,
+         lowercase=False, tagging=True, chunk_tokens=2)
+# A chunk tail of one token.
+@example(texts=[(["a", "b", "a"], None), (["b"], None)], ngram_max=4, hash_dim=64,
+         lowercase=True, tagging=False, chunk_tokens=3)
+@example(texts=[], ngram_max=2, hash_dim=64, lowercase=True, tagging=True, chunk_tokens=1)
+def test_featurize_batch_property(texts, ngram_max, hash_dim, lowercase, tagging,
+                                  chunk_tokens):
+    cfg = FeaturizerConfig(lowercase=lowercase, ngram_max=ngram_max, hash_dim=hash_dim,
                            segment_tagging=tagging)
     pairs = [(" ".join(a), None if b is None else " ".join(b)) for a, b in texts]
-    assert_rows_match(featurize_batch([a for a, _ in pairs], [b for _, b in pairs], cfg),
-                      pairs, cfg)
+    texts_a, texts_b = [a for a, _ in pairs], [b for _, b in pairs]
+    # featurize_batch's two paths: text by text, and the token-id core in
+    # chunks of chunk_tokens.
+    per_text = model._hash_per_text(model._tokenized(texts_a, texts_b, cfg), cfg)
+    id_core = model._hash_chunks(model._tokenized(texts_a, texts_b, cfg), cfg, chunk_tokens)
+    assert_rows_match(per_text, pairs, cfg)
+    assert_same_matrix(id_core, per_text)
+    assert_same_matrix(featurize_batch(texts_a, texts_b, cfg), per_text)
+    assert not any(a.flags.writeable for m in (per_text, id_core)
+                   for a in (m.indptr, m.indices, m.values))
+
+
+def test_featurize_batch_picks_its_path_by_token_count(monkeypatch):
+    # With a threshold of 6 tokens and chunks of 3, a call of 5 tokens goes
+    # text by text and one of 6 through the id core, chunked mid-batch.
+    monkeypatch.setattr(model, "ID_CORE_MIN_TOKENS", 6)
+    monkeypatch.setattr(model, "CHUNK_TOKENS", 3)
+    paths = []
+    for name in ("_hash_per_text", "_hash_chunks", "_hash_chunk"):
+        monkeypatch.setattr(model, name, lambda *args, _f=getattr(model, name), _n=name:
+                            paths.append(_n) or _f(*args))
+    cfg = FeaturizerConfig(ngram_max=3, hash_dim=64)
+    for pairs, want in (([("a b", "c"), ("d e", None)], ["_hash_per_text"]),
+                        ([("a b", "c"), ("d e f", None)], ["_hash_chunks"] + 2 * ["_hash_chunk"]),
+                        ([("a b c d e f g", "")], ["_hash_chunks", "_hash_chunk"])):
+        paths.clear()
+        m = featurize_batch([a for a, _ in pairs], [b for _, b in pairs], cfg)
+        assert paths == want
+        assert_rows_match(m, pairs, cfg)
+    # A text with no tokens fails the same way on both paths.
+    for texts in (["a b", " "], ["a b c d e f g", "\t"]):
+        with pytest.raises(ValueError, match="^text_a has no tokens$"):
+            featurize_batch(texts, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -369,13 +370,59 @@ class TestSweep:
                      "--out", str(par), "--jobs", "2"]) == 0
         assert (serial / "sweep.csv").read_text() == (par / "sweep.csv").read_text()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_config_error(self, config_path, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_path), "--kind", "size",
+                     "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --jobs must be >= 1, got {jobs}"]
+        assert not out.exists()
+
+    def test_parallel_sweep_ships_the_shared_inputs_once_per_worker(self, config_path,
+                                                                   tmp_path, monkeypatch):
+        shipped = []
+
+        class PicklingPool:
+            """Pickles what a spawned worker would receive and runs it in-process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                shipped.append(len(pickle.dumps(initargs)))
+                pickle.loads(pickle.dumps(initializer))(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, points):
+                for point in points:
+                    task = pickle.dumps((fn, point))
+                    shipped.append(len(task))
+                    fn, point = pickle.loads(task)
+                    yield fn(point)
+
+        serial, par = tmp_path / "s", tmp_path / "p"
+        assert main(["sweep", "--config", str(config_path), "--kind", "size",
+                     "--out", str(serial)]) == 0
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(cli, "_sweep_worker", None)   # set in-process; reset after
+        assert main(["sweep", "--config", str(config_path), "--kind", "size",
+                     "--out", str(par), "--jobs", "2"]) == 0
+        assert (serial / "sweep.csv").read_text() == (par / "sweep.csv").read_text()
+        # The datasets and annotations once, then a point of a few hundred bytes
+        # per task.
+        shared, *tasks = shipped
+        assert shared > 10_000 and len(tasks) == 2 and max(tasks) < 1_000
+
     def test_interrupted_parallel_sweep_keeps_finished_rows(self, config_path, tmp_path,
                                                             monkeypatch):
         class InterruptedPool:
             """Runs the first point in-process, then is interrupted."""
 
-            def __init__(self, max_workers):
-                pass
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -388,6 +435,7 @@ class TestSweep:
                 raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InterruptedPool)
+        monkeypatch.setattr(cli, "_sweep_worker", None)   # set in-process; reset after
         out = tmp_path / "sweep"
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--config", str(config_path), "--kind", "size",

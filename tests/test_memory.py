@@ -4,8 +4,9 @@ time, eval frees its main models before the cascade trains its own, model
 files are written and read without a second copy of a tensor, the batched
 encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time, an SGD
 step forms its encoder-gradient rows one block of ``GRAD_BLOCK_BYTES`` at a
-time, and the attack scores one group of ``ATTACK_GROUP`` samples' candidates
-at a time."""
+time, the attack scores one group of ``ATTACK_GROUP`` samples' candidates
+at a time, and ``featurize_batch`` hashes a large call one chunk of about
+``CHUNK_TOKENS`` tokens at a time."""
 
 import tracemalloc
 from dataclasses import replace
@@ -126,6 +127,20 @@ def test_attack_scores_one_group_at_a_time():
     peak, (adv, _) = peak_bytes(attack_dataset, params, test_d, lexicon, 6, 200)
     assert peak < 4 * 2 ** 20
     assert len(adv) == 200   # the success limit ends the attack, many groups in
+
+
+def test_featurize_batch_hashes_one_chunk_at_a_time():
+    # perfbench's score_stream batch: 8000 texts of 8, 32 and 128 tokens,
+    # 6.4 MiB of matrix. Under tracemalloc (numpy 2.4) the peak was 2.0x the
+    # matrix's bytes with chunks of 4096 tokens (the chunks' arrays are joined
+    # once at the end) and text by text, 3.4x with chunks of 65536 tokens and
+    # 16x with the whole call as one chunk.
+    rng = np.random.default_rng(0)
+    words = [f"w{j}" for j in range(400)]
+    texts = [" ".join(map(words.__getitem__, rng.integers(0, 400, size=(8, 32, 128)[i % 3])))
+             for i in range(8000)]
+    peak, m = peak_bytes(featurize_batch, texts, None, FeaturizerConfig(hash_dim=2 ** 14))
+    assert peak < 3 * (m.indptr.nbytes + m.indices.nbytes + m.values.nbytes)
 
 
 @pytest.fixture(scope="module")

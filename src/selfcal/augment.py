@@ -10,20 +10,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 from pathlib import Path
-from zlib import crc32
 
 import numpy as np
 
 from .corpus import Dataset, Sample, SynthConfig, class_tokens, noise_tokens
-from .model import (
-    FeatureMatrix,
-    FeaturizerConfig,
-    ModelParameters,
-    _tokens,
-    featurize_batch,
-    predict_batch,
-    softmax,
-)
+from .model import ModelParameters, featurize_batch, predict_batch, softmax
 
 
 class TransformKind(Enum):
@@ -185,9 +176,9 @@ def random_transform(text: str, rate: float, lexicon: SynonymLexicon,
 # Samples attacked in lockstep: each greedy step scores the candidates of a
 # whole group as one matrix, so a step's memory grows with the group. On
 # configs/default.ini's test split (200 successes; 2-core Xeon, numpy 2.4) the
-# attack took the same time with groups of 8 to 64 and with the whole split as
-# one group, while its tracemalloc peak was 2.0 MiB with 16, 3.7 MiB with 32,
-# 7.2 MiB with 64 and 21 MiB with the whole split.
+# attack took about the same time (0.19-0.23 s) with groups of 8 to 64 and
+# with the whole split as one group, while its tracemalloc peak was 1.6 MiB
+# with 16, 1.9 MiB with 32, 2.7 MiB with 64 and 5.7 MiB with the whole split.
 ATTACK_GROUP = 16
 
 
@@ -206,66 +197,58 @@ def greedy_attack(p: ModelParameters, s: Sample, lexicon: SynonymLexicon,
     labels, _, z, _ = predict_batch(p, m)
     if labels[0] != s.label:
         raise ValueError("attack requires a correctly classified input")
-    return _attack_group(p, [s], m, softmax(z)[:, s.label], lexicon, budget, {})[0]
+    return _attack_group(p, [s], softmax(z)[:, s.label], lexicon, budget)[0]
 
 
-def _attack_group(p: ModelParameters, samples: list[Sample], rows: FeatureMatrix,
-                  current: np.ndarray, lexicon: SynonymLexicon, budget: int,
-                  words: dict) -> list[Sample | None]:
-    """``greedy_attack`` of every sample in ``samples``, in lockstep. ``rows``
-    holds their feature rows and ``current`` their gold-class probabilities;
-    ``words`` memoises each token's words for ``_position_deltas``.
+def _attack_group(p: ModelParameters, samples: list[Sample], current: np.ndarray,
+                  lexicon: SynonymLexicon, budget: int) -> list[Sample | None]:
+    """``greedy_attack`` of every sample in ``samples``, in lockstep, from
+    their gold-class probabilities ``current``.
 
-    Each step scores the candidates of every sample still under attack as one
-    batch, whose rows are the sample's current row plus each substitution's
-    count delta (no candidate text is hashed in full). Scoring is row by row,
-    so a sample's candidates score the same in any group. A position's deltas
-    are kept until a substitution within ``ngram_max - 1`` tokens of it
-    changes its n-grams.
+    Each step builds the candidate texts of every sample still under attack:
+    the sample's current tokens with one position replaced by a synonym,
+    joined by spaces, plus the sample's ``text_b``. One ``featurize_batch``
+    and one ``predict_batch`` score them all. Both work row by row, so a
+    sample's candidates score the same in any group.
     """
-    reach = p.features.ngram_max - 1
     gold = np.array([s.label for s in samples])
     current = current.copy()
     tokens = [s.text_a.split() for s in samples]
-    # Per sample, position -> (its candidates, their delta spans and buckets).
-    caches: list[dict[int, tuple]] = [{} for _ in samples]
     results: list[Sample | None] = [None] * len(samples)
-    live = list(range(len(samples)))   # rows[i] is the current row of samples[live[i]]
+    live = list(range(len(samples)))
     for _ in range(budget):
         # One flat list of (position, synonym) candidates for the group, and
-        # the flat spans and buckets of their deltas.
-        candidates, spans, buckets, sizes = [], [], [], []
+        # their texts.
+        candidates, texts, texts_b, sizes = [], [], [], []
         for k in live:
-            toks, cache = tokens[k], caches[k]
+            toks = tokens[k]
             before = len(candidates)
             for pos, tok in enumerate(toks):
-                entry = cache.get(pos)
-                if entry is None:
-                    syns = [syn for syn in lexicon.synonyms(tok) if syn != tok]
-                    entry = cache[pos] = ([(pos, syn) for syn in syns],
-                                          *_position_deltas(toks, pos, syns, p.features, words))
-                candidates += entry[0]
-                spans += entry[1]
-                buckets += entry[2]
+                # Each synonym in turn takes the position, which gets its
+                # token back after.
+                for syn in lexicon.synonyms(tok):
+                    if syn != tok:
+                        candidates.append((pos, syn))
+                        toks[pos] = syn
+                        texts.append(" ".join(toks))
+                toks[pos] = tok
             sizes.append(len(candidates) - before)
+            texts_b += [samples[k].text_b] * sizes[-1]
         sizes = np.array(sizes, dtype=np.int64)
-        if not sizes.all():   # no substitution left: those samples give up
-            live = [k for k, n in zip(live, sizes) if n]
-            rows = rows.take(np.flatnonzero(sizes))
-            sizes = sizes[sizes > 0]
+        live = [k for k, n in zip(live, sizes) if n]   # no substitution left: give up
+        sizes = sizes[sizes > 0]
         if not live:
             break
-        m = _candidate_rows(rows, sizes, spans, buckets)
-        labels, _, z, _ = predict_batch(p, m)
+        labels, _, z, _ = predict_batch(p, featurize_batch(texts, texts_b, p.features))
         owner = np.repeat(np.arange(len(live)), sizes)
-        probs = softmax(z)[np.arange(len(m)), gold[live][owner]]
+        probs = softmax(z)[np.arange(len(texts)), gold[live][owner]]
         # Each sample's first candidate of least gold probability, as argmin
         # would pick it from the sample's own batch.
         starts = np.cumsum(sizes) - sizes
         lowest = np.minimum.reduceat(probs, starts)
         hits = np.flatnonzero(probs == lowest[owner])
         best = hits[np.searchsorted(hits, starts)]
-        still, kept = [], []
+        still = []
         for k, low, b in zip(live, lowest, best.tolist()):
             if not low < current[k]:
                 continue
@@ -278,106 +261,8 @@ def _attack_group(p: ModelParameters, samples: list[Sample], rows: FeatureMatrix
                                     text_b=s.text_b, label=s.label)
                 continue
             still.append(k)
-            kept.append(b)
-            for stale in range(pos - reach, pos + reach + 1):
-                caches[k].pop(stale, None)
         live = still
-        rows = m.take(kept)
     return results
-
-
-def _word_hashes(token: str, lowercase: bool, words: dict) -> tuple:
-    """``token``'s featurizer words, each as (b" " + word, crc32(word)),
-    memoised in ``words`` (one memo per featurizer config)."""
-    got = words.get(token)
-    if got is None:
-        got = words[token] = tuple((b" " + w, crc32(w))
-                                   for w in map(str.encode, _tokens(token, lowercase)))
-    return got
-
-
-def _position_deltas(tokens: list[str], pos: int, replacements: list[str],
-                     cfg: FeaturizerConfig, words: dict) -> tuple[list[int], list[int]]:
-    """The count delta of replacing ``tokens[pos]`` by each of ``replacements``
-    in the text ``" ".join(tokens)``, as flat spans and buckets: per
-    replacement, a span of the buckets of the n-grams that overlap the old
-    token (-1 each), then a span of those of the new text that overlap the
-    replacement (+1 each).
-
-    Tokens and replacements may hold several words, split the way
-    ``featurize_batch`` splits the joined text, and hold at least one
-    (``SynonymLexicon`` rejects a synonym without one). So the n-grams that
-    overlap ``pos`` lie within ``ngram_max - 1`` tokens of it. An n-gram's
-    bucket is the crc32 of its words joined by spaces, chained word by word,
-    ``crc32(b" " + b, crc32(a)) == crc32(a + b" " + b)``, so no n-gram string
-    is built.
-    """
-    n, lowercase, mask = cfg.ngram_max, cfg.lowercase, cfg.hash_dim - 1
-    left = [w for t in tokens[max(0, pos - n + 1):pos]
-            for w in _word_hashes(t, lowercase, words)]
-    left = left[max(0, len(left) - n + 1):]
-    right = tuple(w for t in tokens[pos + 1:pos + n]
-                  for w in _word_hashes(t, lowercase, words))[:n - 1]
-    # The crc32 of each run of left words that ends at the token, and its
-    # length in words.
-    heads = []
-    for i in range(len(left)):
-        c = left[i][1]
-        for spaced, _ in left[i + 1:]:
-            c = crc32(spaced, c)
-        heads.append((c, len(left) - i))
-
-    def overlapping(token: str) -> list[int]:
-        middle = _word_hashes(token, lowercase, words)
-        seq = middle + right
-        out = []
-        for c, k in heads:
-            for spaced, _ in seq[:n - k]:
-                c = crc32(spaced, c)
-                out.append(c & mask)
-        for b in range(len(middle)):
-            c = seq[b][1]
-            out.append(c & mask)
-            for spaced, _ in seq[b + 1:b + n]:
-                c = crc32(spaced, c)
-                out.append(c & mask)
-        return out
-
-    removed = overlapping(tokens[pos])
-    spans, buckets = [], []
-    for rep in replacements:
-        added = overlapping(rep)
-        spans += (len(removed), len(added))
-        buckets += removed
-        buckets += added
-    return spans, buckets
-
-
-def _candidate_rows(rows: FeatureMatrix, sizes: np.ndarray, spans: list[int],
-                    buckets: list[int]) -> FeatureMatrix:
-    """Row ``i`` of ``rows`` repeated ``sizes[i]`` times, repeat ``j`` minus
-    one count for each of its delta's first ``spans[2 * j]`` flat ``buckets``
-    and plus one for each of the next ``spans[2 * j + 1]``, without the buckets
-    whose count falls to zero.
-
-    Counts are small integers, exact in float64, so each row is equal, down
-    to dtypes and bytes, to ``featurize_batch`` of the text the delta leads to.
-    """
-    tiled = rows.take(np.repeat(np.arange(len(rows)), sizes))
-    k, dim = len(tiled), rows.dim
-    halves = np.arange(2 * k, dtype=np.int64)
-    delta_keys = np.repeat(halves // 2, spans) * dim + np.array(buckets, dtype=np.int64)
-    keys = np.concatenate([np.repeat(halves[:k], np.diff(tiled.indptr)) * dim + tiled.indices,
-                           delta_keys])
-    weights = np.concatenate([tiled.values, np.repeat(halves % 2 * 2.0 - 1.0, spans)])
-    keys, inverse = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inverse, weights, minlength=len(keys))
-    keep = counts != 0
-    keys = keys[keep]
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // dim, minlength=k), out=indptr[1:])
-    return FeatureMatrix(indptr, (keys % dim).astype(np.uint32),
-                         counts[keep].astype(np.float32), dim)
 
 
 def check_attack_limits(budget: int, max_successes: int | None) -> None:
@@ -407,7 +292,6 @@ def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
     gold = d.labels()
     correct = np.flatnonzero(labels == gold)
     probs = softmax(z)[correct, gold[correct]]
-    words: dict = {}
     adv_samples: list[Sample] = []
     origins: list[str] = []
     wanted = len(correct) if max_successes is None else max_successes
@@ -415,8 +299,7 @@ def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
     while start < len(correct) and len(adv_samples) < wanted:
         group = correct[start:start + min(ATTACK_GROUP, wanted - len(adv_samples))]
         samples = [d.samples[i] for i in group]
-        advs = _attack_group(p, samples, m.take(group), probs[start:start + len(group)],
-                             lexicon, budget, words)
+        advs = _attack_group(p, samples, probs[start:start + len(group)], lexicon, budget)
         for s, adv in zip(samples, advs):
             if adv is not None:
                 adv_samples.append(adv)

@@ -253,7 +253,16 @@ def _load_pool(cfg: dict) -> Dataset:
     return load_dataset(d["pool_path"], d["task_kind"])
 
 
-def _require_lexicon(lexicon: SynonymLexicon | None, cfg: dict) -> SynonymLexicon:
+def _require_lexicon(lexicon: SynonymLexicon | None, cfg: dict, *,
+                     attack: bool = False) -> SynonymLexicon:
+    """The lexicon of the toast stage's augmentation or, with ``attack``, of
+    an attack. Without one, toast.no_augment = true runs the toast stage on an
+    empty lexicon; an attack has no fallback, it needs synonyms."""
+    if attack:
+        if lexicon:
+            return lexicon
+        raise ConfigError("an attack needs a synonym lexicon with entries: "
+                          "set data.lexicon_path")
     if lexicon is not None:
         return lexicon
     if cfg["toast"]["no_augment"]:
@@ -337,9 +346,9 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 
 def cmd_toast(cfg: dict, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     train_d, test_d, lexicon = _load_data(cfg)
     lexicon = _require_lexicon(lexicon, cfg)
+    out.mkdir(parents=True, exist_ok=True)
     params, artifacts = run_toast(train_d, _toast_config(cfg, cfg["run"]["seed"]), lexicon)
     save_parameters(params, out / "model.bin")
     written = [out / "model.bin", *artifacts.save(out / "artifacts")]
@@ -357,6 +366,7 @@ def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
                        seed: int, *, hidden: int | None = None, epochs: int | None = None):
     """Train the models behind the requested scoring methods; returns the
     calibrators plus the pipeline's audit bundle (None when not requested).
+    ``lexicon`` is the pipeline's augmentation lexicon, from ``_require_lexicon``.
 
     The three baselines share a protocol: they train on the same nine tenths
     of the data, with the remaining tenth used to fit the temperature, so
@@ -383,8 +393,7 @@ def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
             calibs["label_smoothing"] = Calibrator("label_smoothing", ls_params)
     if "toast" in methods:
         params, artifacts = run_toast(
-            train_d, _toast_config(cfg, seed, hidden=hidden, epochs=epochs),
-            _require_lexicon(lexicon, cfg))
+            train_d, _toast_config(cfg, seed, hidden=hidden, epochs=epochs), lexicon)
         calibs["toast"] = Calibrator("toast", params)
     return {m: calibs[m] for m in methods if m in calibs}, artifacts
 
@@ -392,14 +401,20 @@ def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
 def cmd_eval(cfg: dict, out: Path) -> int:
     """The end-to-end pipeline: data -> models -> confidence logs ->
     applications -> metrics.json, curve CSVs, and the audit bundle."""
+    seed = cfg["run"]["seed"]
+    ev = cfg["eval"]
+    methods = _split_list(ev["calibrators"], str)
+    applications = _split_list(ev["applications"], str)
+
+    train_d, test_d, lexicon = _load_data(cfg)
+    # The lexicons are checked before any model is trained or file written.
+    attacks = "adversarial" in applications and not ev["adversarial_file"]
+    attack_lexicon = _require_lexicon(lexicon, cfg, attack=True) if attacks else None
+    if "toast" in methods:
+        lexicon = _require_lexicon(lexicon, cfg)
     out.mkdir(parents=True, exist_ok=True)
     curves = out / "curves"
     curves.mkdir(exist_ok=True)
-    seed = cfg["run"]["seed"]
-    methods = _split_list(cfg["eval"]["calibrators"], str)
-    applications = _split_list(cfg["eval"]["applications"], str)
-
-    train_d, test_d, lexicon = _load_data(cfg)
     calibs, toast_artifacts = _build_calibrators(cfg, train_d, lexicon, methods, seed)
     written: list[Path] = []
     if toast_artifacts is not None:
@@ -414,7 +429,6 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         written.append(curves / f"log_{method}.csv")
         log.to_csv(written[-1])
 
-    ev = cfg["eval"]
     for app, (keys, app_curves) in apps.APPLICATIONS.items():
         if app not in applications:
             continue
@@ -423,15 +437,14 @@ def cmd_eval(cfg: dict, out: Path) -> int:
             run = partial(apps.selective_eval, d=test_d,
                           targets=_split_list(ev["targets"], float))
         elif app == "adversarial":
-            if ev["adversarial_file"]:
-                adv = load_dataset(ev["adversarial_file"], cfg["data"]["task_kind"])
-            else:
-                lex = _require_lexicon(lexicon, cfg)
+            if attacks:
                 adv, origins = attack_dataset(
                     (calibs.get("vanilla") or next(iter(calibs.values()))).params,
-                    test_d, lex, **cfg["attack"])
+                    test_d, attack_lexicon, **cfg["attack"])
                 written.append(out / "adversarial.jsonl")
                 save_dataset(adv, written[-1], origins)
+            else:
+                adv = load_dataset(ev["adversarial_file"], cfg["data"]["task_kind"])
             run = partial(apps.adversarial_eval, id_samples=test_d, adv_samples=adv, seed=seed)
         else:  # cascade: small models of each method, one large model
             # The cascade comes last, so the main models go before its own
@@ -489,11 +502,13 @@ def _run_sweep_point(point: dict) -> dict:
 def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    out.mkdir(parents=True, exist_ok=True)
     kind = kind or cfg["sweep"]["kind"]
     sw = cfg["sweep"]
     seed = cfg["run"]["seed"]
     train_d, test_d, lexicon = _load_data(cfg)
+    if kind == "k":
+        lexicon = _require_lexicon(lexicon, cfg)
+    out.mkdir(parents=True, exist_ok=True)
 
     sweep_cfg = apps.PilotSweepConfig(
         annotator=_train_config(cfg, seed),
@@ -519,8 +534,6 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     fp_path.write_text(fingerprint + "\n", encoding="utf-8")
 
     todo = [p for p in points if p["point_id"] not in done]
-    if kind == "k":
-        lexicon = _require_lexicon(lexicon, cfg)
     annotations = None
     if kind != "k" and todo:
         annotations = apps.seed_annotations(train_d, _load_pool(cfg), sweep_cfg)
@@ -557,9 +570,9 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
 
 
 def cmd_attack(cfg: dict, out: Path, model_path: str | None) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     train_d, test_d, lexicon = _load_data(cfg)
-    lexicon = _require_lexicon(lexicon, cfg)
+    lexicon = _require_lexicon(lexicon, cfg, attack=True)
+    out.mkdir(parents=True, exist_ok=True)
     if model_path:
         params = load_parameters(model_path)
     else:

@@ -1,15 +1,14 @@
 """The batched numeric path against per-sample reference implementations.
 
 The references below are the per-sample featurizer, forward pass, training
-gradients, greedy attacks (per candidate, and per sample with joined-string
-n-gram deltas), O(n^2) risk-coverage sweep, per-threshold detection and cascade
-loops and the batch cycler that the batched code replaced. Feature rows, curve
-points, batches and attack results must match them exactly; batched
-confidences, losses and gradients may differ from the per-sample ones only in
-summation order, by at most 1e-12. The encoder update, in blocks of any size,
-must match one 2-D row scatter of all gradient parts, materialised, bit for
-bit, and the attack's candidate rows (the current row plus a count delta) must
-equal featurizing the candidate texts, dtypes and bytes.
+gradients, greedy attacks (per candidate, and per sample with one batch of
+candidate texts a step), O(n^2) risk-coverage sweep, per-threshold detection
+and cascade loops and the batch cycler that the batched code replaced. Feature
+rows, curve points, batches and attack results must match them exactly;
+batched confidences, losses and gradients may differ from the per-sample ones
+only in summation order, by at most 1e-12. The encoder update, in blocks of
+any size, must match one 2-D row scatter of all gradient parts, materialised,
+bit for bit.
 """
 
 import copy
@@ -48,9 +47,7 @@ from selfcal.model import (
     FeaturizerConfig,
     Grads,
     TrainConfig,
-    _buckets,
     _flat_index,
-    _tokens,
     apply_grads,
     calib_batch_grads,
     consistency_batch_grads,
@@ -1057,85 +1054,28 @@ def test_attack_tie_breaks_match_per_candidate():
     assert ref_greedy_attack(p, s, lexicon, 3) is None
 
 
-def ref_overlapping_keys(words, start, stop, ngram_max):
-    """The n-grams (1..ngram_max) of ``words`` that overlap ``words[start:stop]``."""
-    return [" ".join(words[i:i + n]) for n in range(1, ngram_max + 1)
-            for i in range(max(0, start - n + 1), min(stop, len(words) - n + 1))]
-
-
-def ref_substitution_deltas(tokens, pos, replacements, cfg):
-    """Per replacement of ``tokens[pos]``, its count delta as an int64 bucket
-    array and a float64 sign array: -1 for every n-gram that overlaps the old
-    token, +1 for every n-gram of the new text that overlaps the replacement,
-    each n-gram hashed from its joined string."""
-    n, lowercase, mask = cfg.ngram_max, cfg.lowercase, cfg.hash_dim - 1
-    left = _tokens(" ".join(tokens[max(0, pos - n + 1):pos]), lowercase)
-    right = _tokens(" ".join(tokens[pos + 1:pos + n]), lowercase)
-    keys, ends = [], []
-    for text in (tokens[pos], *replacements):
-        middle = _tokens(text, lowercase)
-        keys += ref_overlapping_keys(left + middle + right, len(left),
-                                     len(left) + len(middle), n)
-        ends.append(len(keys))
-    buckets = np.fromiter(_buckets(keys, mask), dtype=np.int64, count=len(keys))
-    removed = buckets[:ends[0]]
-    signs = np.ones(len(keys))
-    signs[:ends[0]] = -1.0
-    return [(np.concatenate([removed, buckets[lo:hi]]), signs[:ends[0] + hi - lo])
-            for lo, hi in zip(ends, ends[1:])]
-
-
-def ref_rows_plus_deltas(row, deltas):
-    """One row per ``(buckets, signs)`` delta: the one row of ``row`` plus the
-    delta, without the buckets whose count falls to zero."""
-    k, dim = len(deltas), row.dim
-    cands = np.arange(k, dtype=np.int64)
-    owner = np.concatenate([np.repeat(cands, len(row.indices)),
-                            np.repeat(cands, [len(b) for b, _ in deltas])])
-    keys = owner * dim + np.concatenate([np.tile(row.indices, k), *(b for b, _ in deltas)])
-    keys, inverse = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inverse, np.concatenate([np.tile(row.values, k),
-                                                  *(s for _, s in deltas)]),
-                         minlength=len(keys))
-    keep = counts != 0
-    keys = keys[keep]
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // dim, minlength=k), out=indptr[1:])
-    return FeatureMatrix(indptr, (keys % dim).astype(np.uint32),
-                         counts[keep].astype(np.float32), dim)
-
-
-def ref_delta_attack(p, s, lexicon, budget):
-    """The per-sample attack: each step scores one sample's candidates as the
-    current row plus ``ref_substitution_deltas``, keeping a position's deltas
-    until a substitution within ngram_max - 1 tokens of it."""
+def ref_text_attack(p, s, lexicon, budget):
+    """The per-sample attack: each step featurizes one sample's candidate
+    texts as one batch and scores them with one forward pass."""
     gold = s.label
 
-    def score(m):
-        labels, _, z, _ = predict_batch(p, m)
+    def score(texts):
+        labels, _, z, _ = predict_batch(p, featurize_batch(texts, [s.text_b] * len(texts),
+                                                           p.features))
         return labels, softmax(z)[:, gold]
 
-    row = featurize_batch([s.text_a], [s.text_b], p.features)
-    labels, probs = score(row)
+    labels, probs = score([s.text_a])
     if labels[0] != gold:
         raise ValueError("attack requires a correctly classified input")
     tokens = s.text_a.split()
     current = probs[0]
-    reach = p.features.ngram_max - 1
-    cache = {}
     for _ in range(budget):
-        candidates, step_deltas = [], []
-        for pos, tok in enumerate(tokens):
-            if pos not in cache:
-                syns = [syn for syn in lexicon.synonyms(tok) if syn != tok]
-                cache[pos] = syns, ref_substitution_deltas(tokens, pos, syns, p.features)
-            syns, deltas = cache[pos]
-            candidates += ((pos, syn) for syn in syns)
-            step_deltas += deltas
+        candidates = [(pos, syn) for pos, tok in enumerate(tokens)
+                      for syn in lexicon.synonyms(tok) if syn != tok]
         if not candidates:
             return None
-        m = ref_rows_plus_deltas(row, step_deltas)
-        labels, probs = score(m)
+        labels, probs = score([" ".join(tokens[:pos] + [syn] + tokens[pos + 1:])
+                               for pos, syn in candidates])
         best = int(np.argmin(probs))
         if not probs[best] < current:
             return None
@@ -1145,9 +1085,6 @@ def ref_delta_attack(p, s, lexicon, budget):
         if labels[best] != gold:
             return Sample(id=f"{s.id}#adv", text_a=" ".join(tokens), text_b=s.text_b,
                           label=s.label)
-        row = m.take([best])
-        for stale in range(pos - reach, pos + reach + 1):
-            cache.pop(stale, None)
     return None
 
 
@@ -1161,82 +1098,16 @@ def ref_attack_dataset(p, d, lexicon, budget, max_successes):
             break
         if pred != s.label:
             continue
-        hit = ref_delta_attack(p, s, lexicon, budget)
+        hit = ref_text_attack(p, s, lexicon, budget)
         if hit is not None:
             adv.append(hit)
             origins.append(s.id)
     return Dataset(tuple(adv), d.label_names, d.task_kind), origins
 
 
-# Multi-word synonyms, separated by a space or a tab: one element of the
-# attack's token list, several words to the featurizer.
-SYNONYMS = st.tuples(st.lists(WORDS, min_size=1, max_size=3),
-                     st.sampled_from([" ", " \t"])).map(lambda t: t[1].join(t[0]))
+G = augment.ATTACK_GROUP
 # Case pairs whose lowercasing depends on context: "Σ" ends a word as "ς".
 SIGMA_WORDS = st.text(alphabet="abAΣς", min_size=1, max_size=2)
-
-
-@settings(max_examples=150, deadline=None)
-@given(texts=st.lists(st.tuples(st.lists(SIGMA_WORDS, min_size=1, max_size=7),
-                                st.one_of(st.none(), st.lists(WORDS, max_size=4).map(" ".join))),
-                      min_size=1, max_size=3),
-       synonyms=st.lists(SYNONYMS, min_size=1, max_size=3),
-       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5),
-       ngram_max=st.integers(1, 3), lowercase=st.booleans(), tagging=st.booleans())
-def test_delta_rows_equal_featurizing_the_candidates(texts, synonyms, picks, ngram_max,
-                                                     lowercase, tagging):
-    """Over several substitution steps of a group of texts in lockstep, with
-    deltas kept per position the way the attack keeps them (dropped within
-    ngram_max - 1 of each substitution): each position's word-chained crc32
-    deltas are, per replacement, the multiset of (bucket, sign) pairs that
-    hashing the joined n-gram strings gives, and every candidate matrix is the
-    featurized candidate texts. The neighbours of each position are among its
-    replacements, so added and removed n-grams cancel; a 64-bucket space makes
-    collisions common."""
-    cfg = FeaturizerConfig(lowercase=lowercase, ngram_max=ngram_max, hash_dim=64,
-                           segment_tagging=tagging)
-    tokens = [toks for toks, _ in texts]
-    texts_b = [text_b for _, text_b in texts]
-    rows = featurize_batch([" ".join(toks) for toks in tokens], texts_b, cfg)
-    caches = [{} for _ in texts]
-    words = {}
-    for pick in picks:
-        candidates, spans, buckets, sizes = [], [], [], []
-        for toks, cache in zip(tokens, caches):
-            before = len(candidates)
-            for pos in range(len(toks)):
-                if pos not in cache:
-                    reps = synonyms + toks[max(0, pos - 1):pos] + toks[pos + 1:pos + 2]
-                    got = augment._position_deltas(toks, pos, reps, cfg, words)
-                    ends = np.cumsum([0, *got[0]]).tolist()
-                    for j, (want_b, want_s) in enumerate(ref_substitution_deltas(toks, pos,
-                                                                                 reps, cfg)):
-                        lo, mid, hi = ends[2 * j:2 * j + 3]
-                        pairs = ([(b, -1.0) for b in got[1][lo:mid]]
-                                 + [(b, 1.0) for b in got[1][mid:hi]])
-                        assert sorted(pairs) == sorted(zip(want_b.tolist(), want_s.tolist()))
-                    cache[pos] = reps, *got
-                reps, pos_spans, pos_buckets = cache[pos]
-                candidates += [(pos, r) for r in reps]
-                spans += pos_spans
-                buckets += pos_buckets
-            sizes.append(len(candidates) - before)
-        m = augment._candidate_rows(rows, np.array(sizes), spans, buckets)
-        owner = np.repeat(np.arange(len(texts)), sizes)
-        want = [" ".join(tokens[k][:pos] + [r] + tokens[k][pos + 1:])
-                for k, (pos, r) in zip(owner, candidates)]
-        assert_same_matrix(m, featurize_batch(want, [texts_b[k] for k in owner], cfg))
-        chosen = []
-        for k, start in enumerate(np.cumsum(sizes) - sizes):
-            best = int(start) + (pick + k) % sizes[k]
-            pos, tokens[k][pos] = candidates[best]
-            chosen.append(best)
-            for stale in range(pos - ngram_max + 1, pos + ngram_max):
-                caches[k].pop(stale, None)
-        rows = m.take(chosen)
-
-
-G = augment.ATTACK_GROUP
 # Lexicon phrases of one to three words, split by a space or a form feed.
 PHRASES = st.tuples(st.lists(SIGMA_WORDS, min_size=1, max_size=3),
                     st.sampled_from([" ", "\f"])).map(lambda t: t[1].join(t[0]))

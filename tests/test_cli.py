@@ -485,3 +485,50 @@ class TestAttack:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: ValueError: {bad}: model header hidden_dim "
                                     "must be an int >= 1, got 'x'"]
+
+
+class TestLexicon:
+    """jsonl data without data.lexicon_path: every lexicon check comes before
+    the output directory is made, so before any model is trained."""
+
+    @pytest.fixture()
+    def jsonl_args(self, config_path, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(config_path), "--out", str(data)]) == 0
+        return ["--config", str(config_path), "--set", "data.source=jsonl",
+                "--set", f"data.train_path={data / 'train.jsonl'}",
+                "--set", f"data.test_path={data / 'test.jsonl'}"]
+
+    @pytest.mark.parametrize("command, settings", [
+        ("attack", []),
+        ("attack", ["toast.no_augment=true"]),
+        ("eval", ["toast.no_augment=true", "eval.applications=adversarial"]),
+        ("eval", ["toast.no_augment=true", "eval.applications=selective,adversarial",
+                  "eval.calibrators=vanilla"])])
+    def test_attack_without_a_lexicon_fails_before_training(self, jsonl_args, tmp_path,
+                                                            capsys, command, settings):
+        out = tmp_path / "out"
+        argv = [command, *jsonl_args, "--out", str(out)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: an attack needs a synonym lexicon with entries: "
+            "set data.lexicon_path"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["eval"], ["toast"], ["sweep", "--kind", "k"]])
+    def test_augmentation_without_a_lexicon_fails_before_training(self, jsonl_args, tmp_path,
+                                                                  capsys, command):
+        out = tmp_path / "out"
+        assert main([*command, *jsonl_args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: a synonym lexicon is needed: set data.lexicon_path "
+            "or toast.no_augment = true"]
+        assert not out.exists()
+
+    def test_no_augment_still_runs_the_toast_stage(self, jsonl_args, tmp_path):
+        out = tmp_path / "out"
+        assert main(["eval", *jsonl_args, "--out", str(out),
+                     "--set", "toast.no_augment=true"]) == 0
+        assert "toast" in json.loads((out / "metrics.json").read_text())["summary"]

@@ -117,9 +117,9 @@ def test_multitask_step_forms_encoder_gradients_one_block_at_a_time():
 
 def test_attack_scores_one_group_at_a_time():
     # configs/default.ini's attack on its test split: 300 samples, 200
-    # successes, 400-500 candidate rows per step of a group of 16. Under
-    # tracemalloc (numpy 2.4) the peak was 2.0 MiB with groups of 16, 3.7 MiB
-    # with 32, 7.2 MiB with 64 and 21 MiB with the whole split as one group.
+    # successes, 400-500 candidate texts per step of a group of 16. Under
+    # tracemalloc (numpy 2.4) the peak was 1.6 MiB with groups of 16, 1.9 MiB
+    # with 32, 2.7 MiB with 64 and 5.7 MiB with the whole split as one group.
     cfg = cli.load_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.ini"))
     train_d, test_d, lexicon = cli._load_data(cfg)
     params, _ = train_main(train_d, cli._train_config(cfg, cfg["run"]["seed"]))

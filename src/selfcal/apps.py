@@ -32,7 +32,6 @@ from .model import (
     FEATURE_MODES,
     ModelParameters,
     TrainConfig,
-    calib_head,
     predict_batch,
     softmax,
     train_main,
@@ -166,8 +165,9 @@ def score_with_calibration_head(params: ModelParameters, d: Dataset,
                                 feature_mode: str = "all") -> ConfidenceLog:
     """Confidence log where confidence is the correctness head's P(true),
     with the same input masking the head was trained under."""
-    preds, _, _, h = predict_batch(params, d.features(params.features))
-    conf = softmax(calib_head(params, h, preds, feature_mode))[:, 1]
+    scorer = params.scorer()
+    preds, _, _, sample = scorer.predict(d.features(scorer.features))
+    conf = softmax(scorer.calib_logits(sample, preds, feature_mode))[:, 1]
     correct = (preds == d.labels()).astype(np.int64)
     return ConfidenceLog(conf, correct, preds, ("id",) * len(d))
 

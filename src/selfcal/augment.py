@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Dataset, Sample, SynthConfig, class_tokens, noise_tokens
-from .model import ModelParameters, featurize_batch, predict_batch, softmax
+from .model import ModelParameters, Scorer, featurize_batch, softmax
 
 
 class TransformKind(Enum):
@@ -193,14 +193,14 @@ def greedy_attack(p: ModelParameters, s: Sample, lexicon: SynonymLexicon,
     Only correctly classified samples may be attacked. This is
     ``attack_dataset``'s attack on a group of one sample.
     """
-    m = featurize_batch([s.text_a], [s.text_b], p.features)
-    labels, _, z, _ = predict_batch(p, m)
+    scorer = p.scorer()
+    labels, _, z, _ = scorer.predict(featurize_batch([s.text_a], [s.text_b], scorer.features))
     if labels[0] != s.label:
         raise ValueError("attack requires a correctly classified input")
-    return _attack_group(p, [s], softmax(z)[:, s.label], lexicon, budget)[0]
+    return _attack_group(scorer, [s], softmax(z)[:, s.label], lexicon, budget)[0]
 
 
-def _attack_group(p: ModelParameters, samples: list[Sample], current: np.ndarray,
+def _attack_group(scorer: Scorer, samples: list[Sample], current: np.ndarray,
                   lexicon: SynonymLexicon, budget: int) -> list[Sample | None]:
     """``greedy_attack`` of every sample in ``samples``, in lockstep, from
     their gold-class probabilities ``current``.
@@ -208,7 +208,7 @@ def _attack_group(p: ModelParameters, samples: list[Sample], current: np.ndarray
     Each step builds the candidate texts of every sample still under attack:
     the sample's current tokens with one position replaced by a synonym,
     joined by spaces, plus the sample's ``text_b``. One ``featurize_batch``
-    and one ``predict_batch`` score them all. Both work row by row, so a
+    and one ``Scorer.predict`` score them all. Both work row by row, so a
     sample's candidates score the same in any group.
     """
     gold = np.array([s.label for s in samples])
@@ -239,7 +239,7 @@ def _attack_group(p: ModelParameters, samples: list[Sample], current: np.ndarray
         sizes = sizes[sizes > 0]
         if not live:
             break
-        labels, _, z, _ = predict_batch(p, featurize_batch(texts, texts_b, p.features))
+        labels, _, z, _ = scorer.predict(featurize_batch(texts, texts_b, scorer.features))
         owner = np.repeat(np.arange(len(live)), sizes)
         probs = softmax(z)[np.arange(len(texts)), gold[live][owner]]
         # Each sample's first candidate of least gold probability, as argmin
@@ -287,8 +287,8 @@ def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
     wanted, so the result is that of attacking them one by one.
     """
     check_attack_limits(budget, max_successes)
-    m = d.features(p.features)
-    labels, _, z, _ = predict_batch(p, m)
+    scorer = p.scorer()
+    labels, _, z, _ = scorer.predict(d.features(scorer.features))
     gold = d.labels()
     correct = np.flatnonzero(labels == gold)
     probs = softmax(z)[correct, gold[correct]]
@@ -299,7 +299,7 @@ def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,
     while start < len(correct) and len(adv_samples) < wanted:
         group = correct[start:start + min(ATTACK_GROUP, wanted - len(adv_samples))]
         samples = [d.samples[i] for i in group]
-        advs = _attack_group(p, samples, probs[start:start + len(group)], lexicon, budget)
+        advs = _attack_group(scorer, samples, probs[start:start + len(group)], lexicon, budget)
         for s, adv in zip(samples, advs):
             if adv is not None:
                 adv_samples.append(adv)

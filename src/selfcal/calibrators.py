@@ -19,7 +19,6 @@ from .corpus import Dataset, split_folds
 from .model import (
     FeatureMatrix,
     ModelParameters,
-    calib_head,
     featurize_batch,
     predict_batch,
     softmax,
@@ -59,7 +58,9 @@ class ConfidenceLog:
 
 class Calibrator:
     """A scoring method bound to model parameters (plus a fitted temperature
-    for the "temperature" method)."""
+    for the "temperature" method). It scores through the model's ``Scorer``,
+    which every calibrator of the same parameters shares, and which freezes
+    them."""
 
     def __init__(self, method: str, params: ModelParameters,
                  temperature: float | None = None):
@@ -69,19 +70,19 @@ class Calibrator:
             raise ValueError("temperature must be positive")
         self.method = method
         self.params = params
+        self.scorer = params.scorer()
         self.temperature = temperature
 
     def score(self, sample) -> tuple[int, float]:
         """(predicted label, confidence in it). The label always comes from the
         main head; only the confidence definition varies by method."""
         labels, conf = self.score_batch(
-            featurize_batch((sample.text_a,), (sample.text_b,), self.params.features))
+            featurize_batch((sample.text_a,), (sample.text_b,), self.scorer.features))
         return labels.item(), conf.item()
 
     def score_batch(self, m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
         """Predicted labels and confidences of every row of a feature matrix."""
-        p = self.params
-        labels, max_prob, logits, h = predict_batch(p, m)
+        labels, max_prob, logits, sample = self.scorer.predict(m)
         if self.method in ("vanilla", "label_smoothing"):
             return labels, max_prob
         if self.method == "temperature":
@@ -91,11 +92,11 @@ class Calibrator:
             return labels, top_prob(logits / self.temperature)
         # Self-calibration: P(true) from the correctness head, conditioned on
         # the main head's prediction.
-        return labels, softmax(calib_head(p, h, labels))[:, 1]
+        return labels, softmax(self.scorer.calib_logits(sample, labels))[:, 1]
 
     def build_log(self, d: Dataset, group: str) -> ConfidenceLog:
         """Score every sample, in dataset order, under one group tag."""
-        preds, conf = self.score_batch(d.features(self.params.features))
+        preds, conf = self.score_batch(d.features(self.scorer.features))
         correct = (preds == d.labels()).astype(np.int64)
         return ConfidenceLog(conf, correct, preds, (group,) * len(d))
 
@@ -151,6 +152,7 @@ def train_with_temperature(train: Dataset, cfg) -> tuple[ModelParameters, float]
     train.features(cfg.features)  # hashed once; both parts take its rows
     holdout, rest = baseline_split(train, cfg.seed)
     params, _ = train_main(rest, cfg)
+    # Through the model's Scorer, which the calibrators built on it then share.
     logits = predict_batch(params, holdout.features(params.features))[2]
     t = fit_temperature(logits, holdout.labels())
     return params, t

@@ -15,7 +15,7 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from pathlib import Path
 from zlib import crc32
 
@@ -90,15 +90,15 @@ class FeatureMatrix:
         return FeatureMatrix(indptr, self.indices[src], self.values[src], self.dim)
 
 
-# featurize_batch hashes a call of fewer tokens than this text by text (a
-# Counter of each text's n-gram buckets) and a larger one through the
-# token-id core, which has a fixed numpy cost of about 0.1 ms a chunk. On
+# featurize_batch hashes texts one by one (a Counter of each text's n-gram
+# buckets) until they hold this many tokens, and the rest of the call through
+# the token-id core, which has a fixed numpy cost of about 0.1 ms a chunk. On
 # texts of the benchmark's 400-word vocabulary (hash 2 ** 14, 2-core Xeon,
 # numpy 2.4) one text of 128 tokens took 118 us in the core against 88 us
 # text by text, one of 512 tokens 293 us against 337 us, and 16 texts of 8
 # tokens 119 us against 137 us: the paths break even between 128 and 512
 # tokens. Single requests stay text by text; both paths give byte-identical
-# matrices.
+# rows.
 ID_CORE_MIN_TOKENS = 256
 
 # Tokens per chunk of the token-id core: the chunk's n-gram codes, sorts and
@@ -121,69 +121,81 @@ def featurize_batch(texts_a, texts_b=None,
     "x" in segment a and "x" in segment b land in different buckets; no
     n-gram spans the two segments.
 
-    A call of fewer than ``ID_CORE_MIN_TOKENS`` tokens (a single request) is
-    hashed text by text, with one ``Counter`` per text. A larger one goes
-    through the token-id core in chunks of about ``CHUNK_TOKENS`` tokens,
-    which hashes each distinct n-gram of a chunk once rather than each
-    occurrence (see ``_hash_chunk``). Both give the same arrays, byte for
-    byte, so a text hashes the same alone and in any batch.
+    Texts are hashed one by one, with one ``Counter`` each, until they hold
+    ``ID_CORE_MIN_TOKENS`` tokens, so a single request is hashed text by
+    text. The rest of a larger call goes through the token-id core in chunks
+    of about ``CHUNK_TOKENS`` tokens, which hashes each distinct n-gram of a
+    chunk once rather than each occurrence (see ``_hash_chunk``). Both give
+    the same rows, byte for byte, so a text hashes the same alone and in any
+    batch.
     """
-    texts = _tokenized(texts_a, texts_b, cfg)
-    head, size = [], 0
-    for text in texts:
-        head.append(text)
-        size += len(text[0]) + len(text[1] or ())
-        if size >= ID_CORE_MIN_TOKENS:
-            return _hash_chunks(chain(head, texts), cfg, CHUNK_TOKENS)
-    return _hash_per_text(head, cfg)
-
-
-def _tokenized(texts_a, texts_b, cfg: FeaturizerConfig):
-    """Each text (pair)'s tokens: ``(tokens_a, tokens_b)``, where ``tokens_b``
-    is None for a missing second segment and carries the segment-b marker
-    under segment tagging."""
     pairs = (zip(texts_a, repeat(None)) if texts_b is None
              else zip(texts_a, texts_b, strict=True))
-    for text_a, text_b in pairs:
-        toks = _tokens(text_a, cfg.lowercase)
-        if not toks:
-            raise ValueError("text_a has no tokens")
-        toks_b = None
-        if text_b is not None:
-            toks_b = _tokens(text_b, cfg.lowercase)
-            if cfg.segment_tagging:
-                toks_b = [_SEGMENT_B_MARK + t for t in toks_b]
-        yield toks, toks_b
+    return _hash_per_text(pairs, cfg, ID_CORE_MIN_TOKENS)
 
 
-def _hash_per_text(texts, cfg: FeaturizerConfig) -> FeatureMatrix:
-    """The matrix of tokenized texts, one ``Counter`` of n-gram buckets each."""
-    mask = cfg.hash_dim - 1
+def _tokenize(text_a: str, text_b: str | None, cfg: FeaturizerConfig):
+    """A text (pair)'s tokens: ``(tokens_a, tokens_b)``, where ``tokens_b``
+    is None for a missing second segment and carries the segment-b marker
+    under segment tagging."""
+    toks = _tokens(text_a, cfg.lowercase)
+    if not toks:
+        raise ValueError("text_a has no tokens")
+    toks_b = None
+    if text_b is not None:
+        toks_b = _tokens(text_b, cfg.lowercase)
+        if cfg.segment_tagging:
+            toks_b = [_SEGMENT_B_MARK + t for t in toks_b]
+    return toks, toks_b
+
+
+def _tokenized(pairs, cfg: FeaturizerConfig):
+    """``_tokenize`` of each ``(text_a, text_b)`` pair, lazily."""
+    return (_tokenize(a, b, cfg) for a, b in pairs)
+
+
+def _hash_per_text(pairs, cfg: FeaturizerConfig, core_min_tokens: float = float("inf")
+                   ) -> FeatureMatrix:
+    """The matrix of ``(text_a, text_b)`` pairs, one ``Counter`` of n-gram
+    buckets per text, until the texts hashed so far hold ``core_min_tokens``
+    tokens; the rest go through ``_hash_chunks``. Each text is tokenized in
+    the loop that hashes it, with no generator in between: a single request
+    hashes in about 15 us, so each call layer is a few percent of it."""
+    mask, ngram_max, size = cfg.hash_dim - 1, cfg.ngram_max, 0
     indptr, indices, counts = array("q", [0]), array("I"), array("I")
-    for toks, toks_b in texts:
-        keys = _ngram_keys(toks, cfg.ngram_max)
+    for text_a, text_b in pairs:
+        toks, toks_b = _tokenize(text_a, text_b, cfg)
+        keys = _ngram_keys(toks, ngram_max)
+        size += len(toks)
         if toks_b is not None:
-            keys += _ngram_keys(toks_b, cfg.ngram_max)
+            keys += _ngram_keys(toks_b, ngram_max)
+            size += len(toks_b)
         row = Counter(_buckets(keys, mask))
         buckets = sorted(row)
         indices.fromlist(buckets)
         counts.extend(map(row.__getitem__, buckets))
         indptr.append(len(indices))
-    values = np.frombuffer(counts, dtype=np.uint32).astype(np.float32)
-    values.setflags(write=False)
+        if size >= core_min_tokens:
+            break
     # Arrays over immutable bytes are read-only.
-    return FeatureMatrix(np.frombuffer(indptr.tobytes(), dtype=np.int64),
-                         np.frombuffer(indices.tobytes(), dtype=np.uint32),
-                         values, cfg.hash_dim)
+    indptr = np.frombuffer(indptr.tobytes(), dtype=np.int64)
+    indices = np.frombuffer(indices.tobytes(), dtype=np.uint32)
+    values = np.frombuffer(counts, dtype=np.uint32).astype(np.float32)
+    if size >= core_min_tokens:
+        return _hash_chunks(_tokenized(pairs, cfg), cfg, CHUNK_TOKENS,
+                            (np.diff(indptr), indices, values))
+    values.setflags(write=False)
+    return FeatureMatrix(indptr, indices, values, cfg.hash_dim)
 
 
-def _hash_chunks(texts, cfg: FeaturizerConfig, chunk_tokens: int) -> FeatureMatrix:
+def _hash_chunks(texts, cfg: FeaturizerConfig, chunk_tokens: int, head=None) -> FeatureMatrix:
     """The matrix of tokenized texts through the token-id core, a chunk of at
-    least ``chunk_tokens`` tokens (the last chunk may hold fewer) at a time.
+    least ``chunk_tokens`` tokens (the last chunk may hold fewer) at a time,
+    after the rows already hashed in ``head`` (row lengths, buckets, counts).
     Each word's crc32 and ``b" " + word`` are computed once per call."""
     words: dict[str, tuple[int, bytes]] = {}
-    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32),
-              np.empty(0, dtype=np.float32))]
+    parts = [head or (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32),
+                      np.empty(0, dtype=np.float32))]
     chunk, size = [], 0
     for text in texts:
         chunk.append(text)
@@ -286,7 +298,8 @@ class TrainConfig:
 
 @dataclass
 class ModelParameters:
-    """Shared encoder plus the two heads. Mutated in place during training."""
+    """Shared encoder plus the two heads. Mutated in place during training,
+    and read-only from the first call of ``scorer`` on."""
 
     encoder: np.ndarray        # hash_dim x H
     w_main: np.ndarray         # H x C
@@ -309,6 +322,27 @@ class ModelParameters:
         for a in (self.encoder, self.w_main, self.b_main, self.w_calib, self.b_calib):
             if not np.all(np.isfinite(a)):
                 raise ValueError("non-finite model parameters")
+
+    def scorer(self) -> "Scorer":
+        """The model's ``Scorer``, built on the first call and kept. From then
+        on every array of the parameters is read-only, so the kept table
+        cannot go stale; a model that is to train further must be copied."""
+        s = self.__dict__.get("_scorer")
+        if s is None:
+            s = Scorer(self)
+            for name in _TENSOR_ORDER:
+                getattr(self, name).setflags(write=False)
+            self.__dict__["_scorer"] = s
+        return s
+
+    def __setattr__(self, name, value):
+        # A tensor swapped in after scoring is not in the kept table.
+        self.__dict__.pop("_scorer", None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        # A copy's arrays are writable again, so it gets a Scorer of its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_scorer"}
 
 
 def init_parameters(num_classes: int, cfg: TrainConfig) -> ModelParameters:
@@ -335,8 +369,9 @@ def init_parameters(num_classes: int, cfg: TrainConfig) -> ModelParameters:
 # Forward passes
 # ---------------------------------------------------------------------------
 
-# Bytes of float64 (nonzeros x hidden) temporary that the batched encoder
-# gathers per block: 2 ** 20 // (8 * hidden) nonzeros, never splitting a row.
+# Bytes of float64 (nonzeros x width) temporary that _gather takes per block,
+# from the encoder (width hidden) or a Scorer's table (width classes + 2):
+# 2 ** 20 // (8 * width) nonzeros, never splitting a row.
 # 1 MiB is half of a 2 MiB L2, so the gathered rows are still in cache when
 # reduceat sums them. A fixed 4096 nonzeros per block made it 2 MiB at hidden
 # 64 and 4 MiB at hidden 128: on 8000 texts of 8/32/128 tokens (hash 2 ** 14,
@@ -354,6 +389,11 @@ ENCODE_BLOCK_BYTES = 2 ** 20
 # materialised parts, 158-188k with 1 MiB blocks and 2-3k with 256 KiB blocks;
 # 64 KiB blocks faulted as little but ran slower for their extra ufunc.at calls.
 GRAD_BLOCK_BYTES = 2 ** 18
+
+# Bytes of float64 table rows that a Scorer computes per block of encoder rows,
+# 2 ** 18 // (8 * (classes + 2)) rows: the build allocates the table and one
+# such block.
+TABLE_BLOCK_BYTES = 2 ** 18
 
 
 def _exp_and_sum(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,9 +414,9 @@ def top_prob(z: np.ndarray) -> np.ndarray:
     return 1.0 / _exp_and_sum(z)[1][..., 0]
 
 
-def _check_dim(p: ModelParameters, dim: int) -> None:
-    if dim != p.features.hash_dim:
-        raise ValueError(f"feature dim {dim} != model hash_dim {p.features.hash_dim}")
+def _check_dim(hash_dim: int, dim: int) -> None:
+    if dim != hash_dim:
+        raise ValueError(f"feature dim {dim} != model hash_dim {hash_dim}")
 
 
 def _check_labels(labels, num_classes: int) -> np.ndarray:
@@ -390,37 +430,43 @@ def _check_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
-def encode(p: ModelParameters, m: FeatureMatrix) -> np.ndarray:
-    """Encoder output of every row of ``m`` (rows x hidden): the count-weighted
-    sum of the row's encoder rows.
+def _gather(table: np.ndarray, m: FeatureMatrix) -> np.ndarray:
+    """The count-weighted sum of ``table``'s rows at every row of ``m``'s
+    buckets (rows x table width).
 
     The rows are gathered in blocks of whole rows, each about
     ``ENCODE_BLOCK_BYTES`` (1 MiB) of float64 temporary, so that the block
     stays in L2 while ``reduceat`` sums it (a row longer than a block is a
     block of its own). Every row is summed by one ``reduceat`` in any case, so
     the output does not depend on the block size."""
-    _check_dim(p, m.dim)
-    indptr = m.indptr
-    block = max(1, ENCODE_BLOCK_BYTES // (8 * p.hidden_dim))
+    indptr, width = m.indptr, table.shape[1]
+    block = max(1, ENCODE_BLOCK_BYTES // (8 * width))
     if len(m.indices) <= block:
-        return _encode_block(p.encoder, m.indices, m.values, indptr[:-1])
-    out = np.empty((len(m), p.hidden_dim))
+        return _gather_block(table, m.indices, m.values, indptr[:-1])
+    out = np.empty((len(m), width))
     start = 0
     while start < len(m):
         lo = indptr[start]
         stop = max(start + 1, int(np.searchsorted(indptr, lo + block, "right")) - 1)
         hi = indptr[stop]
-        out[start:stop] = _encode_block(p.encoder, m.indices[lo:hi], m.values[lo:hi],
+        out[start:stop] = _gather_block(table, m.indices[lo:hi], m.values[lo:hi],
                                         indptr[start:stop] - lo)
         start = stop
     return out
 
 
-def _encode_block(encoder: np.ndarray, indices: np.ndarray, values: np.ndarray,
+def _gather_block(table: np.ndarray, indices: np.ndarray, values: np.ndarray,
                   starts: np.ndarray) -> np.ndarray:
-    rows = encoder.take(indices, axis=0)
+    rows = table.take(indices, axis=0)
     rows *= values[:, None]
     return np.add.reduceat(rows, starts, axis=0)
+
+
+def encode(p: ModelParameters, m: FeatureMatrix) -> np.ndarray:
+    """Encoder output of every row of ``m`` (rows x hidden): the count-weighted
+    sum of the row's encoder rows, gathered as ``_gather`` does."""
+    _check_dim(p.features.hash_dim, m.dim)
+    return _gather(p.encoder, m)
 
 
 def _rowwise_matmul(h: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -435,33 +481,89 @@ def main_head(p: ModelParameters, h: np.ndarray) -> np.ndarray:
     return _rowwise_matmul(h, p.w_main) + p.b_main
 
 
+def _calib_logits(sample, w_label: np.ndarray, b_calib: np.ndarray, y_star,
+                  feature_mode: str) -> np.ndarray:
+    """Correctness-head logits ``(sample + b_calib) + w_label[y_star]``, with
+    the block that ``feature_mode`` masks left out. ``sample`` is the rows'
+    encoder block already multiplied by ``w_calib[:H]`` (None under
+    "no_sample"), and ``w_label`` the head's rows of the predicted-label
+    one-hot, ``w_calib[H:]``."""
+    if feature_mode not in FEATURE_MODES:
+        raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    _check_labels(y_star, len(w_label))
+    z = b_calib
+    if feature_mode != "no_sample":
+        z = sample + z
+    if feature_mode != "no_prediction":
+        z = z + w_label[y_star]
+    return z
+
+
 def calib_head(p: ModelParameters, h: np.ndarray, y_star,
                feature_mode: str = "all") -> np.ndarray:
     """Correctness-head logits of ``[h, one_hot(y_star)] @ w_calib + b_calib``
     for every row of the encoder output ``h`` and its label in ``y_star``,
     with the block that ``feature_mode`` masks left out."""
-    if feature_mode not in FEATURE_MODES:
-        raise ValueError(f"unknown feature_mode {feature_mode!r}")
-    _check_labels(y_star, p.num_classes)
     hd = p.hidden_dim
-    z = p.b_calib
-    if feature_mode != "no_sample":
-        z = _rowwise_matmul(h, p.w_calib[:hd]) + z
-    if feature_mode != "no_prediction":
-        z = z + p.w_calib[hd:][y_star]
-    return z
+    sample = None if feature_mode == "no_sample" else _rowwise_matmul(h, p.w_calib[:hd])
+    return _calib_logits(sample, p.w_calib[hd:], p.b_calib, y_star, feature_mode)
+
+
+class Scorer:
+    """A trained model frozen for inference, built by ``ModelParameters.scorer``.
+
+    The model is linear up to its softmaxes: a row's main logits are
+    ``sum_j x_j (E @ w_main)[j] + b_main`` over its nonzeros ``x_j``, and the
+    correctness head's sample block is the same sum over ``E @ w_calib[:H]``.
+    So the scorer keeps the table ``T = E @ [w_main | w_calib[:H]]``
+    (hash_dim x (C + 2)) and scores a row by gathering C + 2 columns per
+    nonzero instead of the hidden width. ``T`` is built one vector-matrix
+    product per encoder row, ``TABLE_BLOCK_BYTES`` of them at a time, so no
+    table row depends on the build's blocks; ``_gather`` then sums each text
+    with one ``reduceat``, so a text scores the same alone and in any batch.
+    The scorer holds copies of the heads' biases and label rows, and no
+    encoder."""
+
+    def __init__(self, p: ModelParameters):
+        c, hd = p.num_classes, p.hidden_dim
+        w = np.concatenate([p.w_main, p.w_calib[:hd]], axis=1)
+        table = np.empty((p.features.hash_dim, c + 2))
+        rows = max(1, TABLE_BLOCK_BYTES // (8 * (c + 2)))
+        for lo in range(0, len(table), rows):
+            table[lo:lo + rows] = _rowwise_matmul(p.encoder[lo:lo + rows], w)
+        table.setflags(write=False)
+        self.table, self.b_main, self.b_calib = table, p.b_main.copy(), p.b_calib.copy()
+        self.w_label = p.w_calib[hd:].copy()
+        self.features, self.num_classes = p.features, c
+
+    def predict(self, m: FeatureMatrix
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per row of ``m``: the predicted label (ties go to the lowest index),
+        its probability, the main logits and the correctness head's sample
+        block (rows x 2) for ``calib_logits``."""
+        _check_dim(self.features.hash_dim, m.dim)
+        sums = _gather(self.table, m)
+        c = self.num_classes
+        z = sums[:, :c] + self.b_main
+        e, s = _exp_and_sum(z)
+        # Dividing by s cannot reorder e, so e's arg max is the predicted label,
+        # and as in top_prob its probability is 1 / s.
+        return e.argmax(axis=1), 1.0 / s[:, 0], z, sums[:, c:]
+
+    def calib_logits(self, sample: np.ndarray, y_star,
+                     feature_mode: str = "all") -> np.ndarray:
+        """Correctness-head logits of the rows whose sample block ``predict``
+        returned, given their labels ``y_star``; the same arithmetic as
+        ``calib_head``."""
+        return _calib_logits(sample, self.w_label, self.b_calib, y_star, feature_mode)
 
 
 def predict_batch(p: ModelParameters, m: FeatureMatrix
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of ``m``: the predicted label (ties go to the lowest index), its
-    probability, the main logits and the encoder output."""
-    h = encode(p, m)
-    z = main_head(p, h)
-    e, s = _exp_and_sum(z)
-    # Dividing by s cannot reorder e, so e's arg max is the predicted label,
-    # and as in top_prob its probability is 1 / s.
-    return e.argmax(axis=1), 1.0 / s[:, 0], z, h
+    probability and the main logits, through the model's ``Scorer`` (which
+    freezes ``p``)."""
+    return p.scorer().predict(m)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +646,9 @@ def apply_grads(p: ModelParameters, g: Grads, lr: float) -> None:
     array outlives its block."""
     if not p.encoder.flags.c_contiguous:
         raise ValueError("encoder must be a C-contiguous array to be updated in place")
+    if not all(getattr(p, name).flags.writeable for name in _TENSOR_ORDER):
+        raise ValueError("model parameters are read-only: the model has been scored "
+                         "(ModelParameters.scorer); train a copy instead")
     p.w_main -= lr * g.w_main
     p.b_main -= lr * g.b_main
     p.w_calib -= lr * g.w_calib

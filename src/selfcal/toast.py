@@ -104,7 +104,8 @@ class CrossAnnotation:
 
 
 def annotate_with_model(params: ModelParameters, d: Dataset) -> Annotations:
-    """Every row of ``d`` with the model's prediction and whether it was right."""
+    """Every row of ``d`` with the model's prediction and whether it was right,
+    through the model's ``Scorer`` (which freezes ``params``)."""
     preds = predict_batch(params, d.features(params.features))[0]
     return Annotations(d, preds, preds == d.labels())
 

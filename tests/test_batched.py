@@ -50,11 +50,13 @@ from selfcal.model import (
     _flat_index,
     apply_grads,
     calib_batch_grads,
+    calib_head,
     consistency_batch_grads,
     encode,
     featurize_batch,
     init_parameters,
     main_batch_grads,
+    main_head,
     predict_batch,
     smooth_target,
     softmax,
@@ -259,19 +261,23 @@ def test_featurize_batch_property(texts, ngram_max, hash_dim, lowercase, tagging
     pairs = [(" ".join(a), None if b is None else " ".join(b)) for a, b in texts]
     texts_a, texts_b = [a for a, _ in pairs], [b for _, b in pairs]
     # featurize_batch's two paths: text by text, and the token-id core in
-    # chunks of chunk_tokens.
-    per_text = model._hash_per_text(model._tokenized(texts_a, texts_b, cfg), cfg)
-    id_core = model._hash_chunks(model._tokenized(texts_a, texts_b, cfg), cfg, chunk_tokens)
+    # chunks of chunk_tokens; and text by text until chunk_tokens tokens, then
+    # the rest through the core.
+    per_text = model._hash_per_text(zip(texts_a, texts_b), cfg)
+    id_core = model._hash_chunks(model._tokenized(zip(texts_a, texts_b), cfg), cfg, chunk_tokens)
+    mixed = model._hash_per_text(zip(texts_a, texts_b), cfg, chunk_tokens)
     assert_rows_match(per_text, pairs, cfg)
     assert_same_matrix(id_core, per_text)
+    assert_same_matrix(mixed, per_text)
     assert_same_matrix(featurize_batch(texts_a, texts_b, cfg), per_text)
-    assert not any(a.flags.writeable for m in (per_text, id_core)
+    assert not any(a.flags.writeable for m in (per_text, id_core, mixed)
                    for a in (m.indptr, m.indices, m.values))
 
 
 def test_featurize_batch_picks_its_path_by_token_count(monkeypatch):
     # With a threshold of 6 tokens and chunks of 3, a call of 5 tokens goes
-    # text by text and one of 6 through the id core, chunked mid-batch.
+    # text by text. A larger one goes text by text until its first 6 tokens,
+    # and the rest through the id core, chunked mid-batch.
     monkeypatch.setattr(model, "ID_CORE_MIN_TOKENS", 6)
     monkeypatch.setattr(model, "CHUNK_TOKENS", 3)
     paths = []
@@ -280,8 +286,9 @@ def test_featurize_batch_picks_its_path_by_token_count(monkeypatch):
                             paths.append(_n) or _f(*args))
     cfg = FeaturizerConfig(ngram_max=3, hash_dim=64)
     for pairs, want in (([("a b", "c"), ("d e", None)], ["_hash_per_text"]),
-                        ([("a b", "c"), ("d e f", None)], ["_hash_chunks"] + 2 * ["_hash_chunk"]),
-                        ([("a b c d e f g", "")], ["_hash_chunks", "_hash_chunk"])):
+                        ([("a b", "c"), ("d e f", None), ("g h", "i"), ("j", None)],
+                         ["_hash_per_text", "_hash_chunks"] + 2 * ["_hash_chunk"]),
+                        ([("a b c d e f g", "")], ["_hash_per_text", "_hash_chunks"])):
         paths.clear()
         m = featurize_batch([a for a, _ in pairs], [b for _, b in pairs], cfg)
         assert paths == want
@@ -378,6 +385,87 @@ def test_calibration_head_matches_per_sample(feature_mode):
         assert log.pred[i] == label
         assert abs(log.confidence[i] - conf) <= TOL
         assert log.correct[i] == int(label == s.label)
+
+
+def assert_scorer_matches_encoder_and_heads(p, m, y_star):
+    """The Scorer's main and correctness-head logits against ``encode`` +
+    ``main_head`` + ``calib_head``, in every feature mode: within 1e-12
+    relative to the logit (absolute below 1), since the table only reorders
+    the sums."""
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= TOL * np.maximum(np.abs(want), 1.0))
+
+    h = encode(p, m)
+    labels, prob, z, sample = p.scorer().predict(m)
+    close(z, main_head(p, h))
+    assert np.array_equal(prob, model.top_prob(z)) and np.array_equal(labels, z.argmax(axis=1))
+    for mode in FEATURE_MODES:
+        close(p.scorer().calib_logits(sample, y_star, mode), calib_head(p, h, y_star, mode))
+    return labels, prob, z, sample
+
+
+def test_scorer_matches_encoder_and_heads():
+    d = random_dataset(8, 200, max_len=60)
+    p = random_params(9, hidden=16, num_classes=4)
+    m = d.features(p.features)
+    assert_scorer_matches_encoder_and_heads(
+        p, m, np.random.default_rng(1).integers(0, 4, size=len(m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hash_bits=st.integers(1, 12),
+       hidden=st.integers(1, 48), num_classes=st.integers(2, 6),
+       lengths=st.lists(st.integers(1, 60), max_size=10),
+       block_nnz=st.integers(1, 40), table_rows=st.integers(1, 300))
+@example(seed=0, hash_bits=12, hidden=8, num_classes=2, lengths=[60, 1, 3],
+         block_nnz=4, table_rows=1)
+def test_scorer_property(seed, hash_bits, hidden, num_classes, lengths, block_nnz, table_rows):
+    # Gather blocks of block_nnz nonzeros, so rows longer than a block are
+    # common, and tables built table_rows encoder rows at a time.
+    p = random_params(seed % 997, hidden=hidden, num_classes=num_classes,
+                      feats=FeaturizerConfig(hash_dim=2 ** hash_bits))
+    rng = np.random.default_rng(seed)
+    texts = [" ".join(f"w{j}" for j in rng.integers(0, 500, size=n)) for n in lengths]
+    m = featurize_batch(texts, cfg=p.features)
+    y_star = rng.integers(0, num_classes, size=len(m))
+    width = num_classes + 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "ENCODE_BLOCK_BYTES", 8 * width * block_nnz)
+        patch.setattr(model, "TABLE_BLOCK_BYTES", 8 * width * table_rows)
+        whole = assert_scorer_matches_encoder_and_heads(p, m, y_star)
+        # The table does not depend on its build blocks.
+        assert np.array_equal(model.Scorer(p).table, p.scorer().table)
+        # A text scores bit for bit the same alone as in the batch.
+        for i, text in enumerate(texts):
+            one = p.scorer().predict(featurize_batch([text], cfg=p.features))
+            for got, want in zip(one, whole):
+                assert np.array_equal(got[0], want[i])
+
+
+def test_a_scored_model_is_frozen():
+    p = random_params(10)
+    d = random_dataset(11, 40)
+    m = d.features(p.features)
+    _, g = main_batch_grads(p, m, d.labels())
+    scorer = p.scorer()
+    assert p.scorer() is scorer and Calibrator("toast", p).scorer is scorer
+    names = ("encoder", "w_main", "b_main", "w_calib", "b_calib")
+    assert not any(getattr(p, n).flags.writeable for n in names)
+    with pytest.raises(ValueError) as exc:
+        apply_grads(p, g, 0.1)
+    assert str(exc.value) == ("model parameters are read-only: the model has been scored "
+                              "(ModelParameters.scorer); train a copy instead")
+    # A copy trains, and scores through a table of its own parameters.
+    q = copy.deepcopy(p)
+    apply_grads(q, g, 0.1)
+    assert q.scorer() is not scorer
+    assert_scorer_matches_encoder_and_heads(q, m, d.labels())
+    assert not np.array_equal(q.scorer().table, scorer.table)
+    # A tensor swapped in after scoring gets a new table.
+    p.w_main = p.w_main + 1.0
+    assert p.scorer() is not scorer
+    assert_scorer_matches_encoder_and_heads(p, m, d.labels())
 
 
 def test_memoised_matrix_is_shared_and_read_only():
@@ -1060,9 +1148,8 @@ def ref_text_attack(p, s, lexicon, budget):
     gold = s.label
 
     def score(texts):
-        labels, _, z, _ = predict_batch(p, featurize_batch(texts, [s.text_b] * len(texts),
-                                                           p.features))
-        return labels, softmax(z)[:, gold]
+        z = main_head(p, encode(p, featurize_batch(texts, [s.text_b] * len(texts), p.features)))
+        return z.argmax(axis=1), softmax(z)[:, gold]
 
     labels, probs = score([s.text_a])
     if labels[0] != gold:

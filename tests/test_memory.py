@@ -5,8 +5,9 @@ files are written and read without a second copy of a tensor, the batched
 encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time, an SGD
 step forms its encoder-gradient rows one block of ``GRAD_BLOCK_BYTES`` at a
 time, the attack scores one group of ``ATTACK_GROUP`` samples' candidates
-at a time, and ``featurize_batch`` hashes a large call one chunk of about
-``CHUNK_TOKENS`` tokens at a time."""
+at a time, ``featurize_batch`` hashes a large call one chunk of about
+``CHUNK_TOKENS`` tokens at a time, and a model's scoring table is built one
+block of ``TABLE_BLOCK_BYTES`` at a time, once for all its calibrators."""
 
 import tracemalloc
 from dataclasses import replace
@@ -18,10 +19,12 @@ import pytest
 from selfcal import cli
 from selfcal.apps import PilotSweepConfig, evaluate_point, seed_annotations
 from selfcal.augment import attack_dataset
+from selfcal.calibrators import Calibrator
 from selfcal.cli import main
 from selfcal.model import (
     ENCODE_BLOCK_BYTES,
     FeaturizerConfig,
+    Scorer,
     TrainConfig,
     apply_grads,
     calib_batch_grads,
@@ -89,6 +92,22 @@ def test_encode_gathers_one_block_at_a_time():
     assert m.indptr[-1] >= 20_000
     peak, out = peak_bytes(encode, p, m)
     assert peak < out.nbytes + 2 * ENCODE_BLOCK_BYTES
+
+
+def test_building_a_table_allocates_the_table_and_one_block():
+    p = init_parameters(2, BIG)
+    peak, scorer = peak_bytes(Scorer, p)
+    assert peak <= scorer.table.nbytes + 2 ** 20
+
+
+def test_calibrators_of_one_model_share_its_table():
+    # perfbench's toast_train scores with two calibrators of one model; the
+    # second one must not build a second 2 ** 16 x 4 table.
+    p = init_parameters(2, BIG)
+    first = Calibrator("vanilla", p)
+    peak, second = peak_bytes(Calibrator, "toast", p)
+    assert second.scorer is first.scorer
+    assert peak < 0.01 * ENCODER_BYTES
 
 
 def test_multitask_step_forms_encoder_gradients_one_block_at_a_time():

@@ -22,10 +22,12 @@ from selfcal.model import (
     calib_batch_grads,
     calib_head,
     consistency_batch_grads,
+    encode,
     featurize_batch,
     init_parameters,
     load_parameters,
     main_batch_grads,
+    main_head,
     predict_batch,
     save_parameters,
     softmax,
@@ -39,14 +41,14 @@ def one_row(text_a, text_b=None, cfg=FeaturizerConfig()):
 
 
 def main_probs(p, m):
-    """Main-head probabilities of every row of ``m``."""
-    return softmax(predict_batch(p, m)[2])
+    """Main-head probabilities of every row of ``m``, through the encoder (which
+    leaves ``p`` trainable)."""
+    return softmax(main_head(p, encode(p, m)))
 
 
 def calib_probs(p, m, y_star):
     """Correctness-head (P_false, P_true) of every row of ``m`` given ``y_star``."""
-    h = predict_batch(p, m)[3]
-    return softmax(calib_head(p, h, np.full(len(m), y_star)))
+    return softmax(calib_head(p, encode(p, m), np.full(len(m), y_star)))
 
 
 class TestFeaturizer:
@@ -160,11 +162,13 @@ class TestForwardCalib:
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(2, cfg)
         m = one_row("w", cfg=SMALL_FEATS)
-        h = predict_batch(p, m)[3]
+        h = encode(p, m)
         for y_star in (2, -1):
             for mode in ("all", "no_sample", "no_prediction"):
                 with pytest.raises(ValueError, match="out of range"):
                     calib_head(p, h, np.array([y_star]), mode)
+                with pytest.raises(ValueError, match="out of range"):
+                    p.scorer().calib_logits(np.zeros((1, 2)), np.array([y_star]), mode)
             with pytest.raises(ValueError, match="out of range"):
                 calib_batch_grads(p, m, np.array([y_star]), np.array([1]))
 
@@ -322,7 +326,7 @@ class TestPredict:
     def test_tie_break_to_lowest_index(self):
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(3, cfg)
-        labels, conf, _, _ = predict_batch(p, one_row("whatever text", cfg=SMALL_FEATS))
+        labels, conf, _ = predict_batch(p, one_row("whatever text", cfg=SMALL_FEATS))
         assert labels[0] == 0
         assert conf[0] == pytest.approx(1 / 3, abs=1e-12)
 
@@ -330,7 +334,7 @@ class TestPredict:
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(2, cfg)
         p.b_main[:] = np.log([0.1, 0.9])
-        labels, conf, logits, _ = predict_batch(p, one_row("w", cfg=SMALL_FEATS))
+        labels, conf, logits = predict_batch(p, one_row("w", cfg=SMALL_FEATS))
         assert labels[0] == 1
         assert conf[0] == pytest.approx(0.9, rel=1e-12)
         assert logits.shape == (1, 2)

@@ -32,7 +32,6 @@ from .model import (
     FEATURE_MODES,
     ModelParameters,
     TrainConfig,
-    predict_batch,
     softmax,
     train_main,
 )
@@ -127,7 +126,7 @@ def cascade_eval(small: Calibrator, large_params: ModelParameters, d: Dataset) -
     large one, swept over the 0.01 threshold grid, plus the area score.
     ``curve`` holds (threshold, accuracy, routed fraction) rows."""
     small_log = small.build_log(d, group="id")
-    large_pred = predict_batch(large_params, d.features(large_params.features))[0]
+    large_pred = large_params.scorer().predict(d.features(large_params.features))[0]
     large_correct = (large_pred == d.labels()).astype(np.int64)
     curve, area = cascade_curve(small_log, large_correct)
     return {

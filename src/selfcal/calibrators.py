@@ -20,9 +20,7 @@ from .model import (
     FeatureMatrix,
     ModelParameters,
     featurize_batch,
-    predict_batch,
     softmax,
-    top_prob,
     train_main,
 )
 
@@ -89,7 +87,7 @@ class Calibrator:
             if self.temperature is None:
                 raise ValueError("temperature calibrator is not fitted")
             # Scaling by T > 0 keeps the arg max, so its probability is the top one.
-            return labels, top_prob(logits / self.temperature)
+            return labels, softmax(logits / self.temperature).max(axis=1)
         # Self-calibration: P(true) from the correctness head, conditioned on
         # the main head's prediction.
         return labels, softmax(self.scorer.calib_logits(sample, labels))[:, 1]
@@ -152,7 +150,7 @@ def train_with_temperature(train: Dataset, cfg) -> tuple[ModelParameters, float]
     train.features(cfg.features)  # hashed once; both parts take its rows
     holdout, rest = baseline_split(train, cfg.seed)
     params, _ = train_main(rest, cfg)
-    # Through the model's Scorer, which the calibrators built on it then share.
-    logits = predict_batch(params, holdout.features(params.features))[2]
+    # Through the model's Scorer, which freezes params; its calibrators share it.
+    logits = params.scorer().predict(holdout.features(params.features))[2]
     t = fit_temperature(logits, holdout.labels())
     return params, t

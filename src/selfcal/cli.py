@@ -523,7 +523,8 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     fingerprint = _sweep_fingerprint(cfg, kind, points)
     done: dict[str, dict] = {}  # CSV rows by point id, resumed or fresh
     if csv_path.exists():
-        if fp_path.exists() and fp_path.read_text(encoding="utf-8").strip() != fingerprint:
+        # A CSV without a fingerprint cannot be shown to come from this config.
+        if not fp_path.exists() or fp_path.read_text(encoding="utf-8").strip() != fingerprint:
             raise ConfigError(f"{csv_path} comes from another config or grid; "
                               "refusing to resume (use a fresh --out)")
         with open(csv_path, encoding="utf-8", newline="") as fh:

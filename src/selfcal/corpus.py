@@ -95,9 +95,7 @@ class Dataset:
         child = Dataset(tuple(self.samples[i] for i in rows.tolist()),
                         self.label_names, self.task_kind)
         for cfg, m in self._features.items():
-            child._features[cfg] = m = m.take(rows)
-            for a in (m.indptr, m.indices, m.values):
-                a.setflags(write=False)
+            child._features[cfg] = m.take(rows)
         return child
 
 

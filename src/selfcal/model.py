@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count
 from pathlib import Path
 from zlib import crc32
 
@@ -66,13 +67,18 @@ class FeatureMatrix:
     Row ``i`` holds the sorted unique bucket indices
     ``indices[indptr[i]:indptr[i + 1]]`` and their counts in ``values``.
     Buckets fit in uint32 and integer counts are exact in float32. The arrays
-    are read-only, so one matrix can be shared by every scorer of a dataset.
+    are made read-only here, so one matrix can be shared by every scorer of a
+    dataset.
     """
 
     indptr: np.ndarray     # int64, rows + 1
     indices: np.ndarray    # uint32
     values: np.ndarray     # float32
     dim: int
+
+    def __post_init__(self):
+        for a in (self.indptr, self.indices, self.values):
+            a.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -90,17 +96,6 @@ class FeatureMatrix:
         return FeatureMatrix(indptr, self.indices[src], self.values[src], self.dim)
 
 
-# featurize_batch hashes texts one by one (a Counter of each text's n-gram
-# buckets) until they hold this many tokens, and the rest of the call through
-# the token-id core, which has a fixed numpy cost of about 0.1 ms a chunk. On
-# texts of the benchmark's 400-word vocabulary (hash 2 ** 14, 2-core Xeon,
-# numpy 2.4) one text of 128 tokens took 118 us in the core against 88 us
-# text by text, one of 512 tokens 293 us against 337 us, and 16 texts of 8
-# tokens 119 us against 137 us: the paths break even between 128 and 512
-# tokens. Single requests stay text by text; both paths give byte-identical
-# rows.
-ID_CORE_MIN_TOKENS = 256
-
 # Tokens per chunk of the token-id core: the chunk's n-gram codes, sorts and
 # per-occurrence keys are a few int64 arrays of about this length, so the
 # core's temporaries stay under 1 MiB whatever the size of the call. On 8000
@@ -110,7 +105,7 @@ ID_CORE_MIN_TOKENS = 256
 CHUNK_TOKENS = 4096
 
 
-def featurize_batch(texts_a, texts_b=None,
+def featurize_batch(texts_a: Sequence[str], texts_b: Sequence[str | None] | None = None,
                     cfg: FeaturizerConfig = FeaturizerConfig()) -> FeatureMatrix:
     """Hash unigrams..ngram_max of each text (pair) into ``cfg.hash_dim``
     count buckets, one matrix row per text.
@@ -121,17 +116,20 @@ def featurize_batch(texts_a, texts_b=None,
     "x" in segment a and "x" in segment b land in different buckets; no
     n-gram spans the two segments.
 
-    Texts are hashed one by one, with one ``Counter`` each, until they hold
-    ``ID_CORE_MIN_TOKENS`` tokens, so a single request is hashed text by
-    text. The rest of a larger call goes through the token-id core in chunks
-    of about ``CHUNK_TOKENS`` tokens, which hashes each distinct n-gram of a
-    chunk once rather than each occurrence (see ``_hash_chunk``). Both give
-    the same rows, byte for byte, so a text hashes the same alone and in any
-    batch.
+    A single text (a request) is hashed with one ``Counter`` (``_hash_text``):
+    the core's fixed numpy cost, about 0.1 ms a chunk, is more than a text of
+    up to a few hundred tokens costs that way. Any other call, the empty one
+    included, goes through the token-id core in chunks of about
+    ``CHUNK_TOKENS`` tokens, which hashes each distinct n-gram of a chunk once
+    rather than each occurrence (see ``_hash_chunk``). Both give the same
+    rows, byte for byte, so a text hashes the same alone and in any batch.
     """
-    pairs = (zip(texts_a, repeat(None)) if texts_b is None
-             else zip(texts_a, texts_b, strict=True))
-    return _hash_per_text(pairs, cfg, ID_CORE_MIN_TOKENS)
+    if texts_b is None:
+        texts_b = [None] * len(texts_a)
+    if len(texts_a) == 1 == len(texts_b):
+        return _hash_text(texts_a[0], texts_b[0], cfg)
+    return _hash_chunks((_tokenize(a, b, cfg) for a, b in zip(texts_a, texts_b, strict=True)),
+                        cfg, CHUNK_TOKENS)
 
 
 def _tokenize(text_a: str, text_b: str | None, cfg: FeaturizerConfig):
@@ -149,53 +147,30 @@ def _tokenize(text_a: str, text_b: str | None, cfg: FeaturizerConfig):
     return toks, toks_b
 
 
-def _tokenized(pairs, cfg: FeaturizerConfig):
-    """``_tokenize`` of each ``(text_a, text_b)`` pair, lazily."""
-    return (_tokenize(a, b, cfg) for a, b in pairs)
+def _hash_text(text_a: str, text_b: str | None, cfg: FeaturizerConfig) -> FeatureMatrix:
+    """The one-row matrix of a text (pair), from one ``Counter`` of its n-gram
+    buckets. A single request hashes in about 15 us, so each call layer is a
+    few percent of it: the row's buckets and counts go through ``array``
+    buffers, which numpy reads without converting a list."""
+    toks, toks_b = _tokenize(text_a, text_b, cfg)
+    keys = _ngram_keys(toks, cfg.ngram_max)
+    if toks_b is not None:
+        keys += _ngram_keys(toks_b, cfg.ngram_max)
+    row = Counter(_buckets(keys, cfg.hash_dim - 1))
+    buckets = sorted(row)
+    indices = np.frombuffer(array("I", buckets), dtype=np.uint32)
+    counts = np.frombuffer(array("I", map(row.__getitem__, buckets)), dtype=np.uint32)
+    return FeatureMatrix(np.array([0, len(buckets)], dtype=np.int64), indices,
+                         counts.astype(np.float32), cfg.hash_dim)
 
 
-def _hash_per_text(pairs, cfg: FeaturizerConfig, core_min_tokens: float = float("inf")
-                   ) -> FeatureMatrix:
-    """The matrix of ``(text_a, text_b)`` pairs, one ``Counter`` of n-gram
-    buckets per text, until the texts hashed so far hold ``core_min_tokens``
-    tokens; the rest go through ``_hash_chunks``. Each text is tokenized in
-    the loop that hashes it, with no generator in between: a single request
-    hashes in about 15 us, so each call layer is a few percent of it."""
-    mask, ngram_max, size = cfg.hash_dim - 1, cfg.ngram_max, 0
-    indptr, indices, counts = array("q", [0]), array("I"), array("I")
-    for text_a, text_b in pairs:
-        toks, toks_b = _tokenize(text_a, text_b, cfg)
-        keys = _ngram_keys(toks, ngram_max)
-        size += len(toks)
-        if toks_b is not None:
-            keys += _ngram_keys(toks_b, ngram_max)
-            size += len(toks_b)
-        row = Counter(_buckets(keys, mask))
-        buckets = sorted(row)
-        indices.fromlist(buckets)
-        counts.extend(map(row.__getitem__, buckets))
-        indptr.append(len(indices))
-        if size >= core_min_tokens:
-            break
-    # Arrays over immutable bytes are read-only.
-    indptr = np.frombuffer(indptr.tobytes(), dtype=np.int64)
-    indices = np.frombuffer(indices.tobytes(), dtype=np.uint32)
-    values = np.frombuffer(counts, dtype=np.uint32).astype(np.float32)
-    if size >= core_min_tokens:
-        return _hash_chunks(_tokenized(pairs, cfg), cfg, CHUNK_TOKENS,
-                            (np.diff(indptr), indices, values))
-    values.setflags(write=False)
-    return FeatureMatrix(indptr, indices, values, cfg.hash_dim)
-
-
-def _hash_chunks(texts, cfg: FeaturizerConfig, chunk_tokens: int, head=None) -> FeatureMatrix:
+def _hash_chunks(texts, cfg: FeaturizerConfig, chunk_tokens: int) -> FeatureMatrix:
     """The matrix of tokenized texts through the token-id core, a chunk of at
-    least ``chunk_tokens`` tokens (the last chunk may hold fewer) at a time,
-    after the rows already hashed in ``head`` (row lengths, buckets, counts).
+    least ``chunk_tokens`` tokens (the last chunk may hold fewer) at a time.
     Each word's crc32 and ``b" " + word`` are computed once per call."""
     words: dict[str, tuple[int, bytes]] = {}
-    parts = [head or (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32),
-                      np.empty(0, dtype=np.float32))]
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32),
+              np.empty(0, dtype=np.float32))]
     chunk, size = [], 0
     for text in texts:
         chunk.append(text)
@@ -208,8 +183,6 @@ def _hash_chunks(texts, cfg: FeaturizerConfig, chunk_tokens: int, head=None) -> 
     lengths, indices, values = map(np.concatenate, zip(*parts))
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    for a in (indptr, indices, values):
-        a.setflags(write=False)
     return FeatureMatrix(indptr, indices, values, cfg.hash_dim)
 
 
@@ -407,13 +380,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / s
 
 
-def top_prob(z: np.ndarray) -> np.ndarray:
-    """``softmax(z).max(axis=-1)``, one reduction cheaper: the largest term of
-    ``exp(z - max z)`` is exp(0) = 1, so the largest probability is exactly
-    1 / (sum of the terms)."""
-    return 1.0 / _exp_and_sum(z)[1][..., 0]
-
-
 def _check_dim(hash_dim: int, dim: int) -> None:
     if dim != hash_dim:
         raise ValueError(f"feature dim {dim} != model hash_dim {hash_dim}")
@@ -546,8 +512,8 @@ class Scorer:
         c = self.num_classes
         z = sums[:, :c] + self.b_main
         e, s = _exp_and_sum(z)
-        # Dividing by s cannot reorder e, so e's arg max is the predicted label,
-        # and as in top_prob its probability is 1 / s.
+        # Dividing by s cannot reorder e, so e's arg max is the predicted label;
+        # its term is exp(0) = 1, so its probability is exactly 1 / s.
         return e.argmax(axis=1), 1.0 / s[:, 0], z, sums[:, c:]
 
     def calib_logits(self, sample: np.ndarray, y_star,
@@ -556,14 +522,6 @@ class Scorer:
         returned, given their labels ``y_star``; the same arithmetic as
         ``calib_head``."""
         return _calib_logits(sample, self.w_label, self.b_calib, y_star, feature_mode)
-
-
-def predict_batch(p: ModelParameters, m: FeatureMatrix
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of ``m``: the predicted label (ties go to the lowest index), its
-    probability and the main logits, through the model's ``Scorer`` (which
-    freezes ``p``)."""
-    return p.scorer().predict(m)[:3]
 
 
 # ---------------------------------------------------------------------------

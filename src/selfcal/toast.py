@@ -33,7 +33,6 @@ from .model import (
     featurize_batch,
     init_parameters,
     main_batch_grads,
-    predict_batch,
     train_main,
 )
 
@@ -106,7 +105,7 @@ class CrossAnnotation:
 def annotate_with_model(params: ModelParameters, d: Dataset) -> Annotations:
     """Every row of ``d`` with the model's prediction and whether it was right,
     through the model's ``Scorer`` (which freezes ``params``)."""
-    preds = predict_batch(params, d.features(params.features))[0]
+    preds = params.scorer().predict(d.features(params.features))[0]
     return Annotations(d, preds, preds == d.labels())
 
 

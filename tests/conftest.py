@@ -20,7 +20,6 @@ from selfcal.model import (
     TrainConfig,
     _TENSOR_ORDER,
     featurize_batch,
-    predict_batch,
     train_main,
 )
 from selfcal.toast import ToastConfig, run_toast
@@ -58,11 +57,11 @@ def base_model(synth_data, train_cfg):
 
 def correct_mask(params, samples) -> np.ndarray:
     """Whether the main head labels each of ``samples`` right, from one
-    predict_batch over all of them."""
+    scorer prediction over all of them."""
     samples = list(samples)
     m = featurize_batch([s.text_a for s in samples], [s.text_b for s in samples],
                         params.features)
-    return predict_batch(params, m)[0] == np.array([s.label for s in samples])
+    return params.scorer().predict(m)[0] == np.array([s.label for s in samples])
 
 
 def make_separable(n_per_class: int = 20, seed: int = 3) -> Dataset:

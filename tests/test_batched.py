@@ -18,6 +18,7 @@ import subprocess
 import sys
 import zlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,7 +58,6 @@ from selfcal.model import (
     init_parameters,
     main_batch_grads,
     main_head,
-    predict_batch,
     smooth_target,
     softmax,
     train_main,
@@ -260,43 +260,52 @@ def test_featurize_batch_property(texts, ngram_max, hash_dim, lowercase, tagging
                            segment_tagging=tagging)
     pairs = [(" ".join(a), None if b is None else " ".join(b)) for a, b in texts]
     texts_a, texts_b = [a for a, _ in pairs], [b for _, b in pairs]
-    # featurize_batch's two paths: text by text, and the token-id core in
-    # chunks of chunk_tokens; and text by text until chunk_tokens tokens, then
-    # the rest through the core.
-    per_text = model._hash_per_text(zip(texts_a, texts_b), cfg)
-    id_core = model._hash_chunks(model._tokenized(zip(texts_a, texts_b), cfg), cfg, chunk_tokens)
-    mixed = model._hash_per_text(zip(texts_a, texts_b), cfg, chunk_tokens)
-    assert_rows_match(per_text, pairs, cfg)
-    assert_same_matrix(id_core, per_text)
-    assert_same_matrix(mixed, per_text)
-    assert_same_matrix(featurize_batch(texts_a, texts_b, cfg), per_text)
-    assert not any(a.flags.writeable for m in (per_text, id_core, mixed)
-                   for a in (m.indptr, m.indices, m.values))
+    # featurize_batch's two paths: one Counter for a lone text, and the
+    # token-id core, here in chunks of chunk_tokens, for any other call.
+    with mock.patch.object(model, "CHUNK_TOKENS", chunk_tokens):
+        m = featurize_batch(texts_a, texts_b, cfg)
+    id_core = model._hash_chunks((model._tokenize(a, b, cfg) for a, b in pairs), cfg,
+                                 chunk_tokens)
+    assert_rows_match(m, pairs, cfg)
+    assert_same_matrix(id_core, m)
+    for i, (a, b) in enumerate(pairs):
+        assert_same_matrix(model._hash_text(a, b, cfg), m.take([i]))
 
 
-def test_featurize_batch_picks_its_path_by_token_count(monkeypatch):
-    # With a threshold of 6 tokens and chunks of 3, a call of 5 tokens goes
-    # text by text. A larger one goes text by text until its first 6 tokens,
-    # and the rest through the id core, chunked mid-batch.
-    monkeypatch.setattr(model, "ID_CORE_MIN_TOKENS", 6)
+def test_featurize_batch_picks_its_path_by_text_count(monkeypatch):
+    # A lone text, however long, goes through _hash_text; the empty call and
+    # every call of two or more texts through the id core, here chunked
+    # mid-batch every 3 tokens.
     monkeypatch.setattr(model, "CHUNK_TOKENS", 3)
     paths = []
-    for name in ("_hash_per_text", "_hash_chunks", "_hash_chunk"):
+    for name in ("_hash_text", "_hash_chunks", "_hash_chunk"):
         monkeypatch.setattr(model, name, lambda *args, _f=getattr(model, name), _n=name:
                             paths.append(_n) or _f(*args))
     cfg = FeaturizerConfig(ngram_max=3, hash_dim=64)
-    for pairs, want in (([("a b", "c"), ("d e", None)], ["_hash_per_text"]),
+    long_text = " ".join(f"w{i % 50}" for i in range(600))
+    for pairs, want in (([], ["_hash_chunks"]),
+                        ([("a b", "c")], ["_hash_text"]),
+                        ([(long_text, None)], ["_hash_text"]),
+                        ([("a", None), ("b", None)], ["_hash_chunks", "_hash_chunk"]),
                         ([("a b", "c"), ("d e f", None), ("g h", "i"), ("j", None)],
-                         ["_hash_per_text", "_hash_chunks"] + 2 * ["_hash_chunk"]),
-                        ([("a b c d e f g", "")], ["_hash_per_text", "_hash_chunks"])):
+                         ["_hash_chunks"] + 4 * ["_hash_chunk"])):
         paths.clear()
         m = featurize_batch([a for a, _ in pairs], [b for _, b in pairs], cfg)
         assert paths == want
         assert_rows_match(m, pairs, cfg)
     # A text with no tokens fails the same way on both paths.
-    for texts in (["a b", " "], ["a b c d e f g", "\t"]):
+    for texts in ([" "], ["a b", "\t"]):
         with pytest.raises(ValueError, match="^text_a has no tokens$"):
             featurize_batch(texts, cfg=cfg)
+
+
+def test_every_feature_matrix_is_read_only():
+    d = random_dataset(3, 12)
+    m = d.features(FEATS)
+    for got in (featurize_batch(["one text"]), featurize_batch(["a", "b c"]),
+                featurize_batch([]), m, m.take([4, 1, 4]), m.take([]),
+                d.subset([2, 0]).features(FEATS)):
+        assert not any(a.flags.writeable for a in (got.indptr, got.indices, got.values))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +408,8 @@ def assert_scorer_matches_encoder_and_heads(p, m, y_star):
     h = encode(p, m)
     labels, prob, z, sample = p.scorer().predict(m)
     close(z, main_head(p, h))
-    assert np.array_equal(prob, model.top_prob(z)) and np.array_equal(labels, z.argmax(axis=1))
+    assert np.array_equal(prob, softmax(z).max(axis=1))
+    assert np.array_equal(labels, z.argmax(axis=1))
     for mode in FEATURE_MODES:
         close(p.scorer().calib_logits(sample, y_star, mode), calib_head(p, h, y_star, mode))
     return labels, prob, z, sample
@@ -1178,7 +1188,7 @@ def ref_text_attack(p, s, lexicon, budget):
 def ref_attack_dataset(p, d, lexicon, budget, max_successes):
     """Attack the correctly classified samples one by one, in order, until
     ``max_successes`` hits."""
-    preds = predict_batch(p, d.features(p.features))[0]
+    preds = p.scorer().predict(d.features(p.features))[0]
     adv, origins = [], []
     for s, pred in zip(d.samples, preds):
         if max_successes is not None and len(adv) >= max_successes:
@@ -1241,8 +1251,8 @@ def test_lockstep_attack_dataset_equals_attacking_one_by_one(
                            segment_tagging=tagging)
     p = random_params(seed % 997, hidden=4, num_classes=2, feats=cfg)
     texts = [(text(7), text(4) if pair else None) for _ in range(size)]
-    preds = predict_batch(p, featurize_batch([a for a, _ in texts], [b for _, b in texts],
-                                             cfg))[0]
+    m = featurize_batch([a for a, _ in texts], [b for _, b in texts], cfg)
+    preds = p.scorer().predict(m)[0]
     wrong = rng.random(size) < 0.2
     samples = tuple(Sample(id=f"s{i}", text_a=a, text_b=b, label=int(y + w) % 2)
                     for i, ((a, b), y, w) in enumerate(zip(texts, preds, wrong)))

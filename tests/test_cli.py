@@ -329,22 +329,38 @@ class TestSweep:
             sizes = [int(r["size"]) for r in csv.DictReader(fh)]
         assert sizes == sorted(sizes) == [15, 40]
 
+    SWEEP_HEADER = ("point_id,kind,size,mode,ratio,factor,feature_mode,k,"
+                    "n_seeds,auroc_mean,auroc_std,dconf_mean,dconf_std,skipped")
+    SENTINEL_ROW = "size=15,size,15,,,,,,2,0.123456,0.0,9.9,0.0,"
+
     def test_resume_skips_completed_points(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep"
-        out.mkdir()
-        # Pre-seed one completed row with a sentinel value: resuming must keep
-        # it untouched instead of recomputing.
-        header = ("point_id,kind,size,mode,ratio,factor,feature_mode,k,"
-                  "n_seeds,auroc_mean,auroc_std,dconf_mean,dconf_std,skipped")
-        sentinel = "size=15,size,15,,,,,,2,0.123456,0.0,9.9,0.0,"
-        (out / "sweep.csv").write_text(header + "\n" + sentinel + "\n")
-        assert main(["sweep", "--config", str(config_path), "--kind", "size",
-                     "--out", str(out)]) == 0
+        args = ["sweep", "--config", str(config_path), "--kind", "size", "--out", str(out)]
+        # A finished sweep leaves this config's fingerprint; then pre-seed one
+        # completed row with a sentinel value: resuming must keep it untouched
+        # instead of recomputing.
+        assert main(args) == 0
+        (out / "sweep.csv").write_text(self.SWEEP_HEADER + "\n" + self.SENTINEL_ROW + "\n")
+        capsys.readouterr()
+        assert main(args) == 0
         assert "skipping completed point size=15" in capsys.readouterr().out
         with open(out / "sweep.csv", newline="") as fh:
             rows = {r["point_id"]: r for r in csv.DictReader(fh)}
         assert rows["size=15"]["auroc_mean"] == "0.123456"
         assert rows["size=40"]["auroc_mean"] not in ("", "0.123456")
+
+    def test_resume_refuses_a_sweep_without_a_fingerprint(self, config_path, tmp_path,
+                                                          capsys):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        stale = self.SWEEP_HEADER + "\n" + self.SENTINEL_ROW + "\n"
+        (out / "sweep.csv").write_text(stale)
+        assert main(["sweep", "--config", str(config_path), "--kind", "size",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "another config or grid" in err and len(err.strip().splitlines()) == 1
+        assert (out / "sweep.csv").read_text() == stale
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
 
     def test_resume_refuses_a_sweep_of_another_grid(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep"

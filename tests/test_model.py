@@ -28,7 +28,6 @@ from selfcal.model import (
     load_parameters,
     main_batch_grads,
     main_head,
-    predict_batch,
     save_parameters,
     softmax,
     train_main,
@@ -326,7 +325,7 @@ class TestPredict:
     def test_tie_break_to_lowest_index(self):
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(3, cfg)
-        labels, conf, _ = predict_batch(p, one_row("whatever text", cfg=SMALL_FEATS))
+        labels, conf, _, _ = p.scorer().predict(one_row("whatever text", cfg=SMALL_FEATS))
         assert labels[0] == 0
         assert conf[0] == pytest.approx(1 / 3, abs=1e-12)
 
@@ -334,14 +333,14 @@ class TestPredict:
         cfg = TrainConfig(hidden_dim=4, features=SMALL_FEATS)
         p = init_parameters(2, cfg)
         p.b_main[:] = np.log([0.1, 0.9])
-        labels, conf, logits = predict_batch(p, one_row("w", cfg=SMALL_FEATS))
+        labels, conf, logits, _ = p.scorer().predict(one_row("w", cfg=SMALL_FEATS))
         assert labels[0] == 1
         assert conf[0] == pytest.approx(0.9, rel=1e-12)
         assert logits.shape == (1, 2)
 
     def test_matches_gold_on_separable(self, separable, separable_model):
         m = separable.features(separable_model.features)
-        assert np.array_equal(predict_batch(separable_model, m)[0], separable.labels())
+        assert np.array_equal(separable_model.scorer().predict(m)[0], separable.labels())
 
 
 class TestSerialization:
@@ -358,8 +357,8 @@ class TestSerialization:
         save_parameters(separable_model, path)
         loaded = load_parameters(path)
         m = featurize_batch([s.text_a for s in separable.samples[:5]], cfg=loaded.features)
-        np.testing.assert_array_equal(predict_batch(loaded, m)[2],
-                                      predict_batch(separable_model, m)[2])
+        np.testing.assert_array_equal(loaded.scorer().predict(m)[2],
+                                      separable_model.scorer().predict(m)[2])
 
     def test_flat_roundtrip(self):
         cfg = TrainConfig(hidden_dim=4, seed=6, features=SMALL_FEATS)

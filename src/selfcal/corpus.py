@@ -91,7 +91,7 @@ class Dataset:
     def subset(self, rows) -> "Dataset":
         """New dataset of the samples at ``rows``, in that order, holding those
         rows, read-only, of each feature matrix built here: it hashes no text."""
-        rows = np.arange(len(self))[np.asarray(rows, dtype=np.int64)]  # negatives resolved
+        rows = np.asarray(rows, dtype=np.int64)
         child = Dataset(tuple(self.samples[i] for i in rows.tolist()),
                         self.label_names, self.task_kind)
         for cfg, m in self._features.items():

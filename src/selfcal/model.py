@@ -16,7 +16,8 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import count
+from functools import lru_cache
+from itertools import chain, count
 from pathlib import Path
 from zlib import crc32
 
@@ -84,10 +85,13 @@ class FeatureMatrix:
         return len(self.indptr) - 1
 
     def take(self, rows) -> "FeatureMatrix":
-        """The rows at positions ``rows``, in that order, as a new matrix."""
+        """The rows at positions ``rows``, in that order, as a new matrix.
+        Rows are indexed as numpy indexes an array of ``len(self)``: a
+        negative row counts from the end, and one out of range raises
+        ``IndexError``."""
         rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
+        starts = self.indptr[:-1][rows]
+        lengths = self.indptr[1:][rows] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         # Source position of every output nonzero: its row's start plus its
@@ -96,12 +100,13 @@ class FeatureMatrix:
         return FeatureMatrix(indptr, self.indices[src], self.values[src], self.dim)
 
 
-# Tokens per chunk of the token-id core: the chunk's n-gram codes, sorts and
-# per-occurrence keys are a few int64 arrays of about this length, so the
+# Tokens per chunk of the token-id core: the chunk's per-occurrence crc32s,
+# gather offsets and keys are a few int64 arrays of about this length, so the
 # core's temporaries stay under 1 MiB whatever the size of the call. On 8000
-# texts of 8/32/128 tokens the whole call as one chunk peaked at 16x the
-# returned matrix's bytes, against 2x with chunks of 4096 tokens, which ran
-# as fast as chunks of 1024 to 16384.
+# texts of 8/32/128 tokens the whole call as one chunk peaked at 18x the
+# returned matrix's bytes, against 2x with chunks of 1024 to 16384 tokens.
+# There, chunks of 1024 and 2048 tokens were 47% and 18% slower than 4096,
+# and 8192 and 16384 4-6% faster, within the spread of runs.
 CHUNK_TOKENS = 4096
 
 
@@ -120,8 +125,8 @@ def featurize_batch(texts_a: Sequence[str], texts_b: Sequence[str | None] | None
     the core's fixed numpy cost, about 0.1 ms a chunk, is more than a text of
     up to a few hundred tokens costs that way. Any other call, the empty one
     included, goes through the token-id core in chunks of about
-    ``CHUNK_TOKENS`` tokens, which hashes each distinct n-gram of a chunk once
-    rather than each occurrence (see ``_hash_chunk``). Both give the same
+    ``CHUNK_TOKENS`` tokens, which chains every n-gram's crc32 from its
+    prefix's in numpy (see ``_hash_chunk``). Both give the same
     rows, byte for byte, so a text hashes the same alone and in any batch.
     """
     if texts_b is None:
@@ -167,8 +172,10 @@ def _hash_text(text_a: str, text_b: str | None, cfg: FeaturizerConfig) -> Featur
 def _hash_chunks(texts, cfg: FeaturizerConfig, chunk_tokens: int) -> FeatureMatrix:
     """The matrix of tokenized texts through the token-id core, a chunk of at
     least ``chunk_tokens`` tokens (the last chunk may hold fewer) at a time.
-    Each word's crc32 and ``b" " + word`` are computed once per call."""
-    words: dict[str, tuple[int, bytes]] = {}
+    Each word's crc32, the crc32 of ``b" " + word`` and the offset of the
+    shift table for that byte length are computed once per call."""
+    words: dict[str, tuple[int, int, int]] = {}
+    shifts: dict[int, int] = {}    # byte length -> offset of its shift table
     parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32),
               np.empty(0, dtype=np.float32))]
     chunk, size = [], 0
@@ -176,31 +183,49 @@ def _hash_chunks(texts, cfg: FeaturizerConfig, chunk_tokens: int) -> FeatureMatr
         chunk.append(text)
         size += len(text[0]) + len(text[1] or ())
         if size >= chunk_tokens:
-            parts.append(_hash_chunk(chunk, cfg, words))
+            parts.append(_hash_chunk(chunk, cfg, words, shifts))
             chunk, size = [], 0
     if chunk:
-        parts.append(_hash_chunk(chunk, cfg, words))
+        parts.append(_hash_chunk(chunk, cfg, words, shifts))
     lengths, indices, values = map(np.concatenate, zip(*parts))
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     return FeatureMatrix(indptr, indices, values, cfg.hash_dim)
 
 
-def _hash_chunk(chunk: list, cfg: FeaturizerConfig, words: dict
+@lru_cache(maxsize=256)
+def _shift_table(n: int) -> np.ndarray:
+    """The map ``c -> crc32(s, c) ^ crc32(s)`` for every ``n``-byte ``s``, as
+    4 x 256 int64 entries, one block per byte of ``c``. The map is linear over
+    GF(2) and depends only on ``n``, so it is built from the 32 bits of ``c``
+    shifted through ``n`` zero bytes, and
+    ``crc32(s, c) == T[c & 255] ^ T[256 + (c >> 8 & 255)]
+    ^ T[512 + (c >> 16 & 255)] ^ T[768 + (c >> 24)] ^ crc32(s)``."""
+    zeros = bytes(n)
+    base = crc32(zeros)
+    table = np.zeros((4, 256), dtype=np.int64)
+    for bit in range(32):
+        byte, j = divmod(bit, 8)
+        table[byte, 1 << j:2 << j] = table[byte, :1 << j] ^ (crc32(zeros, 1 << bit) ^ base)
+    table = table.ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _hash_chunk(chunk: list, cfg: FeaturizerConfig, words: dict, shifts: dict
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The token-id core on one chunk of tokenized texts: per row, its number
     of distinct buckets, then the sorted buckets of all rows (uint32) and
     their counts (float32).
 
-    The chunk's T tokens, every segment end to end, become word ids below T.
-    Level n codes every n-gram that ends inside its segment as (index of its
-    first n - 1 words among the distinct (n-1)-grams) * T + (id of its last
-    word), starting from the word ids at level 1, so a code stays below T ** 2
-    at every level. One ``np.unique`` per level numbers the distinct n-grams,
-    and each one's crc32 is chained once from its prefix's,
-    ``crc32(b" " + word, crc32(prefix)) == crc32(prefix + b" " + word)``. One
-    ``np.unique`` of ``(row << 32) | bucket`` over every occurrence then gives
-    each row's sorted buckets and their counts."""
+    The chunk's T tokens, every segment end to end, become word ids. Level 1
+    is each token's word crc32. Level n extends the crc32 of every (n-1)-gram
+    whose segment still holds n tokens from its start by its next word,
+    ``crc32(prefix + b" " + word) == crc32(b" " + word, crc32(prefix))``,
+    for all of them at once in numpy: the crc32 of ``b" " + word`` XOR the
+    prefix's crc32 sent through the shift table of that byte length (see
+    ``_shift_table``). One ``np.unique`` of ``(row << 32) | bucket`` over every
+    occurrence then gives each row's sorted buckets and their counts."""
     mask = min(cfg.hash_dim, 2 ** 32) - 1   # a crc32 is below 2 ** 32
     toks, seg_lengths, seg_rows = [], [], []
     for row, (toks_a, toks_b) in enumerate(chunk):
@@ -214,33 +239,33 @@ def _hash_chunk(chunk: list, cfg: FeaturizerConfig, words: dict
     # A word's id is the position of its first occurrence in the chunk.
     n_toks, first = len(toks), {}
     ids = np.fromiter(map(first.setdefault, toks, count()), dtype=np.int64, count=n_toks)
-    crcs, spaced = [0] * n_toks, [b""] * n_toks
-    for w, i in first.items():
-        got = words.get(w)
-        if got is None:
-            b = w.encode()
-            got = words[w] = (crc32(b), b" " + b)
-        crcs[i], spaced[i] = got
+    for w in [w for w in first if w not in words]:
+        b = w.encode()
+        words[w] = (crc32(b), crc32(b" " + b), shifts.setdefault(len(b) + 1, 1024 * len(shifts)))
+    per_word = np.zeros((n_toks, 3), dtype=np.int64)
+    per_word[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = np.fromiter(
+        chain.from_iterable(map(words.__getitem__, first)), dtype=np.int64,
+        count=3 * len(first)).reshape(-1, 3)
+    word_crcs, spaced_crcs, offsets = per_word.T
+    shift = np.concatenate(list(map(_shift_table, shifts)))
     seg_lengths = np.array(seg_lengths, dtype=np.int64)
     row_of_tok = np.repeat(np.array(seg_rows, dtype=np.int64), seg_lengths)
     # Tokens from each position to the end of its segment.
     left = np.repeat(np.cumsum(seg_lengths), seg_lengths) - np.arange(n_toks)
 
-    starts, prefix = np.arange(n_toks), ids
-    level_crcs = np.array(crcs, dtype=np.int64)
-    keys = [(row_of_tok << 32) | (level_crcs[ids] & mask)]
+    starts, crcs = np.arange(n_toks), word_crcs[ids]
+    keys = [(row_of_tok << 32) | (crcs & mask)]
     for n in range(2, cfg.ngram_max + 1):
         keep = left[starts] >= n
-        starts = starts[keep]
+        starts, crcs = starts[keep], crcs[keep]
         if not len(starts):
             break
-        codes = prefix[keep] * n_toks + ids[starts + (n - 1)]
-        distinct, prefix = np.unique(codes, return_inverse=True)
-        heads, lasts = np.divmod(distinct, n_toks)
-        crcs = list(map(crc32, map(spaced.__getitem__, lasts.tolist()),
-                        map(crcs.__getitem__, heads.tolist())))
-        level_crcs = np.array(crcs, dtype=np.int64)
-        keys.append((row_of_tok[starts] << 32) | (level_crcs[prefix] & mask))
+        last = ids[starts + (n - 1)]
+        at = offsets[last]
+        crcs = (shift[at + (crcs & 255)] ^ shift[at + 256 + (crcs >> 8 & 255)]
+                ^ shift[at + 512 + (crcs >> 16 & 255)] ^ shift[at + 768 + (crcs >> 24)]
+                ^ spaced_crcs[last])
+        keys.append((row_of_tok[starts] << 32) | (crcs & mask))
     keys, counts = np.unique(np.concatenate(keys), return_counts=True)
     row_lengths = np.bincount(keys >> 32, minlength=len(chunk))
     return row_lengths, (keys & 0xFFFFFFFF).astype(np.uint32), counts.astype(np.float32)

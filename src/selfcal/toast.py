@@ -30,9 +30,11 @@ from .model import (
     apply_grads,
     calib_batch_grads,
     consistency_batch_grads,
+    encode,
     featurize_batch,
     init_parameters,
     main_batch_grads,
+    main_head,
     train_main,
 )
 
@@ -104,8 +106,10 @@ class CrossAnnotation:
 
 def annotate_with_model(params: ModelParameters, d: Dataset) -> Annotations:
     """Every row of ``d`` with the model's prediction and whether it was right,
-    through the model's ``Scorer`` (which freezes ``params``)."""
-    preds = params.scorer().predict(d.features(params.features))[0]
+    through training's forward pass (``encode`` and ``main_head``): an
+    annotator labels one fold and is dropped, so a scoring table over every
+    bucket would cost more than it saves. ``params`` stays trainable."""
+    preds = main_head(params, encode(params, d.features(params.features))).argmax(axis=1)
     return Annotations(d, preds, preds == d.labels())
 
 

@@ -195,6 +195,21 @@ def test_take_equals_featurizing_the_rows(seed):
             [s.text_a for s in picked], [s.text_b for s in picked], FEATS))
 
 
+def test_take_resolves_rows_as_numpy_does():
+    texts = ["a", "b c", "d e f"]
+    m = featurize_batch(texts, cfg=FEATS)
+    for rows in ([-2], [-1], [-3, 2, -1, 0], [1, 1, -2], [], np.array([], dtype=np.int64)):
+        want = np.arange(len(m))[np.asarray(rows, dtype=np.int64)]
+        assert_same_matrix(m.take(rows), featurize_batch([texts[i] for i in want], cfg=FEATS))
+    for rows in ([3], [-4], [0, 5], [-1, -9]):
+        with pytest.raises(IndexError):
+            np.arange(len(m))[rows]
+        with pytest.raises(IndexError, match="out of bounds for axis 0 with size 3"):
+            m.take(rows)
+    with pytest.raises(IndexError, match="out of bounds for axis 0 with size 0"):
+        featurize_batch([], cfg=FEATS).take([0])
+
+
 SUBSET_CONFIGS = (FeaturizerConfig(hash_dim=1024), FeaturizerConfig(
     lowercase=False, ngram_max=3, hash_dim=64, segment_tagging=False))
 
@@ -234,7 +249,26 @@ def test_empty_batch():
     assert encode(p, m).shape == (0, 4)
 
 
-WORDS = st.text(alphabet="abAB\x02é", min_size=1, max_size=3)
+@settings(max_examples=300, deadline=None)
+@given(s=st.binary(max_size=64), c=st.integers(0, 2 ** 32 - 1))
+def test_shift_table_extends_a_crc32(s, c):
+    # crc32(s, c) from crc32(s) and c alone, through the table of len(s).
+    t = model._shift_table(len(s))
+    assert t is model._shift_table(len(s))
+    assert t.dtype == np.int64 and t.shape == (1024,) and not t.flags.writeable
+    got = (t[c & 255] ^ t[256 + (c >> 8 & 255)] ^ t[512 + (c >> 16 & 255)]
+           ^ t[768 + (c >> 24)] ^ zlib.crc32(s))
+    assert int(got) == zlib.crc32(s, c)
+
+
+# Words of 1 to 48 UTF-8 bytes, so a chunk mixes shift tables of many
+# lengths: the short ones repeat n-grams within a chunk; "İ" grows by a byte
+# when lowercased.
+WORDS = st.one_of(st.text(alphabet="abAB\x02é", min_size=1, max_size=3),
+                  st.text(alphabet="abcxyzQ", min_size=4, max_size=40),
+                  st.text(alphabet="字語文", min_size=1, max_size=4),
+                  st.text(alphabet="😀🎉", min_size=1, max_size=3),
+                  st.text(alphabet="aé字😀İ", min_size=1, max_size=12))
 
 
 @settings(max_examples=100, deadline=None)

@@ -190,9 +190,10 @@ def greedy_attack(p: ModelParameters, s: Sample, lexicon: SynonymLexicon,
     prediction flip, or None once the budget is exhausted (or no substitution
     lowers the probability).
 
-    Only correctly classified samples may be attacked. This is
-    ``attack_dataset``'s attack on a group of one sample.
+    Only correctly classified samples may be attacked, with a budget >= 1.
+    This is ``attack_dataset``'s attack on a group of one sample.
     """
+    check_attack_limits(budget, None)
     scorer = p.scorer()
     labels, _, z, _ = scorer.predict(featurize_batch([s.text_a], [s.text_b], scorer.features))
     if labels[0] != s.label:

@@ -641,9 +641,10 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(Path(args.run))
         cfg = load_config(args.config, args.set)
-        out = Path(args.out or cfg["run"]["out"] or "")
-        if not str(out):
+        out = args.out or cfg["run"]["out"]
+        if not out:
             raise ConfigError("no output directory: pass --out or set run.out")
+        out = Path(out)
         if args.command == "synth":
             return cmd_synth(cfg, out)
         if args.command == "train":

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FeatureMatrix, FeaturizerConfig, featurize_batch
+from .model import FeatureMatrix, FeaturizerConfig, _row_positions, featurize_batch
 
 TASK_KINDS = ("single", "pair")
 
@@ -90,8 +90,9 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         """New dataset of the samples at ``rows``, in that order, holding those
-        rows, read-only, of each feature matrix built here: it hashes no text."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows, read-only, of each feature matrix built here: it hashes no text.
+        ``rows`` are resolved as ``FeatureMatrix.take`` resolves them."""
+        rows = _row_positions(rows, len(self))
         child = Dataset(tuple(self.samples[i] for i in rows.tolist()),
                         self.label_names, self.task_kind)
         for cfg, m in self._features.items():

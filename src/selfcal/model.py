@@ -86,10 +86,10 @@ class FeatureMatrix:
 
     def take(self, rows) -> "FeatureMatrix":
         """The rows at positions ``rows``, in that order, as a new matrix.
-        Rows are indexed as numpy indexes an array of ``len(self)``: a
-        negative row counts from the end, and one out of range raises
-        ``IndexError``."""
-        rows = np.asarray(rows, dtype=np.int64)
+        Rows are indexed as numpy indexes an array of ``len(self)``
+        (``_row_positions``): a negative row counts from the end, and one out
+        of range raises ``IndexError``."""
+        rows = _row_positions(rows, len(self))
         starts = self.indptr[:-1][rows]
         lengths = self.indptr[1:][rows] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -98,6 +98,16 @@ class FeatureMatrix:
         # offset within the row.
         src = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return FeatureMatrix(indptr, self.indices[src], self.values[src], self.dim)
+
+
+def _row_positions(rows, n: int) -> np.ndarray:
+    """``rows`` as int64 positions, resolved as numpy indexes ``np.arange(n)``:
+    a boolean mask selects, an empty sequence (float64 to numpy) takes
+    nothing, and any other non-integer index raises ``IndexError``."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind in "iu" or (rows.size == 0 and rows.dtype != bool):
+        return rows.astype(np.int64, copy=False)
+    return np.arange(n)[rows]
 
 
 # Tokens per chunk of the token-id core: the chunk's per-occurrence crc32s,
@@ -573,43 +583,33 @@ def smooth_target(labels, num_classes: int, epsilon: float) -> np.ndarray:
 
 @dataclass
 class Grads:
-    """Batch-mean gradients. The encoder gradient stays sparse, factored and
-    split by loss part: ``enc_parts`` holds one ``(m, dh, scales)`` triple per
-    part, where ``m`` is the part's ``FeatureMatrix`` rows, ``dh`` (rows x
-    hidden) the gradient of the loss with respect to each row's encoder output
-    and ``scales`` the factors the part was scaled by, in order. Every nonzero
-    of row ``i`` adds its count times ``dh[i]``, times each scale, to its
-    bucket's encoder row (buckets may repeat within and across parts);
-    ``apply_grads`` forms these rows a block at a time, in part order."""
+    """Batch-mean gradients of the heads a loss part touches (the others are
+    None). The encoder gradient stays sparse, factored and split by loss part:
+    ``enc_parts`` holds one ``(m, dh, scale)`` triple per part, where ``m`` is
+    the part's ``FeatureMatrix`` rows, ``dh`` (rows x hidden) the gradient of
+    the loss with respect to each row's encoder output and ``scale`` the
+    weight the part was added with. Every nonzero of row ``i`` adds its count
+    times ``dh[i]`` times ``scale`` to its bucket's encoder row (buckets may
+    repeat within and across parts); ``apply_grads`` forms these rows a block
+    at a time, in part order."""
 
-    w_main: np.ndarray
-    b_main: np.ndarray
-    w_calib: np.ndarray
-    b_calib: np.ndarray
-    enc_parts: list[tuple[FeatureMatrix, np.ndarray, tuple[float, ...]]]
+    w_main: np.ndarray | None = None
+    b_main: np.ndarray | None = None
+    w_calib: np.ndarray | None = None
+    b_calib: np.ndarray | None = None
+    enc_parts: list[tuple[FeatureMatrix, np.ndarray, float]] = field(default_factory=list)
 
-    @classmethod
-    def zeros(cls, p: ModelParameters) -> "Grads":
-        return cls(
-            w_main=np.zeros_like(p.w_main),
-            b_main=np.zeros_like(p.b_main),
-            w_calib=np.zeros_like(p.w_calib),
-            b_calib=np.zeros_like(p.b_calib),
-            enc_parts=[],
-        )
-
-    def add(self, other: "Grads") -> "Grads":
-        return Grads(
-            w_main=self.w_main + other.w_main,
-            b_main=self.b_main + other.b_main,
-            w_calib=self.w_calib + other.w_calib,
-            b_calib=self.b_calib + other.b_calib,
-            enc_parts=self.enc_parts + other.enc_parts,
-        )
-
-    def scaled(self, a: float) -> "Grads":
-        return Grads(self.w_main * a, self.b_main * a, self.w_calib * a, self.b_calib * a,
-                     [(m, dh, scales + (a,)) for m, dh, scales in self.enc_parts])
+    def add(self, other: "Grads", weight: float = 1.0) -> "Grads":
+        """Add ``weight`` times ``other`` to these gradients in place; returns
+        self."""
+        for name in _TENSOR_ORDER[1:]:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is None:
+                setattr(self, name, None if theirs is None else theirs * weight)
+            elif theirs is not None:
+                mine += theirs * weight
+        self.enc_parts += [(m, dh, scale * weight) for m, dh, scale in other.enc_parts]
+        return self
 
 
 def _flat_index(buckets: np.ndarray, hidden: int) -> np.ndarray:
@@ -621,8 +621,8 @@ def _flat_index(buckets: np.ndarray, hidden: int) -> np.ndarray:
 def apply_grads(p: ModelParameters, g: Grads, lr: float) -> None:
     """One SGD update. The rows of each encoder part are formed
     ``GRAD_BLOCK_BYTES`` of nonzeros at a time (a block may end inside a text's
-    row): ``dh`` of the nonzero's row, times its count, times each scale, times
-    ``lr``. Each block is then one 1-D ``np.subtract.at`` on the flattened
+    row): ``dh`` of the nonzero's row, times its count, times its part's scale,
+    times ``lr``. Each block is then one 1-D ``np.subtract.at`` on the flattened
     encoder. Every element receives the same products, subtracted in the same
     order, as in one 2-D row scatter of all parts materialised and
     concatenated, so the result is bit-identical, and no nonzeros x hidden
@@ -632,20 +632,18 @@ def apply_grads(p: ModelParameters, g: Grads, lr: float) -> None:
     if not all(getattr(p, name).flags.writeable for name in _TENSOR_ORDER):
         raise ValueError("model parameters are read-only: the model has been scored "
                          "(ModelParameters.scorer); train a copy instead")
-    p.w_main -= lr * g.w_main
-    p.b_main -= lr * g.b_main
-    p.w_calib -= lr * g.w_calib
-    p.b_calib -= lr * g.b_calib
+    for name in _TENSOR_ORDER[1:]:
+        if (grad := getattr(g, name)) is not None:
+            np.subtract(getattr(p, name), lr * grad, out=getattr(p, name))
     flat = p.encoder.reshape(-1)
     block = max(1, GRAD_BLOCK_BYTES // (8 * p.hidden_dim))
-    for m, dh, scales in g.enc_parts:
+    for m, dh, scale in g.enc_parts:
         row_of_nnz = np.repeat(np.arange(len(m)), np.diff(m.indptr))
         for lo in range(0, len(row_of_nnz), block):
             nz = slice(lo, lo + block)
             vals = dh[row_of_nnz[nz]]
             vals *= m.values[nz, None]
-            for a in scales:
-                vals *= a
+            vals *= scale
             vals *= lr
             np.subtract.at(flat, _flat_index(m.indices[nz], p.hidden_dim), vals.ravel())
 
@@ -659,11 +657,8 @@ def main_batch_grads(p: ModelParameters, m: FeatureMatrix, labels,
     t = smooth_target(labels, p.num_classes, epsilon)
     loss = -(t * _safe_log(probs)).sum() / n
     dz = (probs - t) / n
-    g = Grads.zeros(p)
-    g.w_main = h.T @ dz
-    g.b_main = dz.sum(0)
-    g.enc_parts = [(m, dz @ p.w_main.T, ())]
-    return loss, g
+    return loss, Grads(w_main=h.T @ dz, b_main=dz.sum(0),
+                       enc_parts=[(m, dz @ p.w_main.T, 1.0)])
 
 
 def _calib_grads(p: ModelParameters, m: FeatureMatrix, h: np.ndarray, y_stars,
@@ -671,13 +666,12 @@ def _calib_grads(p: ModelParameters, m: FeatureMatrix, h: np.ndarray, y_stars,
     """Gradients of the calibration head's logits, given the gradient ``dz`` of
     the loss with respect to them, for the rows of ``m`` (encoder output ``h``)."""
     hd = p.hidden_dim
-    g = Grads.zeros(p)
-    g.b_calib = dz.sum(0)
+    g = Grads(w_calib=np.zeros_like(p.w_calib), b_calib=dz.sum(0))
     if feature_mode != "no_prediction":
         np.add.at(g.w_calib[hd:], y_stars, dz)
     if feature_mode != "no_sample":
         g.w_calib[:hd] = h.T @ dz
-        g.enc_parts = [(m, dz @ p.w_calib[:hd].T, ())]
+        g.enc_parts = [(m, dz @ p.w_calib[:hd].T, 1.0)]
     return g
 
 

@@ -43,7 +43,7 @@ from .model import (
 class ToastConfig:
     """Pipeline knobs. ``train`` drives stage 3 (multi-task, 8 epochs by
     default); annotator models in stage 1 use ``annotator_train`` (same
-    settings but 5 epochs unless given explicitly)."""
+    settings but ``TrainConfig``'s default epochs unless given explicitly)."""
 
     k: int = 2
     alpha: float = 0.1
@@ -70,7 +70,7 @@ class ToastConfig:
     def annotator_config(self) -> TrainConfig:
         if self.annotator_train is not None:
             return self.annotator_train
-        return replace(self.train, epochs=5)
+        return replace(self.train, epochs=TrainConfig.epochs)
 
     @property
     def effective_alpha(self) -> float:
@@ -236,14 +236,14 @@ def train_multitask(d: Dataset, dstar: Annotations, daug: AugmentSet | None,
             b = next(calib_cycle)
             l_calib, gc = calib_batch_grads(
                 params, c_feats.take(b), dstar.predicted[b], dstar.correct[b], eps, feature_mode)
-            g = g.add(gc)
+            g.add(gc)
 
             l_cons = 0.0
             if aug_cycle is not None:
                 b = next(aug_cycle)
                 l_cons, ga = consistency_batch_grads(
                     params, a_clean.take(b), a_aug.take(b), a_ystars[b], feature_mode)
-                g = g.add(ga.scaled(alpha))
+                g.add(ga, alpha)
 
             apply_grads(params, g, tc.learning_rate)
             trace.append({

@@ -135,11 +135,10 @@ def get_flat_params(params) -> np.ndarray:
     return np.concatenate([getattr(params, name).ravel() for name in _TENSOR_ORDER])
 
 
-def part_rows(part) -> tuple[np.ndarray, np.ndarray]:
-    """A factored encoder-gradient part ``(m, dh, scales)`` materialised: the
-    bucket of every nonzero of ``m`` and its gradient row, the count times its
-    row's ``dh``, times each scale in order."""
-    m, dh, scales = part
+def part_rows(m, dh, scales) -> tuple[np.ndarray, np.ndarray]:
+    """A factored encoder-gradient part materialised: the bucket of every
+    nonzero of ``m`` and its gradient row, the count times its row's ``dh``,
+    times each of ``scales`` in order."""
     vals = dh[np.repeat(np.arange(len(m)), np.diff(m.indptr))]
     vals *= m.values[:, None]
     for a in scales:
@@ -149,12 +148,14 @@ def part_rows(part) -> tuple[np.ndarray, np.ndarray]:
 
 def grads_to_flat(params, grads) -> np.ndarray:
     """Densify a sparse-encoder Grads into one flat vector matching
-    get_flat_params ordering."""
-    enc = np.zeros_like(params.encoder)
-    for part in grads.enc_parts:
-        np.add.at(enc, *part_rows(part))
-    return np.concatenate([enc.ravel(), grads.w_main.ravel(), grads.b_main.ravel(),
-                           grads.w_calib.ravel(), grads.b_calib.ravel()])
+    get_flat_params ordering; an absent head is zero."""
+    flat = [np.zeros_like(params.encoder)]
+    for m, dh, scale in grads.enc_parts:
+        np.add.at(flat[0], *part_rows(m, dh, (scale,)))
+    for name in _TENSOR_ORDER[1:]:
+        head = getattr(grads, name)
+        flat.append(np.zeros_like(getattr(params, name)) if head is None else head)
+    return np.concatenate([a.ravel() for a in flat])
 
 
 def set_flat_params(params, flat: np.ndarray) -> None:

@@ -165,7 +165,8 @@ class TestGreedyAttack:
     def test_zero_budget_always_fails(self, base_model, synth_data, attack_lexicon):
         samples = synth_data.test.samples
         s = samples[int(np.argmax(correct_mask(base_model, samples)))]
-        assert greedy_attack(base_model, s, attack_lexicon, budget=0) is None
+        with pytest.raises(ValueError, match="attack budget must be >= 1, got 0"):
+            greedy_attack(base_model, s, attack_lexicon, budget=0)
 
     def test_requires_correctly_classified_input(self, base_model, synth_data,
                                                  attack_lexicon):

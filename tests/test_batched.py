@@ -6,9 +6,10 @@ candidate texts a step), O(n^2) risk-coverage sweep, per-threshold detection
 and cascade loops and the batch cycler that the batched code replaced. Feature
 rows, curve points, batches and attack results must match them exactly;
 batched confidences, losses and gradients may differ from the per-sample ones
-only in summation order, by at most 1e-12. The encoder update, in blocks of
-any size, must match one 2-D row scatter of all gradient parts, materialised,
-bit for bit.
+only in summation order, by at most 1e-12. The update, with each step's
+gradient summed in place and its encoder rows formed in blocks of any size,
+must match the dense gradient algebra it replaced and one 2-D row scatter of
+all gradient parts, materialised, bit for bit.
 """
 
 import copy
@@ -17,7 +18,7 @@ import os
 import subprocess
 import sys
 import zlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,7 @@ from selfcal.model import (
     FeaturizerConfig,
     Grads,
     TrainConfig,
+    _TENSOR_ORDER,
     _flat_index,
     apply_grads,
     calib_batch_grads,
@@ -65,6 +67,7 @@ from selfcal.model import (
 from selfcal.toast import ToastConfig, _batches, downsample_balance, run_toast
 
 TOL = 1e-12
+HEADS = _TENSOR_ORDER[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +201,10 @@ def test_take_equals_featurizing_the_rows(seed):
 def test_take_resolves_rows_as_numpy_does():
     texts = ["a", "b c", "d e f"]
     m = featurize_batch(texts, cfg=FEATS)
-    for rows in ([-2], [-1], [-3, 2, -1, 0], [1, 1, -2], [], np.array([], dtype=np.int64)):
-        want = np.arange(len(m))[np.asarray(rows, dtype=np.int64)]
+    for rows in ([-2], [-1], [-3, 2, -1, 0], [1, 1, -2], np.array([2, 0], dtype=np.uint32),
+                 [True, False, True], np.zeros(3, dtype=bool), [],
+                 np.array([], dtype=np.int64)):
+        want = np.arange(len(m))[np.asarray(rows)] if len(rows) else []
         assert_same_matrix(m.take(rows), featurize_batch([texts[i] for i in want], cfg=FEATS))
     for rows in ([3], [-4], [0, 5], [-1, -9]):
         with pytest.raises(IndexError):
@@ -208,6 +213,26 @@ def test_take_resolves_rows_as_numpy_does():
             m.take(rows)
     with pytest.raises(IndexError, match="out of bounds for axis 0 with size 0"):
         featurize_batch([], cfg=FEATS).take([0])
+    # A mask of another length, and any index that is neither integer nor
+    # boolean, fail as numpy fails, in one line.
+    for rows in ([1.7], np.array([0.0, 1.0]), [True, False], [None], ["1"]):
+        with pytest.raises(IndexError):
+            np.arange(len(m))[np.asarray(rows)]
+        with pytest.raises(IndexError) as exc:
+            m.take(rows)
+        assert "\n" not in str(exc.value)
+
+
+def test_subset_resolves_rows_as_take_does():
+    d = random_dataset(5, 4)
+    m = d.features(FEATS)
+    sub = d.subset([True, False, True, False])
+    assert sub.samples == (d.samples[0], d.samples[2])
+    assert_same_matrix(sub.features(FEATS), m.take([0, 2]))
+    with pytest.raises(IndexError):
+        d.subset([1.7])
+    with pytest.raises(IndexError):
+        d.subset([True, False, True])
 
 
 SUBSET_CONFIGS = (FeaturizerConfig(hash_dim=1024), FeaturizerConfig(
@@ -836,12 +861,16 @@ def ref_part(p, indices, values, dh):
     """The encoder-gradient part of one (indices, values) row whose encoder
     output has the loss gradient ``dh``."""
     m = FeatureMatrix(np.array([0, len(indices)]), indices, values, p.features.hash_dim)
-    return m, dh[None, :], ()
+    return m, dh[None, :], 1.0
+
+
+def zero_heads(p, *names):
+    return Grads(**{name: np.zeros_like(getattr(p, name)) for name in names})
 
 
 def ref_main_batch_grads(p, vecs, labels, epsilon=0.0):
     """Per-sample loop over (indices, values) rows, as the model had it."""
-    g = Grads.zeros(p)
+    g = zero_heads(p, "w_main", "b_main")
     n = len(vecs)
     loss = 0.0
     for (indices, values), y in zip(vecs, labels):
@@ -857,7 +886,7 @@ def ref_main_batch_grads(p, vecs, labels, epsilon=0.0):
 
 
 def ref_calib_batch_grads(p, vecs, y_stars, cs, epsilon=0.0, feature_mode="all"):
-    g = Grads.zeros(p)
+    g = zero_heads(p, "w_calib", "b_calib")
     n = len(vecs)
     loss = 0.0
     hd = p.hidden_dim
@@ -876,7 +905,7 @@ def ref_calib_batch_grads(p, vecs, y_stars, cs, epsilon=0.0, feature_mode="all")
 
 
 def ref_consistency_batch_grads(p, clean_vecs, aug_vecs, y_stars, feature_mode="all"):
-    g = Grads.zeros(p)
+    g = zero_heads(p, "w_calib", "b_calib")
     n = len(clean_vecs)
     loss = 0.0
     hd = p.hidden_dim
@@ -903,6 +932,8 @@ def ref_consistency_batch_grads(p, clean_vecs, aug_vecs, y_stars, feature_mode="
 
 def assert_same_loss_and_grads(p, got, want):
     assert abs(got[0] - want[0]) <= TOL
+    assert ([getattr(got[1], name) is None for name in HEADS]
+            == [getattr(want[1], name) is None for name in HEADS])
     dense_got, dense_want = grads_to_flat(p, got[1]), grads_to_flat(p, want[1])
     assert np.max(np.abs(dense_got - dense_want)) <= TOL
 
@@ -954,27 +985,71 @@ def test_consistency_batch_grads_match_per_sample(feature_mode):
 # Encoder update
 # ---------------------------------------------------------------------------
 
+@dataclass
+class DenseGrads:
+    """The gradient algebra ``Grads`` had, kept as the oracle: every head
+    present, zero where a loss part does not touch it; sums formed in new
+    arrays; and per encoder part the tuple of factors it was scaled by."""
+
+    w_main: np.ndarray
+    b_main: np.ndarray
+    w_calib: np.ndarray
+    b_calib: np.ndarray
+    enc_parts: list
+
+    @classmethod
+    def of(cls, p, g):
+        """``g`` with its absent heads as zeros; a part of scale 1 was scaled by
+        nothing."""
+        heads = [np.zeros_like(getattr(p, name)) if getattr(g, name) is None
+                 else getattr(g, name) for name in HEADS]
+        return cls(*heads, [(m, dh, () if scale == 1.0 else (scale,))
+                            for m, dh, scale in g.enc_parts])
+
+    def add(self, other):
+        return DenseGrads(self.w_main + other.w_main, self.b_main + other.b_main,
+                          self.w_calib + other.w_calib, self.b_calib + other.b_calib,
+                          self.enc_parts + other.enc_parts)
+
+    def scaled(self, a):
+        return DenseGrads(self.w_main * a, self.b_main * a, self.w_calib * a, self.b_calib * a,
+                          [(m, dh, scales + (a,)) for m, dh, scales in self.enc_parts])
+
+
 def ref_apply_grads(p, g, lr):
-    """The update as one 2-D row scatter of all encoder parts, materialised
-    and concatenated."""
+    """The update of a ``DenseGrads``: every head, then one 2-D row scatter of
+    all encoder parts, materialised with their scales in order and
+    concatenated."""
     p.w_main -= lr * g.w_main
     p.b_main -= lr * g.b_main
     p.w_calib -= lr * g.w_calib
     p.b_calib -= lr * g.b_calib
     if g.enc_parts:
-        rows, vals = zip(*map(part_rows, g.enc_parts))
+        rows, vals = zip(*(part_rows(*part) for part in g.enc_parts))
         np.subtract.at(p.encoder, np.concatenate(rows), lr * np.concatenate(vals))
 
 
-def multitask_step(p, d, calib, clean, aug, batches, feature_mode, alpha):
-    """One stage-3 step as ``train_multitask`` takes it: main, calibration and
-    alpha-scaled consistency gradients, added in that order."""
+def multitask_parts(p, d, calib, clean, aug, batches, feature_mode):
+    """The main, calibration and consistency gradients of one stage-3 step."""
     b_main, b_calib, b_aug = batches
     _, g = main_batch_grads(p, d.take(b_main), b_main % p.num_classes, 0.1)
     _, gc = calib_batch_grads(p, calib.take(b_calib), b_calib % p.num_classes,
                               b_calib % 2, 0.1, feature_mode)
     _, ga = consistency_batch_grads(p, clean.take(b_aug), aug.take(b_aug),
                                     b_aug % p.num_classes, feature_mode)
+    return g, gc, ga
+
+
+def multitask_step(p, *data, feature_mode, alpha):
+    """One stage-3 step's gradient as ``train_multitask`` forms it: main,
+    calibration and alpha times consistency, added in that order."""
+    g, gc, ga = multitask_parts(p, *data, feature_mode)
+    return g.add(gc).add(ga, alpha)
+
+
+def ref_multitask_step(p, *data, feature_mode, alpha):
+    """The same step through ``DenseGrads``."""
+    g, gc, ga = (DenseGrads.of(p, part) for part in multitask_parts(p, *data, feature_mode))
     return g.add(gc).add(ga.scaled(alpha))
 
 
@@ -991,8 +1066,9 @@ def test_apply_grads_is_bit_identical_to_one_row_scatter(feature_mode, alpha):
     for step in range(12):
         # Drawn with replacement: buckets repeat within a part and across parts.
         batches = [rng.choice(60, size=16) for _ in range(3)]
-        g = multitask_step(p, d, calib, clean, aug, batches, feature_mode, alpha)
-        g_ref = multitask_step(q, d, calib, clean, aug, batches, feature_mode, alpha)
+        data = (d, calib, clean, aug, batches)
+        g = multitask_step(p, *data, feature_mode=feature_mode, alpha=alpha)
+        g_ref = ref_multitask_step(q, *data, feature_mode=feature_mode, alpha=alpha)
         parts = [m.indices for m, _, _ in g.enc_parts]
         assert len(np.unique(parts[0])) < len(parts[0])
         if feature_mode == "no_sample":
@@ -1000,10 +1076,13 @@ def test_apply_grads_is_bit_identical_to_one_row_scatter(feature_mode, alpha):
         else:
             assert len(parts) == 4
             assert np.intersect1d(parts[0], parts[1]).size > 0
-            assert [scales for _, _, scales in g.enc_parts] == [(), (), (alpha,), (alpha,)]
-        apply_grads(p, g, 0.5)
-        ref_apply_grads(q, g_ref, 0.5)
-        assert np.array_equal(get_flat_params(p), get_flat_params(q)), step
+            assert [scale for _, _, scale in g.enc_parts] == [1.0, 1.0, alpha, alpha]
+            assert [scales for _, _, scales in g_ref.enc_parts] == [(), (), (alpha,), (alpha,)]
+        # Not a power of two, so multiplying by lr rounds and its place in
+        # the product shows.
+        apply_grads(p, g, 0.3)
+        ref_apply_grads(q, g_ref, 0.3)
+        assert get_flat_params(p).tobytes() == get_flat_params(q).tobytes(), step
 
 
 @pytest.mark.parametrize("feature_mode,alpha", [("all", 0.37), ("no_sample", 0.37),
@@ -1023,8 +1102,8 @@ def test_apply_grads_in_blocks_is_bit_identical_to_one_row_scatter(monkeypatch, 
     q = copy.deepcopy(p)
     for step in range(4):
         batches = [rng.choice(120, size=48) for _ in range(3)]
-        g = multitask_step(p, *feats, batches, feature_mode, alpha)
-        g_ref = multitask_step(q, *feats, batches, feature_mode, alpha)
+        g = multitask_step(p, *feats, batches, feature_mode=feature_mode, alpha=alpha)
+        g_ref = ref_multitask_step(q, *feats, batches, feature_mode=feature_mode, alpha=alpha)
         m = g.enc_parts[0][0]
         assert len(m.indices) > 2 * block   # the part spans several blocks
         starts = np.arange(0, len(m.indices), block)
@@ -1042,8 +1121,12 @@ def test_run_toast_weights_match_the_one_row_scatter(monkeypatch, synth_data, le
 
     cfg = ToastConfig(train=replace(train_cfg, epochs=2))
     p, _ = run_toast(synth_data.train, cfg, lexicon)
-    monkeypatch.setattr(selfcal.model, "apply_grads", ref_apply_grads)
-    monkeypatch.setattr(selfcal.toast, "apply_grads", ref_apply_grads)
+
+    def dense_apply_grads(p, g, lr):
+        ref_apply_grads(p, DenseGrads.of(p, g), lr)
+
+    monkeypatch.setattr(selfcal.model, "apply_grads", dense_apply_grads)
+    monkeypatch.setattr(selfcal.toast, "apply_grads", dense_apply_grads)
     q, _ = run_toast(synth_data.train, cfg, lexicon)
     assert get_flat_params(p).tobytes() == get_flat_params(q).tobytes()
 
@@ -1063,12 +1146,20 @@ def test_flat_index_does_not_wrap_for_large_buckets():
 def test_apply_grads_rejects_a_non_contiguous_encoder():
     p = random_params(25)
     p.encoder = np.asfortranarray(p.encoder)
-    g = Grads.zeros(p)
     m = FeatureMatrix(np.array([0, 1]), np.array([3], dtype=np.uint32),
                       np.ones(1, dtype=np.float32), p.features.hash_dim)
-    g.enc_parts = [(m, np.ones((1, p.hidden_dim)), ())]
+    g = Grads(enc_parts=[(m, np.ones((1, p.hidden_dim)), 1.0)])
     with pytest.raises(ValueError, match="C-contiguous"):
         apply_grads(p, g, 0.1)
+
+
+def test_grads_add_copies_the_heads_it_takes():
+    p = random_params(26)
+    g = zero_heads(p, "w_main")
+    other = Grads(w_calib=np.ones_like(p.w_calib))
+    assert g.add(other).add(other, 0.5) is g
+    assert g.b_main is None and g.b_calib is None
+    assert np.all(g.w_calib == 1.5) and np.all(other.w_calib == 1.0)
 
 
 class RefBatchCycler:

@@ -88,6 +88,18 @@ class TestConfig:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "train", "toast", "eval", "sweep", "attack"])
+    def test_no_output_directory_writes_nothing(self, config_path, tmp_path, monkeypatch,
+                                                capsys, command):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = main([command, "--config", str(config_path), "--set", "run.out="])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: no output directory: pass --out or set run.out\n")
+        assert list(cwd.iterdir()) == []
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "nope.ini"))

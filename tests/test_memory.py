@@ -129,7 +129,7 @@ def test_multitask_step_forms_encoder_gradients_one_block_at_a_time():
         _, g = main_batch_grads(p, main_m, labels, 0.1)
         _, gc = calib_batch_grads(p, calib_m, labels, labels, 0.1)
         _, ga = consistency_batch_grads(p, clean_m, aug_m, labels)
-        apply_grads(p, g.add(gc).add(ga.scaled(0.37)), 0.5)
+        apply_grads(p, g.add(gc).add(ga, 0.37), 0.5)
 
     assert peak_bytes(step)[0] < 1.5 * 2 ** 20
 

@@ -103,31 +103,36 @@ class Dataset:
 @dataclass(frozen=True, eq=False)
 class Annotations:
     """Rows of an annotated dataset, each with a model's predicted label and
-    whether it was right. ``data`` is a ``Dataset.subset`` of the annotated
-    dataset, so it carries that dataset's feature matrices."""
+    whether it was right. ``data`` is the dataset that was annotated, not a
+    copy, and ``rows`` are int64 positions into it, so the annotations take
+    their feature rows from ``data``'s matrices."""
 
     data: Dataset
+    rows: np.ndarray
     predicted: np.ndarray
     correct: np.ndarray
 
     def __post_init__(self):
-        for name in ("predicted", "correct"):
+        for name in ("rows", "predicted", "correct"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        if not len(self.predicted) == len(self.correct) == len(self.data):
-            raise ValueError(f"annotations not aligned: {len(self.data)} rows, "
+        if not len(self.rows) == len(self.predicted) == len(self.correct):
+            raise ValueError(f"annotations not aligned: {len(self.rows)} rows, "
                              f"{len(self.predicted)} predictions, {len(self.correct)} correctness")
+        if np.any((self.rows < 0) | (self.rows >= len(self.data))):
+            raise ValueError(f"annotated rows must be in [0, {len(self.data)})")
         if np.any((self.correct != 0) & (self.correct != 1)):
             raise ValueError("correctness must be 0 or 1")
         if np.any((self.predicted < 0) | (self.predicted >= self.data.num_classes)):
             raise ValueError(f"predicted labels must be in [0, {self.data.num_classes})")
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.rows)
 
     def take(self, rows) -> "Annotations":
-        """The annotations at ``rows`` (distinct), in that order; hashes no text."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return Annotations(self.data.subset(rows), self.predicted[rows], self.correct[rows])
+        """The annotations at ``rows``, in that order, over the same ``data``.
+        ``rows`` are resolved as ``FeatureMatrix.take`` resolves them."""
+        rows = _row_positions(rows, len(self))
+        return Annotations(self.data, self.rows[rows], self.predicted[rows], self.correct[rows])
 
 
 @dataclass(frozen=True)

@@ -643,7 +643,8 @@ def apply_grads(p: ModelParameters, g: Grads, lr: float) -> None:
             nz = slice(lo, lo + block)
             vals = dh[row_of_nnz[nz]]
             vals *= m.values[nz, None]
-            vals *= scale
+            if scale != 1.0:  # x * 1.0 is exact: skip the pass
+                vals *= scale
             vals *= lr
             np.subtract.at(flat, _flat_index(m.indices[nz], p.hidden_dim), vals.ravel())
 

@@ -27,6 +27,7 @@ from .corpus import Annotations, CalibrationRecord, Dataset, split_folds
 from .model import (
     ModelParameters,
     TrainConfig,
+    _row_positions,
     apply_grads,
     calib_batch_grads,
     consistency_batch_grads,
@@ -90,37 +91,27 @@ class AugmentSet:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class AnnotationRound:
-    round_index: int
-    seed: int
-    train_ids: tuple[str, ...]
-    heldout_ids: tuple[str, ...]
+def annotate_with_model(params: ModelParameters, d: Dataset, rows) -> Annotations:
+    """The rows of ``d`` at ``rows``, each with the model's prediction and
+    whether it was right, through training's forward pass (``encode`` and
+    ``main_head``): an annotator labels one fold and is dropped, so a scoring
+    table over every bucket would cost more than it saves. ``params`` stays
+    trainable."""
+    rows = _row_positions(rows, len(d))
+    preds = main_head(params, encode(params, d.features(params.features).take(rows))).argmax(axis=1)
+    return Annotations(d, rows, preds, preds == d.labels()[rows])
 
 
-@dataclass(frozen=True)
-class CrossAnnotation:
-    annotations: Annotations
-    rounds: tuple[AnnotationRound, ...]
-
-
-def annotate_with_model(params: ModelParameters, d: Dataset) -> Annotations:
-    """Every row of ``d`` with the model's prediction and whether it was right,
-    through training's forward pass (``encode`` and ``main_head``): an
-    annotator labels one fold and is dropped, so a scoring table over every
-    bucket would cost more than it saves. ``params`` stays trainable."""
-    preds = main_head(params, encode(params, d.features(params.features))).argmax(axis=1)
-    return Annotations(d, preds, preds == d.labels())
-
-
-def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
+def cross_annotate(d: Dataset, cfg: ToastConfig) -> tuple[Annotations, list[dict]]:
     """K rounds of leave-one-fold-out annotation; under ``no_cross_annotation``
     (the ablation) only round 0 of a ten-fold split, so the calibration set is
     a tenth of the training data.
 
-    The annotations are the held-out rows in round order: none was annotated
-    by a model that saw it in training, and without the ablation each input
-    row is annotated once. Round ``i`` trains with seed ``annotator seed + i``.
+    The annotations are the held-out rows of ``d`` in round order: none was
+    annotated by a model that saw it in training, and without the ablation
+    each input row is annotated once. Round ``i`` trains with seed
+    ``annotator seed + i``. Each round comes back as the dict that
+    ``meta.json`` holds: its index and its train and held-out sample ids.
     Only the predictions outlive a round, so one annotator encoder is in
     memory at a time.
     """
@@ -128,21 +119,20 @@ def cross_annotate(d: Dataset, cfg: ToastConfig) -> CrossAnnotation:
     folds = split_folds(d, 10 if ablated else cfg.k, cfg.train.seed)
     base = cfg.annotator_config
     d.features(base.features)  # hashed once; every fold takes its rows
+    ids = d.ids()
     done, rounds = [], []
     for i in range(1 if ablated else len(folds)):
         # The other folds in fold order, which train_main's shuffle depends on.
-        train_part = d.subset(np.concatenate(folds[:i] + folds[i + 1:]))
-        heldout = d.subset(folds[i])
+        train_rows = np.concatenate(folds[:i] + folds[i + 1:])
         round_cfg = replace(base, seed=base.seed + i)
         # The annotator is a temporary: it is freed once it has annotated,
         # before the next round initialises its own encoder.
-        done.append(annotate_with_model(train_main(train_part, round_cfg)[0], heldout))
-        rounds.append(AnnotationRound(
-            round_index=i, seed=round_cfg.seed,
-            train_ids=tuple(train_part.ids()), heldout_ids=tuple(heldout.ids())))
-    held = d.subset(np.concatenate(folds[:len(done)]))  # the held-out rows, in round order
-    predicted = np.concatenate([a.predicted for a in done])
-    return CrossAnnotation(Annotations(held, predicted, predicted == held.labels()), tuple(rounds))
+        done.append(annotate_with_model(
+            train_main(d.subset(train_rows), round_cfg)[0], d, folds[i]).predicted)
+        rounds.append({"round": i, "train_ids": [ids[r] for r in train_rows.tolist()],
+                       "heldout_ids": [ids[r] for r in folds[i].tolist()]})
+    rows, predicted = np.concatenate(folds[:len(done)]), np.concatenate(done)
+    return Annotations(d, rows, predicted, predicted == d.labels()[rows]), rounds
 
 
 def downsample_balance(correct, rng: np.random.Generator) -> np.ndarray:
@@ -168,7 +158,8 @@ def build_augment_set(dstar: Annotations, lexicon: SynonymLexicon, cfg: ToastCon
     rows, texts, kinds = [], [], []
     for i in np.flatnonzero(dstar.correct == 0).tolist():
         for _ in range(cfg.augment_per_negative):
-            kind, text = random_transform(dstar.data.samples[i].text_a, cfg.rate, lexicon, rng)
+            kind, text = random_transform(dstar.data.samples[dstar.rows[i]].text_a, cfg.rate,
+                                          lexicon, rng)
             rows.append(i)
             texts.append(text)
             kinds.append(kind)
@@ -198,9 +189,9 @@ def train_multitask(d: Dataset, dstar: Annotations, daug: AugmentSet | None,
 
     Every step draws one batch from each of the task data, the calibration
     rows, and (if present) the augmented pairs; smaller collections cycle.
-    Both take rows of ``dstar``'s feature matrix; only the augmented texts
-    are hashed here. The returned trace has one row per step with the three
-    component losses and their weighted total.
+    Both take rows of ``dstar.data``'s feature matrix; only the augmented
+    texts are hashed here. The returned trace has one row per step with the
+    three component losses and their weighted total.
     """
     if len(d) == 0:
         raise ValueError("empty task dataset")
@@ -219,8 +210,9 @@ def train_multitask(d: Dataset, dstar: Annotations, daug: AugmentSet | None,
     aug_cycle = None
     if daug and not cfg.no_augment:
         # A take, not a subset: a row repeats under augment_per_negative > 1.
-        a_clean = c_feats.take(daug.rows)
-        a_aug = featurize_batch(daug.texts, [dstar.data.samples[i].text_b for i in daug.rows],
+        a_rows = dstar.rows[daug.rows]
+        a_clean = c_feats.take(a_rows)
+        a_aug = featurize_batch(daug.texts, [dstar.data.samples[i].text_b for i in a_rows.tolist()],
                                 tc.features)
         a_ystars = dstar.predicted[daug.rows]
         aug_cycle = _batches(len(daug), tc.batch_size, np.random.default_rng((tc.seed, 4)))
@@ -235,7 +227,8 @@ def train_multitask(d: Dataset, dstar: Annotations, daug: AugmentSet | None,
 
             b = next(calib_cycle)
             l_calib, gc = calib_batch_grads(
-                params, c_feats.take(b), dstar.predicted[b], dstar.correct[b], eps, feature_mode)
+                params, c_feats.take(dstar.rows[b]), dstar.predicted[b], dstar.correct[b], eps,
+                feature_mode)
             g.add(gc)
 
             l_cons = 0.0
@@ -304,9 +297,7 @@ def run_toast(d: Dataset, cfg: ToastConfig, lexicon: SynonymLexicon
     """Run the three stages, honoring the ablation flags, and return the
     trained model plus the audit bundle."""
     seed = cfg.train.seed
-    d.features(cfg.train.features)  # before any subset, so dstar carries stage 3's rows
-    annotation = cross_annotate(d, cfg)
-    raw = annotation.annotations
+    raw, rounds = cross_annotate(d, cfg)
     raw_neg = int(np.count_nonzero(raw.correct == 0))
 
     dstar = raw if cfg.no_downsample else raw.take(
@@ -329,13 +320,8 @@ def run_toast(d: Dataset, cfg: ToastConfig, lexicon: SynonymLexicon
             "no_alpha_decay": cfg.no_alpha_decay,
         },
         "seed": seed,
-        "annotator_seeds": [r.seed for r in annotation.rounds],
-        "rounds": [
-            {"round": r.round_index,
-             "train_ids": list(r.train_ids),
-             "heldout_ids": list(r.heldout_ids)}
-            for r in annotation.rounds
-        ],
+        "annotator_seeds": [cfg.annotator_config.seed + r["round"] for r in rounds],
+        "rounds": rounds,
         "counts": {
             "input": len(d),
             "annotated": len(raw),
@@ -346,5 +332,6 @@ def run_toast(d: Dataset, cfg: ToastConfig, lexicon: SynonymLexicon
         },
     }
     records = [CalibrationRecord(s.id, s.text_a, s.text_b, y, c) for s, y, c in
-               zip(dstar.data.samples, dstar.predicted.tolist(), dstar.correct.tolist())]
+               zip((d.samples[r] for r in dstar.rows.tolist()), dstar.predicted.tolist(),
+                   dstar.correct.tolist())]
     return params, ToastArtifacts(dstar=records, daug=daug, losses=trace, meta=meta)

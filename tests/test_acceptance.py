@@ -135,23 +135,23 @@ def test_criterion_3_pipeline_invariants(synth_data):
         for k in (2, 3):
             cfg = ToastConfig(k=k, train=TrainConfig(epochs=5, hidden_dim=16,
                                                      seed=100, features=FEATS))
-            result = cross_annotate(synth_data.train, cfg)
-            assert len(result.annotations) == len(synth_data.train)
-            ids = result.annotations.data.ids()
+            annotations, rounds = cross_annotate(synth_data.train, cfg)
+            assert len(annotations) == len(synth_data.train)
+            ids = [annotations.data.samples[r].id for r in annotations.rows]
             offset = 0
-            for rnd in result.rounds:
-                train_ids = set(rnd.train_ids)
-                heldout = set(rnd.heldout_ids)
+            for rnd in rounds:
+                train_ids = set(rnd["train_ids"])
+                heldout = set(rnd["heldout_ids"])
                 assert not train_ids & heldout
-                for sample_id in ids[offset:offset + len(rnd.heldout_ids)]:
+                for sample_id in ids[offset:offset + len(rnd["heldout_ids"])]:
                     assert sample_id in heldout
                     assert sample_id not in train_ids
-                offset += len(rnd.heldout_ids)
+                offset += len(rnd["heldout_ids"])
 
         records = cross_annotate(
             synth_data.train,
             ToastConfig(train=TrainConfig(epochs=5, hidden_dim=16, seed=100,
-                                          features=FEATS))).annotations
+                                          features=FEATS)))[0]
         balanced = records.correct[downsample_balance(records.correct, np.random.default_rng(0))]
         n_pos = np.count_nonzero(balanced == 1)
         n_neg = np.count_nonzero(balanced == 0)

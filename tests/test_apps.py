@@ -171,10 +171,10 @@ class TestPilotSweeps:
         # with the sample block zeroed the head sees pure noise, so the
         # confidence gap collapses; with all features it stays substantial.
         records = cross_annotate(
-            synth_data.train, ToastConfig(train=sweep_cfg.annotator)).annotations
+            synth_data.train, ToastConfig(train=sweep_cfg.annotator))[0]
         rng = np.random.default_rng(5)
-        shuffled = Annotations(records.data, rng.integers(0, 2, size=len(records)),
-                               records.correct)
+        shuffled = Annotations(records.data, records.rows,
+                               rng.integers(0, 2, size=len(records)), records.correct)
         pos = np.flatnonzero(shuffled.correct == 1)
         neg = np.flatnonzero(shuffled.correct == 0)
         balanced = shuffled.take(np.concatenate([pos[:len(neg)], neg]))

@@ -174,20 +174,40 @@ class TestAnnotations:
     ])
     def test_bad_annotations_fail_in_one_line(self, predicted, correct, message):
         with pytest.raises(ValueError, match=message) as exc:
-            Annotations(self.DATA, predicted, correct)
+            Annotations(self.DATA, [0, 1, 2], predicted, correct)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("rows,message", [
+        ([0, 1], "not aligned: 2 rows, 3 predictions, 3 correctness"),
+        ([0, 1, 3], r"annotated rows must be in \[0, 3\)"),
+        ([0, -1, 2], r"annotated rows must be in \[0, 3\)"),
+    ])
+    def test_bad_rows_fail_in_one_line(self, rows, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            Annotations(self.DATA, rows, [0, 1, 2], [1, 1, 0])
         assert "\n" not in str(exc.value)
 
     def test_take_selects_rows_and_carries_the_matrices(self):
         d = Dataset(self.DATA.samples, self.DATA.label_names)
         m = d.features(FeaturizerConfig(hash_dim=64))
-        a = Annotations(d, [True, 1, 0], np.array([1, 1, 0], dtype=np.int8)).take([2, 0])
-        assert a.predicted.dtype == a.correct.dtype == np.int64
-        assert len(a) == 2 and a.data.ids() == ["c", "a"]
+        a = Annotations(d, [0, 1, 2], [True, 1, 0],
+                        np.array([1, 1, 0], dtype=np.int8)).take([2, 0])
+        assert a.predicted.dtype == a.correct.dtype == a.rows.dtype == np.int64
+        assert len(a) == 2 and [a.data.samples[r].id for r in a.rows] == ["c", "a"]
         assert a.predicted.tolist() == a.correct.tolist() == [0, 1]
         taken = m.take([2, 0])
-        got = a.data._features[FeaturizerConfig(hash_dim=64)]
+        got = a.data.features(FeaturizerConfig(hash_dim=64)).take(a.rows)
         assert all(np.array_equal(getattr(got, k), getattr(taken, k))
                    for k in ("indptr", "indices", "values"))
+
+    def test_take_resolves_rows_as_numpy_does(self):
+        # A boolean mask selects; a float index is an error, not a row.
+        a = Annotations(self.DATA, [2, 1, 0], [0, 1, 2], [1, 1, 0])
+        masked = a.take([True, False, True])
+        assert masked.rows.tolist() == [2, 0] and masked.predicted.tolist() == [0, 2]
+        with pytest.raises(IndexError) as exc:
+            a.take([1.7])
+        assert "\n" not in str(exc.value)
 
 
 class TestSplitFolds:

@@ -6,8 +6,9 @@ encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time, an SGD
 step forms its encoder-gradient rows one block of ``GRAD_BLOCK_BYTES`` at a
 time, the attack scores one group of ``ATTACK_GROUP`` samples' candidates
 at a time, ``featurize_batch`` hashes a large call one chunk of about
-``CHUNK_TOKENS`` tokens at a time, and a model's scoring table is built one
-block of ``TABLE_BLOCK_BYTES`` at a time, once for all its calibrators."""
+``CHUNK_TOKENS`` tokens at a time, a model's scoring table is built one
+block of ``TABLE_BLOCK_BYTES`` at a time, once for all its calibrators, and
+cross-annotation holds its annotations as rows of the annotated dataset."""
 
 import tracemalloc
 from dataclasses import replace
@@ -21,6 +22,7 @@ from selfcal.apps import PilotSweepConfig, evaluate_point, seed_annotations
 from selfcal.augment import attack_dataset
 from selfcal.calibrators import Calibrator
 from selfcal.cli import main
+from selfcal.corpus import SynthConfig, generate_synthetic
 from selfcal.model import (
     ENCODE_BLOCK_BYTES,
     FeaturizerConfig,
@@ -37,7 +39,7 @@ from selfcal.model import (
     save_parameters,
     train_main,
 )
-from selfcal.toast import ToastConfig, run_toast
+from selfcal.toast import ToastConfig, cross_annotate, run_toast
 
 # A 32 MiB encoder, large next to everything else a small run allocates.
 BIG = TrainConfig(epochs=2, hidden_dim=64, seed=100,
@@ -81,6 +83,22 @@ def test_k_point_holds_one_encoder(synth_data, lexicon, sweep_cfg):
     point = {"kind": "k", "point_id": "k=2", "k": 2}
     assert peak_encoders(evaluate_point, point, synth_data.train, synth_data.test,
                          sweep_cfg, None, lexicon) < 1.5
+
+
+def test_cross_annotate_copies_no_dataset():
+    """Two rounds over 2000 texts of 100 tokens (a 2.6 MiB matrix) with a
+    2 ** 12 x 4 encoder, so matrix copies dominate the peak. Under
+    tracemalloc (numpy 2.4) the peak was 3.56x the matrix's bytes when each
+    held-out fold, and then all held-out rows in round order, were subsets
+    of the dataset with their own matrices, and 1.08x with the annotations
+    held as row positions: a round's training subset, its held-out rows'
+    take and one encode block."""
+    d = generate_synthetic(SynthConfig(samples_per_class=1000, tokens_per_sample=100,
+                                       vocab_size=2000, seed=1)).train
+    tc = TrainConfig(epochs=1, hidden_dim=4, seed=3, features=FeaturizerConfig(hash_dim=2 ** 12))
+    m = d.features(tc.features)
+    peak, _ = peak_bytes(cross_annotate, d, ToastConfig(k=2, train=tc))
+    assert peak < 2.0 * (m.indptr.nbytes + m.indices.nbytes + m.values.nbytes)
 
 
 def test_encode_gathers_one_block_at_a_time():

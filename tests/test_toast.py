@@ -33,43 +33,64 @@ def _records(n_pos, n_neg) -> Annotations:
     """``n_pos`` right predictions, then ``n_neg`` wrong ones, of label 0."""
     samples = [Sample(f"p{i}", f"tok{i} words") for i in range(n_pos)]
     samples += [Sample(f"n{i}", f"tok{i} other") for i in range(n_neg)]
-    return Annotations(Dataset(samples, ("a", "b")),
+    return Annotations(Dataset(samples, ("a", "b")), np.arange(n_pos + n_neg),
                        [0] * n_pos + [1] * n_neg, [1] * n_pos + [0] * n_neg)
 
 
 def _ids(annotations, rows):
-    return [annotations.data.samples[i].id for i in rows]
+    return [annotations.data.samples[annotations.rows[i]].id for i in rows]
+
+
+@pytest.fixture
+def annotator_seeds(monkeypatch):
+    """The seed of every annotator that ``cross_annotate`` trains, in order."""
+    seeds = []
+
+    def recording_train_main(part, tc):
+        seeds.append(tc.seed)
+        return train_main(part, tc)
+
+    monkeypatch.setattr(toast, "train_main", recording_train_main)
+    return seeds
 
 
 class TestCrossAnnotate:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_output_size_equals_input_size(self, synth_data, k):
-        result = cross_annotate(synth_data.train, _toast_cfg(k=k))
-        assert len(result.annotations) == len(synth_data.train)
+        annotations, _ = cross_annotate(synth_data.train, _toast_cfg(k=k))
+        assert len(annotations) == len(synth_data.train)
+
+    def test_annotations_are_rows_of_the_input_in_round_order(self, synth_data):
+        d = synth_data.train
+        cfg = _toast_cfg(k=3)
+        annotations, _ = cross_annotate(d, cfg)
+        assert annotations.data is d
+        assert annotations.rows.tolist() == np.concatenate(
+            split_folds(d, 3, cfg.train.seed)).tolist()
 
     def test_perfect_annotator_marks_everything_correct(self):
         d = make_separable(n_per_class=30)
-        result = cross_annotate(d, ToastConfig(
+        annotations, _ = cross_annotate(d, ToastConfig(
             train=TrainConfig(epochs=5, hidden_dim=8, seed=4, features=FEATS)))
-        assert all(result.annotations.correct == 1)
+        assert all(annotations.correct == 1)
 
     def test_leakage_freedom(self, synth_data):
         cfg = _toast_cfg(k=3)
-        result = cross_annotate(synth_data.train, cfg)
+        annotations, rounds = cross_annotate(synth_data.train, cfg)
         # Rows come out round by round; each row's id must sit in its round's
         # held-out fold and never in that round's training ids.
-        ids = result.annotations.data.ids()
+        ids = _ids(annotations, range(len(annotations)))
         offset = 0
-        for rnd in result.rounds:
-            heldout = set(rnd.heldout_ids)
-            train_ids = set(rnd.train_ids)
+        for rnd in rounds:
+            heldout = set(rnd["heldout_ids"])
+            train_ids = set(rnd["train_ids"])
             assert not heldout & train_ids
-            chunk = ids[offset:offset + len(rnd.heldout_ids)]
-            offset += len(rnd.heldout_ids)
+            chunk = ids[offset:offset + len(rnd["heldout_ids"])]
+            offset += len(rnd["heldout_ids"])
             for sample_id in chunk:
                 assert sample_id in heldout
                 assert sample_id not in train_ids
-        assert offset == len(result.annotations)
+        assert offset == len(annotations)
 
     @pytest.mark.parametrize("flags", [{"k": 3}, {"k": 5}, {"no_cross_annotation": True}])
     def test_rounds_train_on_the_other_folds_in_fold_order(self, synth_data, monkeypatch,
@@ -85,37 +106,36 @@ class TestCrossAnnotate:
         monkeypatch.setattr(toast, "train_main", recording_train_main)
         d = synth_data.train
         cfg = _toast_cfg(**flags)
-        result = cross_annotate(d, cfg)
+        _, rounds = cross_annotate(d, cfg)
         k = 10 if cfg.no_cross_annotation else cfg.k
         folds = [[d.samples[i].id for i in f] for f in split_folds(d, k, cfg.train.seed)]
-        assert len(result.rounds) == len(trained) == (1 if cfg.no_cross_annotation else k)
-        for rnd, ids in zip(result.rounds, trained):
-            others = [x for j, f in enumerate(folds) if j != rnd.round_index for x in f]
-            assert list(rnd.train_ids) == ids == others
-            assert list(rnd.heldout_ids) == folds[rnd.round_index]
+        assert len(rounds) == len(trained) == (1 if cfg.no_cross_annotation else k)
+        for rnd, ids in zip(rounds, trained):
+            others = [x for j, f in enumerate(folds) if j != rnd["round"] for x in f]
+            assert rnd["train_ids"] == ids == others
+            assert rnd["heldout_ids"] == folds[rnd["round"]]
 
-    def test_rounds_use_distinct_seeds(self, synth_data):
-        result = cross_annotate(synth_data.train, _toast_cfg(k=3))
-        seeds = [r.seed for r in result.rounds]
-        assert len(set(seeds)) == 3
+    def test_rounds_use_distinct_seeds(self, synth_data, annotator_seeds):
+        cross_annotate(synth_data.train, _toast_cfg(k=3))
+        assert len(set(annotator_seeds)) == 3
 
     def test_mixed_correctness_on_hard_data(self, synth_data):
-        result = cross_annotate(synth_data.train, _toast_cfg())
-        kinds = set(result.annotations.correct.tolist())
+        annotations, _ = cross_annotate(synth_data.train, _toast_cfg())
+        kinds = set(annotations.correct.tolist())
         assert kinds == {0, 1}
 
-    def test_no_cross_annotation_is_one_round_over_a_tenth(self, synth_data):
+    def test_no_cross_annotation_is_one_round_over_a_tenth(self, synth_data, annotator_seeds):
         cfg = _toast_cfg(no_cross_annotation=True)
-        result = cross_annotate(synth_data.train, cfg)
+        annotations, rounds = cross_annotate(synth_data.train, cfg)
         n = len(synth_data.train)
-        assert abs(len(result.annotations) - n // 10) <= 1
-        [rnd] = result.rounds
-        assert not set(rnd.heldout_ids) & set(rnd.train_ids)
+        assert abs(len(annotations) - n // 10) <= 1
+        [rnd] = rounds
+        assert not set(rnd["heldout_ids"]) & set(rnd["train_ids"])
         # Round 0 of a ten-fold split, trained with the annotator's own seed.
         tenths = split_folds(synth_data.train, 10, cfg.train.seed)
-        assert rnd.heldout_ids == tuple(synth_data.train.subset(tenths[0]).ids())
-        assert rnd.seed == cfg.annotator_config.seed
-        assert result.annotations.data.ids() == list(rnd.heldout_ids)
+        assert rnd["heldout_ids"] == synth_data.train.subset(tenths[0]).ids()
+        assert annotator_seeds == [cfg.annotator_config.seed]
+        assert _ids(annotations, range(len(annotations))) == rnd["heldout_ids"]
 
 
 class TestDownsampleBalance:
@@ -190,7 +210,7 @@ class TestTrainMultitask:
         # With alpha=0, the consistency term exists but cannot move parameters,
         # so the trajectory must match a run without the term entirely.
         d = synth_data.train.subset(range(80))
-        records = cross_annotate(d, _toast_cfg()).annotations
+        records = cross_annotate(d, _toast_cfg())[0]
         balanced = records.take(downsample_balance(records.correct, np.random.default_rng(0)))
         daug = build_augment_set(balanced, lexicon, _toast_cfg(),
                                  np.random.default_rng(1))
@@ -205,17 +225,17 @@ class TestTrainMultitask:
 
     def test_identity_transform_gives_zero_consistency(self, synth_data):
         d = synth_data.train.subset(range(80))
-        records = cross_annotate(d, _toast_cfg()).annotations
+        records = cross_annotate(d, _toast_cfg())[0]
         balanced = records.take(downsample_balance(records.correct, np.random.default_rng(0)))
         rows = np.flatnonzero(balanced.correct == 0)
-        daug = AugmentSet(rows, [balanced.data.samples[i].text_a for i in rows],
+        daug = AugmentSet(rows, [balanced.data.samples[balanced.rows[i]].text_a for i in rows],
                           [TransformKind.SYNONYM_SUBSTITUTION] * len(rows))
         _, trace = train_multitask(d, balanced, daug, _toast_cfg())
         assert all(row["l_consistency"] == 0.0 for row in trace)
 
     def test_empty_calibration_set_rejected(self, synth_data):
         with pytest.raises(ValueError, match="calibration"):
-            train_multitask(synth_data.train, Annotations(synth_data.train.subset([]), [], []),
+            train_multitask(synth_data.train, Annotations(synth_data.train, [], [], []),
                             None, _toast_cfg())
 
     def test_deterministic(self, synth_data, lexicon):

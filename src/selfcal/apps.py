@@ -204,14 +204,13 @@ def _row(point: dict, per_seed, reason: str) -> dict:
 
 def seed_annotations(train: Dataset, pool: Dataset, cfg: PilotSweepConfig
                      ) -> dict[int, Annotations]:
-    """One annotation of every row of the pool per sweep seed (the expensive
-    shared step; every grid point takes its rows). Each annotator is freed
-    once it has annotated, so one encoder is in memory at a time."""
+    """One annotation of the pool per sweep seed (the expensive shared step;
+    every grid point takes its rows). Each annotator is freed once it has
+    annotated, so one encoder is in memory at a time."""
     out = {}
     for seed in cfg.seeds:
         annotator_cfg = replace(cfg.annotator, seed=cfg.annotator.seed + seed)
-        out[seed] = annotate_with_model(train_main(train, annotator_cfg)[0], pool,
-                                        np.arange(len(pool)))
+        out[seed] = annotate_with_model(train_main(train, annotator_cfg)[0], pool)
     return out
 
 

@@ -91,14 +91,23 @@ class AugmentSet:
         return len(self.rows)
 
 
-def annotate_with_model(params: ModelParameters, d: Dataset, rows) -> Annotations:
-    """The rows of ``d`` at ``rows``, each with the model's prediction and
-    whether it was right, through training's forward pass (``encode`` and
-    ``main_head``): an annotator labels one fold and is dropped, so a scoring
-    table over every bucket would cost more than it saves. ``params`` stays
-    trainable."""
-    rows = _row_positions(rows, len(d))
-    preds = main_head(params, encode(params, d.features(params.features).take(rows))).argmax(axis=1)
+def _round_config(cfg: ToastConfig, i: int) -> TrainConfig:
+    """Round ``i`` of cross-annotation trains with seed ``annotator seed + i``."""
+    return replace(cfg.annotator_config, seed=cfg.annotator_config.seed + i)
+
+
+def annotate_with_model(params: ModelParameters, d: Dataset, rows=None) -> Annotations:
+    """The rows of ``d`` at ``rows`` (every row, from the cached matrix itself,
+    when ``None``), each with the model's prediction and whether it was right,
+    through training's forward pass (``encode`` and ``main_head``): an
+    annotator labels one fold and is dropped, so a scoring table over every
+    bucket would cost more than it saves. ``params`` stays trainable."""
+    m = d.features(params.features)
+    if rows is None:
+        rows = np.arange(len(d))
+    else:
+        m = m.take(rows := _row_positions(rows, len(d)))
+    preds = main_head(params, encode(params, m)).argmax(axis=1)
     return Annotations(d, rows, preds, preds == d.labels()[rows])
 
 
@@ -109,26 +118,23 @@ def cross_annotate(d: Dataset, cfg: ToastConfig) -> tuple[Annotations, list[dict
 
     The annotations are the held-out rows of ``d`` in round order: none was
     annotated by a model that saw it in training, and without the ablation
-    each input row is annotated once. Round ``i`` trains with seed
-    ``annotator seed + i``. Each round comes back as the dict that
+    each input row is annotated once. Each round comes back as the dict that
     ``meta.json`` holds: its index and its train and held-out sample ids.
     Only the predictions outlive a round, so one annotator encoder is in
     memory at a time.
     """
     ablated = cfg.no_cross_annotation
     folds = split_folds(d, 10 if ablated else cfg.k, cfg.train.seed)
-    base = cfg.annotator_config
-    d.features(base.features)  # hashed once; every fold takes its rows
+    d.features(cfg.annotator_config.features)  # hashed once; every fold takes its rows
     ids = d.ids()
     done, rounds = [], []
     for i in range(1 if ablated else len(folds)):
         # The other folds in fold order, which train_main's shuffle depends on.
         train_rows = np.concatenate(folds[:i] + folds[i + 1:])
-        round_cfg = replace(base, seed=base.seed + i)
         # The annotator is a temporary: it is freed once it has annotated,
         # before the next round initialises its own encoder.
         done.append(annotate_with_model(
-            train_main(d.subset(train_rows), round_cfg)[0], d, folds[i]).predicted)
+            train_main(d.subset(train_rows), _round_config(cfg, i))[0], d, folds[i]).predicted)
         rounds.append({"round": i, "train_ids": [ids[r] for r in train_rows.tolist()],
                        "heldout_ids": [ids[r] for r in folds[i].tolist()]})
     rows, predicted = np.concatenate(folds[:len(done)]), np.concatenate(done)
@@ -320,7 +326,7 @@ def run_toast(d: Dataset, cfg: ToastConfig, lexicon: SynonymLexicon
             "no_alpha_decay": cfg.no_alpha_decay,
         },
         "seed": seed,
-        "annotator_seeds": [cfg.annotator_config.seed + r["round"] for r in rounds],
+        "annotator_seeds": [_round_config(cfg, r["round"]).seed for r in rounds],
         "rounds": rounds,
         "counts": {
             "input": len(d),

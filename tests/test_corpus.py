@@ -196,7 +196,9 @@ class TestAnnotations:
         assert len(a) == 2 and [a.data.samples[r].id for r in a.rows] == ["c", "a"]
         assert a.predicted.tolist() == a.correct.tolist() == [0, 1]
         taken = m.take([2, 0])
-        got = a.data.features(FeaturizerConfig(hash_dim=64)).take(a.rows)
+        # The cached matrix of the same dataset: take neither copies nor hashes.
+        assert a.data is d
+        got = a.data._features[FeaturizerConfig(hash_dim=64)].take(a.rows)
         assert all(np.array_equal(getattr(got, k), getattr(taken, k))
                    for k in ("indptr", "indices", "values"))
 

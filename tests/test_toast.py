@@ -300,6 +300,12 @@ class TestRunToast:
             neg = log.confidence[log.correct == 0]
             assert delta_conf(pos, neg) > 0
 
+    @pytest.mark.parametrize("flags", [{"k": 3}, {"no_cross_annotation": True}])
+    def test_meta_records_each_annotator_seed(self, synth_data, lexicon, annotator_seeds,
+                                             flags):
+        _, artifacts = run_toast(synth_data.train, _toast_cfg(**flags), lexicon)
+        assert artifacts.meta["annotator_seeds"] == annotator_seeds
+
     def test_artifacts_save(self, synth_data, lexicon, tmp_path):
         _, artifacts = run_toast(synth_data.train, _toast_cfg(), lexicon)
         artifacts.save(tmp_path / "bundle")

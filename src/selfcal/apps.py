@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .augment import SynonymLexicon
-from .calibrators import Calibrator, ConfidenceLog
+from .calibrators import Calibrator
 from .corpus import Annotations, Dataset
 from .metrics import (
     DEFAULT_THRESHOLD_GRID,
@@ -28,13 +28,7 @@ from .metrics import (
     log_auroc_dconf,
     risk_coverage,
 )
-from .model import (
-    FEATURE_MODES,
-    ModelParameters,
-    TrainConfig,
-    softmax,
-    train_main,
-)
+from .model import FEATURE_MODES, ModelParameters, TrainConfig, train_main
 from .toast import ToastConfig, annotate_with_model, downsample_balance, run_toast, train_multitask
 
 # The downstream applications, in the order runs evaluate and report them:
@@ -160,25 +154,15 @@ class PilotSweepConfig:
     ks: tuple[int, ...] = (2, 3, 4, 5)
 
 
-def score_with_calibration_head(params: ModelParameters, d: Dataset,
-                                feature_mode: str = "all") -> ConfidenceLog:
-    """Confidence log where confidence is the correctness head's P(true),
-    with the same input masking the head was trained under."""
-    scorer = params.scorer()
-    preds, _, _, sample = scorer.predict(d.features(scorer.features))
-    conf = softmax(scorer.calib_logits(sample, preds, feature_mode))[:, 1]
-    correct = (preds == d.labels()).astype(np.int64)
-    return ConfidenceLog(conf, correct, preds, ("id",) * len(d))
-
-
 def _pilot_point(train: Dataset, test: Dataset, dstar: Annotations, cfg: PilotSweepConfig,
                  seed: int, feature_mode: str = "all"
                  ) -> tuple[float | None, float | None]:
-    """Train one multi-task model on (train, dstar) and measure the
-    calibration head on the test split."""
+    """Train one multi-task model on (train, dstar), its calibration head's
+    ``feature_mode`` block frozen at zero, and measure the head on the test
+    split."""
     tc = replace(cfg.train, seed=cfg.train.seed + seed)
     params, _ = train_multitask(train, dstar, None, ToastConfig(train=tc), feature_mode)
-    return log_auroc_dconf(score_with_calibration_head(params, test, feature_mode))
+    return log_auroc_dconf(Calibrator("toast", params).build_log(test, "id"))
 
 
 def _toast_point(train: Dataset, test: Dataset, cfg: ToastConfig, lexicon

@@ -163,9 +163,19 @@ def load_config(path: str, overrides=()) -> dict[str, dict]:
         dotted, raw = item.split("=", 1)
         section, key = dotted.split(".", 1)
         values[section][key] = _parse(section, key, raw)
-    if values["run"]["seed"] is None:
+    seed, data, ev = values["run"]["seed"], values["data"], values["eval"]
+    if seed is None:
         raise ConfigError("run.seed is required (seeds are config-only, never wall clock)")
-    try:  # checked here too, so that a run that cannot attack fails early
+    try:  # every config dataclass and attack limit a command builds checks its values
+        if data["source"] == "synthetic":
+            _synth_config(data, seed)
+            _synth_config(data, seed, pool=True)
+        _toast_config(values, seed)
+        _train_config(values, seed, epsilon=values["train"]["label_smoothing_epsilon"])
+        _train_config(values, seed, hidden=ev["cascade_large_hidden"],
+                      epochs=ev["cascade_large_epochs"])
+        _toast_config(values, seed, hidden=ev["cascade_small_hidden"],
+                      epochs=ev["cascade_small_epochs"])
         check_attack_limits(**values["attack"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -175,7 +185,6 @@ def load_config(path: str, overrides=()) -> dict[str, dict]:
         except ValueError:
             raise ConfigError(f"config key {section}.{key}: cannot parse "
                               f"{values[section][key]!r} as a list of {typ.__name__}") from None
-    ev = values["eval"]
     if not all(0.0 < t <= 1.0 for t in _split_list(ev["targets"], float)):
         raise ConfigError(f"config key eval.targets: {ev['targets']!r} has an entry outside (0, 1]")
     if not _split_list(ev["calibrators"], str):
@@ -205,9 +214,11 @@ def _build(cls, section: dict, **overrides):
     return cls(**kwargs)
 
 
-def _synth_config(data: dict, seed: int) -> SynthConfig:
-    test_per_class = data["test_samples_per_class"] or None
-    return _build(SynthConfig, data | {"test_samples_per_class": test_per_class}, seed=seed)
+def _synth_config(data: dict, seed: int, *, pool: bool = False) -> SynthConfig:
+    """The synthetic data's config or, with ``pool``, the sweeps' pool's."""
+    return _build(SynthConfig, data | {
+        "samples_per_class": data["pool_per_class" if pool else "samples_per_class"],
+        "test_samples_per_class": data["test_samples_per_class"] or None}, seed=seed)
 
 
 def _train_config(cfg: dict, seed: int, *, epochs: int | None = None,
@@ -246,8 +257,7 @@ def _load_data(cfg: dict) -> tuple[Dataset, Dataset, SynonymLexicon | None]:
 def _load_pool(cfg: dict) -> Dataset:
     d = cfg["data"]
     if d["source"] == "synthetic":
-        pool = d | {"samples_per_class": d["pool_per_class"]}
-        return generate_synthetic(_synth_config(pool, cfg["run"]["seed"] + 1)).train
+        return generate_synthetic(_synth_config(d, cfg["run"]["seed"] + 1, pool=True)).train
     if not d["pool_path"]:
         raise ConfigError("data.pool_path is required for sweeps on jsonl data")
     return load_dataset(d["pool_path"], d["task_kind"])

@@ -165,6 +165,7 @@ def load_dataset(path, task_kind: str = "single") -> Dataset:
     label_names: list[str] | None = None
     fixed_labels = False
     samples: list[Sample] = []
+    ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -204,9 +205,13 @@ def load_dataset(path, task_kind: str = "single") -> Dataset:
             text_b = obj.get("text_pair")
             if task_kind == "pair" and text_b is None:
                 raise ValueError(f"{path}:{lineno}: pair task but no 'text_pair' key")
+            sample_id = str(obj.get("id", lineno))
+            if sample_id in ids:
+                raise ValueError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
+            ids.add(sample_id)
             try:
                 samples.append(Sample(
-                    id=str(obj.get("id", lineno)),
+                    id=sample_id,
                     text_a=str(obj["text"]),
                     text_b=None if text_b is None else str(text_b),
                     label=label_names.index(raw_label),
@@ -289,10 +294,14 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        for name in ("vocab_size", "samples_per_class", "tokens_per_sample",
-                     "indicative_per_class"):
+        for name in ("vocab_size", "samples_per_class", "indicative_per_class"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # An easy sample holds at least two class-indicative tokens.
+        if self.tokens_per_sample < 2:
+            raise ValueError("tokens_per_sample must be >= 2")
+        if self.test_samples_per_class is not None and self.test_samples_per_class < 1:
+            raise ValueError("test_samples_per_class must be None or >= 1")
         for name in ("hardness_fraction", "hard_flip_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -25,8 +25,9 @@ import numpy as np
 
 LOG_FLOOR = 1e-12
 
-# Calibration-head input masks: "no_sample" zeroes the encoder block,
-# "no_prediction" zeroes the predicted-label one-hot block.
+# The block of w_calib that calibration training under each mode leaves at its
+# zero start, so the head does not read that input: "no_sample" the encoder
+# block w_calib[:H], "no_prediction" the predicted-label block w_calib[H:].
 FEATURE_MODES = ("all", "no_prediction", "no_sample")
 
 _SEGMENT_B_MARK = "\x02"
@@ -398,11 +399,6 @@ ENCODE_BLOCK_BYTES = 2 ** 20
 # 64 KiB blocks faulted as little but ran slower for their extra ufunc.at calls.
 GRAD_BLOCK_BYTES = 2 ** 18
 
-# Bytes of float64 table rows that a Scorer computes per block of encoder rows,
-# 2 ** 18 // (8 * (classes + 2)) rows: the build allocates the table and one
-# such block.
-TABLE_BLOCK_BYTES = 2 ** 18
-
 
 def _exp_and_sum(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
@@ -482,32 +478,21 @@ def main_head(p: ModelParameters, h: np.ndarray) -> np.ndarray:
     return _rowwise_matmul(h, p.w_main) + p.b_main
 
 
-def _calib_logits(sample, w_label: np.ndarray, b_calib: np.ndarray, y_star,
-                  feature_mode: str) -> np.ndarray:
-    """Correctness-head logits ``(sample + b_calib) + w_label[y_star]``, with
-    the block that ``feature_mode`` masks left out. ``sample`` is the rows'
-    encoder block already multiplied by ``w_calib[:H]`` (None under
-    "no_sample"), and ``w_label`` the head's rows of the predicted-label
+def _calib_logits(sample: np.ndarray, w_label: np.ndarray, b_calib: np.ndarray,
+                  y_star) -> np.ndarray:
+    """Correctness-head logits ``(sample + b_calib) + w_label[y_star]``.
+    ``sample`` is the rows' encoder block already multiplied by
+    ``w_calib[:H]``, and ``w_label`` the head's rows of the predicted-label
     one-hot, ``w_calib[H:]``."""
-    if feature_mode not in FEATURE_MODES:
-        raise ValueError(f"unknown feature_mode {feature_mode!r}")
     _check_labels(y_star, len(w_label))
-    z = b_calib
-    if feature_mode != "no_sample":
-        z = sample + z
-    if feature_mode != "no_prediction":
-        z = z + w_label[y_star]
-    return z
+    return (sample + b_calib) + w_label[y_star]
 
 
-def calib_head(p: ModelParameters, h: np.ndarray, y_star,
-               feature_mode: str = "all") -> np.ndarray:
+def calib_head(p: ModelParameters, h: np.ndarray, y_star) -> np.ndarray:
     """Correctness-head logits of ``[h, one_hot(y_star)] @ w_calib + b_calib``
-    for every row of the encoder output ``h`` and its label in ``y_star``,
-    with the block that ``feature_mode`` masks left out."""
+    for every row of the encoder output ``h`` and its label in ``y_star``."""
     hd = p.hidden_dim
-    sample = None if feature_mode == "no_sample" else _rowwise_matmul(h, p.w_calib[:hd])
-    return _calib_logits(sample, p.w_calib[hd:], p.b_calib, y_star, feature_mode)
+    return _calib_logits(_rowwise_matmul(h, p.w_calib[:hd]), p.w_calib[hd:], p.b_calib, y_star)
 
 
 class Scorer:
@@ -518,20 +503,15 @@ class Scorer:
     correctness head's sample block is the same sum over ``E @ w_calib[:H]``.
     So the scorer keeps the table ``T = E @ [w_main | w_calib[:H]]``
     (hash_dim x (C + 2)) and scores a row by gathering C + 2 columns per
-    nonzero instead of the hidden width. ``T`` is built one vector-matrix
-    product per encoder row, ``TABLE_BLOCK_BYTES`` of them at a time, so no
-    table row depends on the build's blocks; ``_gather`` then sums each text
-    with one ``reduceat``, so a text scores the same alone and in any batch.
-    The scorer holds copies of the heads' biases and label rows, and no
-    encoder."""
+    nonzero instead of the hidden width. ``T`` is built in one product, a
+    vector-matrix product per encoder row, so the build allocates the table
+    alone; ``_gather`` then sums each text with one ``reduceat``, so a text
+    scores the same alone and in any batch. The scorer holds copies of the
+    heads' biases and label rows, and no encoder."""
 
     def __init__(self, p: ModelParameters):
         c, hd = p.num_classes, p.hidden_dim
-        w = np.concatenate([p.w_main, p.w_calib[:hd]], axis=1)
-        table = np.empty((p.features.hash_dim, c + 2))
-        rows = max(1, TABLE_BLOCK_BYTES // (8 * (c + 2)))
-        for lo in range(0, len(table), rows):
-            table[lo:lo + rows] = _rowwise_matmul(p.encoder[lo:lo + rows], w)
+        table = _rowwise_matmul(p.encoder, np.concatenate([p.w_main, p.w_calib[:hd]], axis=1))
         table.setflags(write=False)
         self.table, self.b_main, self.b_calib = table, p.b_main.copy(), p.b_calib.copy()
         self.w_label = p.w_calib[hd:].copy()
@@ -551,12 +531,11 @@ class Scorer:
         # its term is exp(0) = 1, so its probability is exactly 1 / s.
         return e.argmax(axis=1), 1.0 / s[:, 0], z, sums[:, c:]
 
-    def calib_logits(self, sample: np.ndarray, y_star,
-                     feature_mode: str = "all") -> np.ndarray:
+    def calib_logits(self, sample: np.ndarray, y_star) -> np.ndarray:
         """Correctness-head logits of the rows whose sample block ``predict``
         returned, given their labels ``y_star``; the same arithmetic as
         ``calib_head``."""
-        return _calib_logits(sample, self.w_label, self.b_calib, y_star, feature_mode)
+        return _calib_logits(sample, self.w_label, self.b_calib, y_star)
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +644,16 @@ def main_batch_grads(p: ModelParameters, m: FeatureMatrix, labels,
 def _calib_grads(p: ModelParameters, m: FeatureMatrix, h: np.ndarray, y_stars,
                  dz: np.ndarray, feature_mode: str) -> Grads:
     """Gradients of the calibration head's logits, given the gradient ``dz`` of
-    the loss with respect to them, for the rows of ``m`` (encoder output ``h``)."""
+    the loss with respect to them, for the rows of ``m`` (encoder output ``h``).
+    The block of ``w_calib`` that ``feature_mode`` freezes gets none, and must
+    be zero: only then does it add nothing to the logits, and the encoder
+    nothing through it under "no_sample"."""
     hd = p.hidden_dim
+    frozen = {"all": slice(0), "no_prediction": slice(hd, None), "no_sample": slice(hd)}
+    if feature_mode not in frozen:
+        raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    if p.w_calib[frozen[feature_mode]].any():
+        raise ValueError(f"feature_mode {feature_mode!r} needs its block of w_calib at zero")
     g = Grads(w_calib=np.zeros_like(p.w_calib), b_calib=dz.sum(0))
     if feature_mode != "no_prediction":
         np.add.at(g.w_calib[hd:], y_stars, dz)
@@ -682,7 +669,7 @@ def calib_batch_grads(p: ModelParameters, m: FeatureMatrix, y_stars, cs,
     """Mean cross-entropy of the calibration head over (x, y*, c) triples."""
     n = len(m)
     h = encode(p, m)
-    probs = softmax(calib_head(p, h, y_stars, feature_mode))
+    probs = softmax(calib_head(p, h, y_stars))
     t = smooth_target(cs, 2, epsilon)
     loss = -(t * _safe_log(probs)).sum() / n
     return loss, _calib_grads(p, m, h, y_stars, (probs - t) / n, feature_mode)
@@ -699,8 +686,8 @@ def consistency_batch_grads(p: ModelParameters, clean: FeatureMatrix,
     n = len(clean)
     hc = encode(p, clean)
     ha = encode(p, aug)
-    r = softmax(calib_head(p, hc, y_stars, feature_mode))
-    s = softmax(calib_head(p, ha, y_stars, feature_mode))
+    r = softmax(calib_head(p, hc, y_stars))
+    s = softmax(calib_head(p, ha, y_stars))
     log_ratio = _safe_log(r) - _safe_log(s)
     kl = (r * log_ratio).sum(1, keepdims=True)
     g = _calib_grads(p, clean, hc, y_stars, (r * log_ratio - kl * r) / n, feature_mode)

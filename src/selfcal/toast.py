@@ -196,8 +196,10 @@ def train_multitask(d: Dataset, dstar: Annotations, daug: AugmentSet | None,
     Every step draws one batch from each of the task data, the calibration
     rows, and (if present) the augmented pairs; smaller collections cycle.
     Both take rows of ``dstar.data``'s feature matrix; only the augmented
-    texts are hashed here. The returned trace has one row per step with the
-    three component losses and their weighted total.
+    texts are hashed here. Under a ``feature_mode`` other than "all" the
+    correctness head's block of that mode stays at its zero start, so the
+    head never reads that input. The returned trace has one row per step
+    with the three component losses and their weighted total.
     """
     if len(d) == 0:
         raise ValueError("empty task dataset")

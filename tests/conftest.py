@@ -158,6 +158,13 @@ def grads_to_flat(params, grads) -> np.ndarray:
     return np.concatenate([a.ravel() for a in flat])
 
 
+def frozen_rows(params, feature_mode) -> slice:
+    """The rows of ``w_calib`` that training under ``feature_mode`` keeps at
+    their zero start."""
+    hd = params.hidden_dim
+    return {"all": slice(0), "no_prediction": slice(hd, None), "no_sample": slice(hd)}[feature_mode]
+
+
 def set_flat_params(params, flat: np.ndarray) -> None:
     """Write ``flat``, in get_flat_params ordering, back into the tensors."""
     pos = 0

@@ -11,7 +11,6 @@ from selfcal.apps import (
     evaluate_point,
     grid_points,
     pilot_sweeps,
-    score_with_calibration_head,
     selective_eval,
 )
 from selfcal.calibrators import Calibrator
@@ -183,7 +182,7 @@ class TestPilotSweeps:
             params, _ = train_multitask(
                 synth_data.train, balanced, None,
                 ToastConfig(train=sweep_cfg.train, no_augment=True), mode)
-            log = score_with_calibration_head(params, synth_data.test, mode)
+            log = Calibrator("toast", params).build_log(synth_data.test, "id")
             c = log.confidence
             return 100 * (c[log.correct == 1].mean() - c[log.correct == 0].mean())
 

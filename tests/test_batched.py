@@ -26,9 +26,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FEATS, correct_mask, get_flat_params, grads_to_flat, part_rows
+from conftest import FEATS, correct_mask, frozen_rows, get_flat_params, grads_to_flat, part_rows
 from selfcal import augment, calibrators, corpus, model, toast
-from selfcal.apps import PilotSweepConfig, cascade_eval, pilot_sweeps, score_with_calibration_head
+from selfcal.apps import PilotSweepConfig, cascade_eval, pilot_sweeps
 from selfcal.augment import SynonymLexicon, greedy_attack
 from selfcal.calibrators import METHODS, Calibrator, ConfidenceLog, train_with_temperature
 from selfcal.corpus import Dataset, Sample, generate_synthetic, vocabulary
@@ -380,6 +380,13 @@ def random_params(seed, hidden=8, num_classes=3, feats=FEATS):
     return p
 
 
+def frozen(p, feature_mode):
+    """``p`` with the block of ``w_calib`` that ``feature_mode`` freezes set to
+    zero, the state that training under the mode starts from and keeps."""
+    p.w_calib[frozen_rows(p, feature_mode)] = 0.0
+    return p
+
+
 def random_dataset(seed, n, max_len=40, num_classes=3):
     rng = np.random.default_rng(seed)
     samples = tuple(
@@ -445,9 +452,10 @@ def test_trained_calibrators_match_per_sample(paired_runs):
 
 @pytest.mark.parametrize("feature_mode", FEATURE_MODES)
 def test_calibration_head_matches_per_sample(feature_mode):
+    # A frozen block is zero, so the unmasked head scores as the masked one.
     d = random_dataset(5, 120)
-    p = random_params(6)
-    log = score_with_calibration_head(p, d, feature_mode)
+    p = frozen(random_params(6), feature_mode)
+    log = Calibrator("toast", p).build_log(d, "id")
     for i, s in enumerate(d.samples):
         label, conf = ref_score("toast", p, s, feature_mode=feature_mode)
         assert log.pred[i] == label
@@ -457,9 +465,8 @@ def test_calibration_head_matches_per_sample(feature_mode):
 
 def assert_scorer_matches_encoder_and_heads(p, m, y_star):
     """The Scorer's main and correctness-head logits against ``encode`` +
-    ``main_head`` + ``calib_head``, in every feature mode: within 1e-12
-    relative to the logit (absolute below 1), since the table only reorders
-    the sums."""
+    ``main_head`` + ``calib_head``: within 1e-12 relative to the logit
+    (absolute below 1), since the table only reorders the sums."""
     def close(got, want):
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= TOL * np.maximum(np.abs(want), 1.0))
@@ -469,8 +476,7 @@ def assert_scorer_matches_encoder_and_heads(p, m, y_star):
     close(z, main_head(p, h))
     assert np.array_equal(prob, softmax(z).max(axis=1))
     assert np.array_equal(labels, z.argmax(axis=1))
-    for mode in FEATURE_MODES:
-        close(p.scorer().calib_logits(sample, y_star, mode), calib_head(p, h, y_star, mode))
+    close(p.scorer().calib_logits(sample, y_star), calib_head(p, h, y_star))
     return labels, prob, z, sample
 
 
@@ -486,12 +492,11 @@ def test_scorer_matches_encoder_and_heads():
 @given(seed=st.integers(0, 2 ** 32 - 1), hash_bits=st.integers(1, 12),
        hidden=st.integers(1, 48), num_classes=st.integers(2, 6),
        lengths=st.lists(st.integers(1, 60), max_size=10),
-       block_nnz=st.integers(1, 40), table_rows=st.integers(1, 300))
-@example(seed=0, hash_bits=12, hidden=8, num_classes=2, lengths=[60, 1, 3],
-         block_nnz=4, table_rows=1)
-def test_scorer_property(seed, hash_bits, hidden, num_classes, lengths, block_nnz, table_rows):
+       block_nnz=st.integers(1, 40))
+@example(seed=0, hash_bits=12, hidden=8, num_classes=2, lengths=[60, 1, 3], block_nnz=4)
+def test_scorer_property(seed, hash_bits, hidden, num_classes, lengths, block_nnz):
     # Gather blocks of block_nnz nonzeros, so rows longer than a block are
-    # common, and tables built table_rows encoder rows at a time.
+    # common.
     p = random_params(seed % 997, hidden=hidden, num_classes=num_classes,
                       feats=FeaturizerConfig(hash_dim=2 ** hash_bits))
     rng = np.random.default_rng(seed)
@@ -501,10 +506,7 @@ def test_scorer_property(seed, hash_bits, hidden, num_classes, lengths, block_nn
     width = num_classes + 2
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "ENCODE_BLOCK_BYTES", 8 * width * block_nnz)
-        patch.setattr(model, "TABLE_BLOCK_BYTES", 8 * width * table_rows)
         whole = assert_scorer_matches_encoder_and_heads(p, m, y_star)
-        # The table does not depend on its build blocks.
-        assert np.array_equal(model.Scorer(p).table, p.scorer().table)
         # A text scores bit for bit the same alone as in the batch.
         for i, text in enumerate(texts):
             one = p.scorer().predict(featurize_batch([text], cfg=p.features))
@@ -968,6 +970,7 @@ def test_main_batch_grads_match_per_sample(epsilon):
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
 def test_calib_batch_grads_match_per_sample(feature_mode, epsilon):
     for p, m, _, vecs, _, labels, cs in grad_instances(11):
+        frozen(p, feature_mode)
         assert_same_loss_and_grads(
             p, calib_batch_grads(p, m, labels, cs, epsilon, feature_mode),
             ref_calib_batch_grads(p, vecs, labels, cs, epsilon, feature_mode))
@@ -976,6 +979,7 @@ def test_calib_batch_grads_match_per_sample(feature_mode, epsilon):
 @pytest.mark.parametrize("feature_mode", FEATURE_MODES)
 def test_consistency_batch_grads_match_per_sample(feature_mode):
     for p, m, m_aug, vecs, aug_vecs, labels, _ in grad_instances(12):
+        frozen(p, feature_mode)
         assert_same_loss_and_grads(
             p, consistency_batch_grads(p, m, m_aug, labels, feature_mode),
             ref_consistency_batch_grads(p, vecs, aug_vecs, labels, feature_mode))
@@ -1061,7 +1065,7 @@ def test_apply_grads_is_bit_identical_to_one_row_scatter(feature_mode, alpha):
     calib = random_dataset(21, 60).features(FEATS)
     clean = random_dataset(22, 60).features(FEATS)
     aug = random_dataset(23, 60).features(FEATS)
-    p = random_params(24)
+    p = frozen(random_params(24), feature_mode)
     q = copy.deepcopy(p)
     for step in range(12):
         # Drawn with replacement: buckets repeat within a part and across parts.
@@ -1098,7 +1102,7 @@ def test_apply_grads_in_blocks_is_bit_identical_to_one_row_scatter(monkeypatch, 
     block = model.GRAD_BLOCK_BYTES // (8 * hidden)
     rng = np.random.default_rng(8)
     feats = [random_dataset(seed, 120, max_len=60).features(FEATS) for seed in range(30, 34)]
-    p = random_params(35, hidden=hidden)
+    p = frozen(random_params(35, hidden=hidden), feature_mode)
     q = copy.deepcopy(p)
     for step in range(4):
         batches = [rng.choice(120, size=48) for _ in range(3)]

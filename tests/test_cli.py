@@ -151,6 +151,25 @@ class TestConfig:
         assert setting.split("=")[0] in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("toast.k=1", "k must be >= 2"),
+        ("train.batch_size=0", "batch_size must be >= 1"),
+        ("model.hash_dim=1000", "hash_dim must be a power of two, got 1000"),
+        ("data.tokens_per_sample=1", "tokens_per_sample must be >= 2"),
+        ("data.test_samples_per_class=-3", "test_samples_per_class must be None or >= 1"),
+        ("data.pool_per_class=0", "samples_per_class must be positive"),
+        ("train.label_smoothing_epsilon=1", "label_smoothing_epsilon must be in [0, 1)"),
+        ("eval.cascade_large_hidden=0", "hidden_dim must be >= 1"),
+        ("eval.cascade_small_epochs=0", "epochs must be >= 1")])
+    @pytest.mark.parametrize("command", ["synth", "eval", "sweep"])
+    def test_bad_dataclass_value_fails_before_anything_runs(self, config_path, tmp_path, capsys,
+                                                           command, setting, message):
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config_path), "--out", str(out),
+                     "--set", setting]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
     def test_list_values_are_kept_as_given(self, config_path):
         cfg = load_config(str(config_path), ["eval.targets=0.5, 1", "sweep.sizes= 7,3"])
         assert cfg["eval"]["targets"] == "0.5, 1"

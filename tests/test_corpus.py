@@ -91,6 +91,9 @@ class TestLoadDataset:
          ":1: duplicate label names in ['a', 'a']"),
         ([{"label_names": ["a", "b"], "task_kind": "bogus"}, {"text": "x", "label": "a"}],
          ":1: unknown task_kind 'bogus'"),
+        # Line 1 has no id, so its id is its line number.
+        ([{"text": "x y", "label": "a"}, {"id": "1", "text": "y z", "label": "b"}],
+         ":2: duplicate sample id '1'"),
     ])
     def test_bad_field_names_path_and_line(self, tmp_path, lines, message):
         p = tmp_path / "d.jsonl"
@@ -313,6 +316,20 @@ class TestGenerateSynthetic:
             SynthConfig(hardness_fraction=1.5)
         with pytest.raises(ValueError):
             SynthConfig(vocab_size=10, num_classes=3, indicative_per_class=20)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tokens_per_sample": 1}, "tokens_per_sample must be >= 2"),
+        ({"test_samples_per_class": 0}, "test_samples_per_class must be None or >= 1"),
+        ({"test_samples_per_class": -3}, "test_samples_per_class must be None or >= 1")])
+    def test_config_that_cannot_make_both_splits_is_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            SynthConfig(**kwargs)
+        assert str(info.value) == message
+
+    def test_smallest_accepted_config_makes_both_splits(self):
+        data = generate_synthetic(SynthConfig(tokens_per_sample=2, test_samples_per_class=1))
+        assert len(data.test) == 2
+        assert all(len(s.text_a.split()) == 2 for s in data.train.samples + data.test.samples)
 
     def test_hardness_sidecar_roundtrip(self, tmp_path, synth_data):
         p = tmp_path / "h.jsonl"

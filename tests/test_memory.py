@@ -6,8 +6,8 @@ encoder gathers one block of about ``ENCODE_BLOCK_BYTES`` at a time, an SGD
 step forms its encoder-gradient rows one block of ``GRAD_BLOCK_BYTES`` at a
 time, the attack scores one group of ``ATTACK_GROUP`` samples' candidates
 at a time, ``featurize_batch`` hashes a large call one chunk of about
-``CHUNK_TOKENS`` tokens at a time, a model's scoring table is built one
-block of ``TABLE_BLOCK_BYTES`` at a time, once for all its calibrators, and
+``CHUNK_TOKENS`` tokens at a time, a model's scoring table is built in one
+product that allocates the table alone, once for all its calibrators, and
 cross-annotation holds its annotations as rows of the annotated dataset."""
 
 import tracemalloc

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     SMALL_FEATS,
     correct_mask,
+    frozen_rows,
     get_flat_params,
     grads_to_flat,
     numerical_grad,
@@ -163,11 +164,10 @@ class TestForwardCalib:
         m = one_row("w", cfg=SMALL_FEATS)
         h = encode(p, m)
         for y_star in (2, -1):
-            for mode in ("all", "no_sample", "no_prediction"):
-                with pytest.raises(ValueError, match="out of range"):
-                    calib_head(p, h, np.array([y_star]), mode)
-                with pytest.raises(ValueError, match="out of range"):
-                    p.scorer().calib_logits(np.zeros((1, 2)), np.array([y_star]), mode)
+            with pytest.raises(ValueError, match="out of range"):
+                calib_head(p, h, np.array([y_star]))
+            with pytest.raises(ValueError, match="out of range"):
+                p.scorer().calib_logits(np.zeros((1, 2)), np.array([y_star]))
             with pytest.raises(ValueError, match="out of range"):
                 calib_batch_grads(p, m, np.array([y_star]), np.array([1]))
 
@@ -257,6 +257,19 @@ def _random_instance(rng, num_classes=3, hidden=4, scale=1.0):
     return p, vecs, aug_vecs, labels, cs
 
 
+def _masked_calib_loss(p, m, y_stars, cs, mode) -> float:
+    """Mean cross-entropy of the correctness head with ``mode``'s block of
+    its input ``[h, one_hot(y*)]`` masked out: the objective a frozen block
+    trains."""
+    n, hd = len(m), p.hidden_dim
+    u = np.zeros((n, hd + p.num_classes))
+    if mode != "no_sample":
+        u[:, :hd] = encode(p, m)
+    if mode != "no_prediction":
+        u[np.arange(n), hd + y_stars] = 1.0
+    return float(-np.log(softmax(u @ p.w_calib + p.b_calib)[np.arange(n), cs]).mean())
+
+
 class TestGradients:
     """Analytic gradients against central finite differences (the oracle)."""
 
@@ -286,13 +299,36 @@ class TestGradients:
             assert relative_error(grads_to_flat(p, grads), num) < 1e-4
 
     def test_masked_calib_grads(self):
+        # Against the objective whose head input has the mode's block masked
+        # out, on parameters whose frozen block is zero, as training keeps it.
         rng = np.random.default_rng(3)
         for mode in ("no_sample", "no_prediction"):
             p, vecs, _, labels, cs = _random_instance(rng)
+            p.w_calib[frozen_rows(p, mode)] = 0.0
             _, grads = calib_batch_grads(p, vecs, labels, cs, feature_mode=mode)
-            num = numerical_grad(
-                lambda: calib_batch_grads(p, vecs, labels, cs, feature_mode=mode)[0], p)
+            num = numerical_grad(lambda: _masked_calib_loss(p, vecs, labels, cs, mode), p)
             assert relative_error(grads_to_flat(p, grads), num) < 1e-4
+
+    @pytest.mark.parametrize("mode", ["no_sample", "no_prediction"])
+    def test_a_nonzero_frozen_block_is_rejected(self, mode):
+        p, vecs, aug, labels, cs = _random_instance(np.random.default_rng(4))
+        message = f"feature_mode {mode!r} needs its block of w_calib at zero"
+        for grads in (lambda: calib_batch_grads(p, vecs, labels, cs, feature_mode=mode),
+                      lambda: consistency_batch_grads(p, vecs, aug, labels, mode)):
+            with pytest.raises(ValueError) as exc:
+                grads()
+            assert str(exc.value) == message
+        # One nonzero weight is enough; the other block may hold anything.
+        p.w_calib[frozen_rows(p, mode)] = 0.0
+        calib_batch_grads(p, vecs, labels, cs, feature_mode=mode)
+        p.w_calib[frozen_rows(p, mode)][-1, -1] = -1e-300
+        with pytest.raises(ValueError, match="needs its block of w_calib at zero"):
+            calib_batch_grads(p, vecs, labels, cs, feature_mode=mode)
+
+    def test_unknown_feature_mode_is_rejected(self):
+        p, vecs, _, labels, cs = _random_instance(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="unknown feature_mode 'no_head'"):
+            calib_batch_grads(p, vecs, labels, cs, feature_mode="no_head")
 
 
 class TestTrainMain:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import FEATS, get_flat_params, make_separable
+from conftest import FEATS, frozen_rows, get_flat_params, make_separable
 from selfcal import toast
 from selfcal.calibrators import Calibrator
 from selfcal.corpus import Annotations, Dataset, Sample, split_folds
@@ -232,6 +232,18 @@ class TestTrainMultitask:
                           [TransformKind.SYNONYM_SUBSTITUTION] * len(rows))
         _, trace = train_multitask(d, balanced, daug, _toast_cfg())
         assert all(row["l_consistency"] == 0.0 for row in trace)
+
+    @pytest.mark.parametrize("mode", ["no_prediction", "no_sample"])
+    def test_a_feature_mode_leaves_its_block_at_positive_zero(self, synth_data, lexicon, mode):
+        # With augmented pairs, so the consistency term trains under the mode too.
+        d = synth_data.train.subset(range(80))
+        records = cross_annotate(d, _toast_cfg())[0]
+        balanced = records.take(downsample_balance(records.correct, np.random.default_rng(0)))
+        daug = build_augment_set(balanced, lexicon, _toast_cfg(), np.random.default_rng(1))
+        params, _ = train_multitask(d, balanced, daug, _toast_cfg(), mode)
+        frozen = params.w_calib[frozen_rows(params, mode)]
+        assert frozen.tobytes() == bytes(frozen.nbytes)   # +0.0, bit for bit
+        assert np.any(params.w_calib != 0.0)
 
     def test_empty_calibration_set_rejected(self, synth_data):
         with pytest.raises(ValueError, match="calibration"):

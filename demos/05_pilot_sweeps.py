@@ -5,7 +5,7 @@ help, an exactly balanced correctness distribution helps most, and the sample
 text carries far more signal than the predicted label alone.
 """
 
-from selfcal import FeaturizerConfig, SynthConfig, TrainConfig, generate_synthetic
+from selfcal import FeaturizerConfig, SynthConfig, ToastConfig, TrainConfig, generate_synthetic
 from selfcal.apps import PilotSweepConfig, pilot_sweeps
 from selfcal.augment import synthetic_lexicon
 
@@ -18,9 +18,13 @@ pool = generate_synthetic(SynthConfig(num_classes=2, vocab_size=200,
                                       hard_flip_prob=0.5, seed=1)).train
 lexicon = synthetic_lexicon(cfg)
 
+# Every grid point runs this pipeline with one setting changed: a k point
+# the whole pipeline, the other kinds its stage 3 on rows of the pool that
+# the annotator config labels.
 sweep_cfg = PilotSweepConfig(
-    annotator=TrainConfig(epochs=5, hidden_dim=16, seed=100, features=feats),
-    train=TrainConfig(epochs=8, hidden_dim=16, seed=200, features=feats),
+    toast=ToastConfig(
+        train=TrainConfig(epochs=8, hidden_dim=16, seed=200, features=feats),
+        annotator_train=TrainConfig(epochs=5, hidden_dim=16, seed=100, features=feats)),
     seeds=(0, 1, 2),
     sizes=(30, 120, 480),
     ratios=(0.1, 0.3, 0.5, 0.7, 0.9),

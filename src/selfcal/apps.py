@@ -28,7 +28,7 @@ from .metrics import (
     log_auroc_dconf,
     risk_coverage,
 )
-from .model import FEATURE_MODES, ModelParameters, TrainConfig, train_main
+from .model import FEATURE_MODES, ModelParameters, train_main
 from .toast import ToastConfig, annotate_with_model, downsample_balance, run_toast, train_multitask
 
 # The downstream applications, in the order runs evaluate and report them:
@@ -141,12 +141,13 @@ SWEEP_KINDS = ("size", "imbalance", "features", "k")
 
 @dataclass(frozen=True)
 class PilotSweepConfig:
-    """Grids and training settings for the pilot sweeps. ``annotator`` trains
-    the model whose predictions label the calibration pool; ``train`` drives
-    the per-grid-point multi-task training."""
+    """The pilot sweeps: ``toast``, the pipeline that every grid point runs
+    with one setting changed, the sweep seeds, and the grids. A ``k`` point
+    runs the whole pipeline with its own ``k``; a point of another kind takes
+    its calibration rows from the pool that ``toast``'s annotator config
+    labels, and trains stage 3 on them without augmentation."""
 
-    annotator: TrainConfig
-    train: TrainConfig
+    toast: ToastConfig
     seeds: tuple[int, ...] = (0, 1, 2)
     sizes: tuple[int, ...] = (30, 120, 480)
     ratios: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -154,22 +155,18 @@ class PilotSweepConfig:
     ks: tuple[int, ...] = (2, 3, 4, 5)
 
 
-def _pilot_point(train: Dataset, test: Dataset, dstar: Annotations, cfg: PilotSweepConfig,
-                 seed: int, feature_mode: str = "all"
-                 ) -> tuple[float | None, float | None]:
-    """Train one multi-task model on (train, dstar), its calibration head's
-    ``feature_mode`` block frozen at zero, and measure the head on the test
-    split."""
-    tc = replace(cfg.train, seed=cfg.train.seed + seed)
-    params, _ = train_multitask(train, dstar, None, ToastConfig(train=tc), feature_mode)
-    return log_auroc_dconf(Calibrator("toast", params).build_log(test, "id"))
+def _seeded(cfg: PilotSweepConfig, seed: int) -> ToastConfig:
+    """The pipeline of sweep seed ``seed``: stage 3 and the annotators each
+    seeded ``seed`` past ``cfg.toast``'s."""
+    t = cfg.toast
+    return replace(t, train=replace(t.train, seed=t.train.seed + seed),
+                   annotator_train=replace(t.annotator_config, seed=t.annotator_config.seed + seed))
 
 
-def _toast_point(train: Dataset, test: Dataset, cfg: ToastConfig, lexicon
-                 ) -> tuple[float | None, float | None]:
-    """Run the whole pipeline and measure its model on the test split. The
-    model is freed on return, before the next seed's pipeline trains."""
-    params, _ = run_toast(train, cfg, lexicon)
+def _head_scores(params: ModelParameters, test: Dataset) -> tuple[float | None, float | None]:
+    """AUROC and confidence gap of the model's correctness head on the test
+    split. A seed's model is passed straight from its training call, so it is
+    freed on return, before the next seed's model trains."""
     return log_auroc_dconf(Calibrator("toast", params).build_log(test, "id"))
 
 
@@ -191,11 +188,9 @@ def seed_annotations(train: Dataset, pool: Dataset, cfg: PilotSweepConfig
     """One annotation of the pool per sweep seed (the expensive shared step;
     every grid point takes its rows). Each annotator is freed once it has
     annotated, so one encoder is in memory at a time."""
-    out = {}
-    for seed in cfg.seeds:
-        annotator_cfg = replace(cfg.annotator, seed=cfg.annotator.seed + seed)
-        out[seed] = annotate_with_model(train_main(train, annotator_cfg)[0], pool)
-    return out
+    return {seed: annotate_with_model(
+                train_main(train, _seeded(cfg, seed).annotator_config)[0], pool)
+            for seed in cfg.seeds}
 
 
 def grid_points(kind: str, cfg: PilotSweepConfig) -> list[dict]:
@@ -227,57 +222,53 @@ def evaluate_point(point: dict, train: Dataset, test: Dataset,
     kind = point["kind"]
     per_seed: list[tuple[float | None, float | None]] = []
     reasons: list[str] = []
-
-    if kind == "k":
-        for seed in cfg.seeds:
-            toast_cfg = ToastConfig(
-                k=point["k"],
-                train=replace(cfg.train, seed=cfg.train.seed + seed),
-                annotator_train=replace(cfg.annotator, seed=cfg.annotator.seed + seed),
-            )
-            per_seed.append(_toast_point(train, test, toast_cfg, lexicon))
-    else:
-        for seed in cfg.seeds:
-            annotated = annotations[seed]
-            mode = "all"
-            if kind == "size":
-                n = point["size"]
-                if n > len(annotated):
-                    reasons.append(f"seed {seed}: pool has {len(annotated)} < {n} records")
+    for seed in cfg.seeds:
+        seeded = _seeded(cfg, seed)
+        if kind == "k":
+            per_seed.append(_head_scores(
+                run_toast(train, replace(seeded, k=point["k"]), lexicon)[0], test))
+            continue
+        annotated = annotations[seed]
+        mode = "all"
+        if kind == "size":
+            n = point["size"]
+            if n > len(annotated):
+                reasons.append(f"seed {seed}: pool has {len(annotated)} < {n} records")
+                continue
+            rows = np.random.default_rng((seeded.train.seed, 8)).permutation(len(annotated))[:n]
+        elif kind == "features":
+            mode = point["feature_mode"]
+            rows = downsample_balance(
+                annotated.correct, np.random.default_rng((seeded.train.seed, 10)))
+        else:  # imbalance
+            rng = np.random.default_rng((seeded.train.seed, 9))
+            neg, pos = (rng.permutation(np.flatnonzero(annotated.correct == c)) for c in (0, 1))
+            if point["mode"] == "ratio":
+                max_side = max(max(cfg.ratios), 1.0 - min(cfg.ratios))
+                total = int(min(len(neg), len(pos)) / max_side)
+                n_neg = round(point["ratio"] * total)
+                n_pos = total - n_neg
+                if n_neg < 1 or n_pos < 1 or n_neg > len(neg) or n_pos > len(pos):
+                    reasons.append(
+                        f"seed {seed}: cannot draw {n_neg}/{n_pos} from "
+                        f"{len(neg)} negatives / {len(pos)} positives")
                     continue
-                rng = np.random.default_rng((cfg.train.seed + seed, 8))
-                rows = rng.permutation(len(annotated))[:n]
-            elif kind == "features":
-                mode = point["feature_mode"]
-                rows = downsample_balance(
-                    annotated.correct, np.random.default_rng((cfg.train.seed + seed, 10)))
-            else:  # imbalance
-                rng = np.random.default_rng((cfg.train.seed + seed, 9))
-                neg, pos = (rng.permutation(np.flatnonzero(annotated.correct == c)) for c in (0, 1))
-                if point["mode"] == "ratio":
-                    max_side = max(max(cfg.ratios), 1.0 - min(cfg.ratios))
-                    total = int(min(len(neg), len(pos)) / max_side)
-                    n_neg = round(point["ratio"] * total)
-                    n_pos = total - n_neg
-                    if n_neg < 1 or n_pos < 1 or n_neg > len(neg) or n_pos > len(pos):
-                        reasons.append(
-                            f"seed {seed}: cannot draw {n_neg}/{n_pos} from "
-                            f"{len(neg)} negatives / {len(pos)} positives")
-                        continue
-                    rows = np.concatenate([neg[:n_neg], pos[:n_pos]])
-                else:
-                    # `base` rows of the fixed class against factor x base of
-                    # the other one.
-                    factor = point["factor"]
-                    fixed, other = (neg, pos) if point["mode"] == "fixed_negative" else (pos, neg)
-                    base = min(len(fixed), len(other) // max(cfg.fixed_factors))
-                    if base < 1 or base * factor > len(other):
-                        reasons.append(
-                            f"seed {seed}: class too small for factor {factor} "
-                            f"({len(neg)} negatives / {len(pos)} positives)")
-                        continue
-                    rows = np.concatenate([fixed[:base], other[:base * factor]])
-            per_seed.append(_pilot_point(train, test, annotated.take(rows), cfg, seed, mode))
+                rows = np.concatenate([neg[:n_neg], pos[:n_pos]])
+            else:
+                # `base` rows of the fixed class against factor x base of
+                # the other one.
+                factor = point["factor"]
+                fixed, other = (neg, pos) if point["mode"] == "fixed_negative" else (pos, neg)
+                base = min(len(fixed), len(other) // max(cfg.fixed_factors))
+                if base < 1 or base * factor > len(other):
+                    reasons.append(
+                        f"seed {seed}: class too small for factor {factor} "
+                        f"({len(neg)} negatives / {len(pos)} positives)")
+                    continue
+                rows = np.concatenate([fixed[:base], other[:base * factor]])
+        # Stage 3 on the point's rows alone, with no augmented pairs.
+        per_seed.append(_head_scores(
+            train_multitask(train, annotated.take(rows), None, seeded, mode)[0], test))
 
     if per_seed:
         return _row(point, per_seed, "degenerate evaluation (single correctness class)")
@@ -293,7 +284,7 @@ def pilot_sweeps(train: Dataset, pool: Dataset, test: Dataset, kind: str,
     infeasible points.
     """
     points = grid_points(kind, cfg)
-    if kind == "k" and lexicon is None:
-        raise ValueError("the k sweep needs a synonym lexicon")
+    if kind == "k" and lexicon is None and not cfg.toast.no_augment:
+        raise ValueError("the k sweep needs a synonym lexicon unless toast.no_augment is set")
     annotations = None if kind == "k" else seed_annotations(train, pool, cfg)
     return [evaluate_point(p, train, test, cfg, annotations, lexicon) for p in points]

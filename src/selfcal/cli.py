@@ -20,7 +20,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -235,6 +235,17 @@ def _toast_config(cfg: dict, seed: int, *, hidden: int | None = None,
         train=_train_config(cfg, seed, hidden=hidden,
                             epochs=cfg["toast"]["epochs"] if epochs is None else epochs),
         annotator_train=_train_config(cfg, seed, hidden=hidden))
+
+
+def _sweep_config(cfg: dict) -> apps.PilotSweepConfig:
+    """The sweep grids around the [toast] pipeline, whose stage 3 trains at
+    run.seed + 10 and whose annotators at run.seed."""
+    seed = cfg["run"]["seed"]
+    toast = _toast_config(cfg, seed)
+    return apps.PilotSweepConfig(
+        toast=replace(toast, train=replace(toast.train, seed=seed + 10)),
+        **{key: _split_list(cfg["sweep"][key], typ)
+           for (section, key), typ in LIST_KEYS.items() if section == "sweep"})
 
 
 def _load_data(cfg: dict) -> tuple[Dataset, Dataset, SynonymLexicon | None]:
@@ -513,19 +524,12 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     kind = kind or cfg["sweep"]["kind"]
-    sw = cfg["sweep"]
-    seed = cfg["run"]["seed"]
     train_d, test_d, lexicon = _load_data(cfg)
     if kind == "k":
         lexicon = _require_lexicon(lexicon, cfg)
     out.mkdir(parents=True, exist_ok=True)
 
-    sweep_cfg = apps.PilotSweepConfig(
-        annotator=_train_config(cfg, seed),
-        train=_train_config(cfg, seed + 10, epochs=cfg["toast"]["epochs"]),
-        **{key: _split_list(sw[key], typ)
-           for (section, key), typ in LIST_KEYS.items() if section == "sweep"},
-    )
+    sweep_cfg = _sweep_config(cfg)
     points = apps.grid_points(kind, sweep_cfg)
 
     csv_path = out / "sweep.csv"

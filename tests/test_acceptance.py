@@ -207,8 +207,9 @@ def test_criterion_6_pilot_trends(synth_data):
                                hardness_fraction=0.3, hard_flip_prob=0.5, seed=1)
         pool = generate_synthetic(pool_cfg).train
         sweep_cfg = PilotSweepConfig(
-            annotator=TrainConfig(epochs=5, hidden_dim=16, seed=100, features=FEATS),
-            train=TrainConfig(epochs=8, hidden_dim=16, seed=200, features=FEATS),
+            toast=ToastConfig(
+                train=TrainConfig(epochs=8, hidden_dim=16, seed=200, features=FEATS),
+                annotator_train=TrainConfig(epochs=5, hidden_dim=16, seed=100, features=FEATS)),
             seeds=(0, 1, 2),
             sizes=(30, 120, 480),
             ratios=(0.1, 0.3, 0.5, 0.7, 0.9),

@@ -1,5 +1,7 @@
 """Downstream evaluators and the pilot sweep machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from selfcal.apps import (
     evaluate_point,
     grid_points,
     pilot_sweeps,
+    seed_annotations,
     selective_eval,
 )
 from selfcal.calibrators import Calibrator
@@ -23,8 +26,9 @@ from selfcal.toast import ToastConfig, cross_annotate, train_multitask
 @pytest.fixture(scope="module")
 def sweep_cfg():
     return PilotSweepConfig(
-        annotator=TrainConfig(epochs=5, hidden_dim=16, seed=100, features=FEATS),
-        train=TrainConfig(epochs=8, hidden_dim=16, seed=200, features=FEATS),
+        toast=ToastConfig(
+            train=TrainConfig(epochs=8, hidden_dim=16, seed=200, features=FEATS),
+            annotator_train=TrainConfig(epochs=5, hidden_dim=16, seed=100, features=FEATS)),
         seeds=(0, 1),
         sizes=(20, 80),
         ratios=(0.3, 0.5, 0.7),
@@ -165,12 +169,47 @@ class TestPilotSweeps:
         with pytest.raises(ValueError, match="lexicon"):
             pilot_sweeps(synth_data.train, pool, synth_data.test, "k", sweep_cfg)
 
+    def test_k_point_runs_the_configs_pipeline(self, synth_data, lexicon, sweep_cfg):
+        # A k point runs sweep_cfg.toast with its own k, so [toast]'s alpha
+        # and ablation flags reach it. Which row is better is not asserted.
+        point = grid_points("k", sweep_cfg)[0]
+        one_seed = replace(sweep_cfg, seeds=(0,))
+
+        def row(**toast):
+            cfg = replace(one_seed, toast=replace(one_seed.toast, **toast))
+            return evaluate_point(point, synth_data.train, synth_data.test, cfg, None, lexicon)
+
+        default = row()
+        assert row(no_augment=True) != default
+        assert row(alpha=0.9) != default
+
+    def test_k_sweep_without_augmentation_needs_no_lexicon(self, synth_data, pool, sweep_cfg):
+        cfg = replace(sweep_cfg, seeds=(0,), ks=(2,),
+                      toast=replace(sweep_cfg.toast, no_augment=True))
+        rows = pilot_sweeps(synth_data.train, pool, synth_data.test, "k", cfg)
+        assert [(r["point_id"], r["n_seeds"]) for r in rows] == [("k=2", 1)]
+
+    @pytest.mark.parametrize("kind", ["size", "imbalance", "features"])
+    def test_pool_points_ignore_the_pipeline_settings(self, synth_data, pool, sweep_cfg, kind):
+        # These points train stage 3 on their rows of the annotated pool with
+        # no augmented pairs: no stage that reads k, alpha, rate or a flag.
+        cfg = replace(sweep_cfg, seeds=(0,))
+        changed = replace(cfg, toast=replace(
+            cfg.toast, k=3, alpha=0.9, augment_per_negative=2, rate=0.5,
+            no_cross_annotation=True, no_downsample=True, no_augment=True, no_alpha_decay=True))
+        annotations = seed_annotations(synth_data.train, pool, cfg)
+        rows = [evaluate_point(p, synth_data.train, synth_data.test, cfg, annotations)
+                for p in grid_points(kind, cfg)]
+        assert any(r["n_seeds"] for r in rows)
+        assert [evaluate_point(p, synth_data.train, synth_data.test, changed, annotations)
+                for p in grid_points(kind, cfg)] == rows
+
     def test_uninformative_prediction_block_has_no_signal(self, synth_data, sweep_cfg):
         # Reassign predicted labels at random, independent of correctness:
         # with the sample block zeroed the head sees pure noise, so the
         # confidence gap collapses; with all features it stays substantial.
         records = cross_annotate(
-            synth_data.train, ToastConfig(train=sweep_cfg.annotator))[0]
+            synth_data.train, ToastConfig(train=sweep_cfg.toast.annotator_config))[0]
         rng = np.random.default_rng(5)
         shuffled = Annotations(records.data, records.rows,
                                rng.integers(0, 2, size=len(records)), records.correct)
@@ -181,7 +220,7 @@ class TestPilotSweeps:
         def dconf_for(mode):
             params, _ = train_multitask(
                 synth_data.train, balanced, None,
-                ToastConfig(train=sweep_cfg.train, no_augment=True), mode)
+                ToastConfig(train=sweep_cfg.toast.train, no_augment=True), mode)
             log = Calibrator("toast", params).build_log(synth_data.test, "id")
             c = log.confidence
             return 100 * (c[log.correct == 1].mean() - c[log.correct == 0].mean())
@@ -190,7 +229,6 @@ class TestPilotSweeps:
         assert dconf_for("all") > 15.0
 
     def test_evaluate_point_matches_sweep(self, synth_data, pool, sweep_cfg):
-        from selfcal.apps import seed_annotations
         annotations = seed_annotations(synth_data.train, pool, sweep_cfg)
         point = grid_points("size", sweep_cfg)[0]
         row = evaluate_point(point, synth_data.train, synth_data.test,

@@ -640,8 +640,8 @@ def test_pilot_sweeps_hash_each_dataset_once(synth_data, synth_cfg, monkeypatch,
     and no empty batch is hashed for the absent augmented pairs."""
     hashed = count_hashed_rows(monkeypatch)
     tc = TrainConfig(epochs=1, hidden_dim=8, seed=3, features=FEATS)
-    cfg = PilotSweepConfig(annotator=tc, train=replace(tc, seed=4), seeds=(0, 1),
-                           sizes=(20, 80), ratios=(0.3, 0.7), fixed_factors=(1, 2))
+    cfg = PilotSweepConfig(toast=ToastConfig(train=replace(tc, seed=4), annotator_train=tc),
+                           seeds=(0, 1), sizes=(20, 80), ratios=(0.3, 0.7), fixed_factors=(1, 2))
     train, test = fresh(synth_data.train), fresh(synth_data.test)
     pool = generate_synthetic(replace(synth_cfg, seed=77)).train
     rows = pilot_sweeps(train, pool, test, kind, cfg)

@@ -131,7 +131,7 @@ class TestConfig:
         assert cli._split_list(cfg["eval"]["calibrators"], str) == METHODS
         assert cli._split_list(cfg["eval"]["applications"], str) == tuple(apps.APPLICATIONS)
         assert cfg["sweep"]["kind"] == apps.SWEEP_KINDS[0]
-        grids = apps.PilotSweepConfig(annotator=None, train=None)
+        grids = apps.PilotSweepConfig(toast=ToastConfig())
         for key, typ in (("seeds", int), ("sizes", int), ("ratios", float),
                          ("fixed_factors", int), ("ks", int)):
             assert cli._split_list(cfg["sweep"][key], typ) == getattr(grids, key)

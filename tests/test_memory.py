@@ -66,7 +66,8 @@ def peak_encoders(fn, *args) -> float:
 
 @pytest.fixture(scope="module")
 def sweep_cfg():
-    return PilotSweepConfig(annotator=BIG, train=replace(BIG, seed=200), seeds=(0, 1), ks=(2,))
+    return PilotSweepConfig(toast=ToastConfig(train=replace(BIG, seed=200), annotator_train=BIG),
+                            seeds=(0, 1), ks=(2,))
 
 
 def test_run_toast_holds_one_encoder(synth_data, lexicon):

@@ -154,6 +154,18 @@ class PilotSweepConfig:
     fixed_factors: tuple[int, ...] = (1, 2, 4, 8)
     ks: tuple[int, ...] = (2, 3, 4, 5)
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds is empty: a sweep needs at least one seed")
+        for name, least in (("sizes", 1), ("fixed_factors", 1), ("ks", 2)):
+            if any(v < least for v in getattr(self, name)):
+                raise ValueError(f"{name} must be >= {least}")
+        if not all(0.0 < r < 1.0 for r in self.ratios):
+            raise ValueError("ratios must be in (0, 1)")
+        for name in ("seeds", "sizes", "ratios", "fixed_factors", "ks"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} repeats an entry")
+
 
 def _seeded(cfg: PilotSweepConfig, seed: int) -> ToastConfig:
     """The pipeline of sweep seed ``seed``: stage 3 and the annotators each

@@ -163,28 +163,29 @@ def load_config(path: str, overrides=()) -> dict[str, dict]:
         dotted, raw = item.split("=", 1)
         section, key = dotted.split(".", 1)
         values[section][key] = _parse(section, key, raw)
-    seed, data, ev = values["run"]["seed"], values["data"], values["eval"]
+    seed, ev = values["run"]["seed"], values["eval"]
     if seed is None:
         raise ConfigError("run.seed is required (seeds are config-only, never wall clock)")
-    try:  # every config dataclass and attack limit a command builds checks its values
-        if data["source"] == "synthetic":
-            _synth_config(data, seed)
-            _synth_config(data, seed, pool=True)
-        _toast_config(values, seed)
-        _train_config(values, seed, epsilon=values["train"]["label_smoothing_epsilon"])
-        _train_config(values, seed, hidden=ev["cascade_large_hidden"],
-                      epochs=ev["cascade_large_epochs"])
-        _toast_config(values, seed, hidden=ev["cascade_small_hidden"],
-                      epochs=ev["cascade_small_epochs"])
-        check_attack_limits(**values["attack"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     for (section, key), typ in LIST_KEYS.items():
         try:
             _split_list(values[section][key], typ)
         except ValueError:
             raise ConfigError(f"config key {section}.{key}: cannot parse "
                               f"{values[section][key]!r} as a list of {typ.__name__}") from None
+    # Every config dataclass a command builds checks its values.
+    if values["data"]["source"] == "synthetic":
+        _synth_config(values, seed)
+        _synth_config(values, seed, pool=True)
+    _sweep_config(values)  # and in it the [toast] pipeline's
+    _train_config(values, seed, smoothing=True)
+    _train_config(values, seed, hidden="eval.cascade_large_hidden",
+                  epochs="eval.cascade_large_epochs")
+    _toast_config(values, seed, hidden="eval.cascade_small_hidden",
+                  epochs="eval.cascade_small_epochs")
+    try:
+        check_attack_limits(**values["attack"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not all(0.0 < t <= 1.0 for t in _split_list(ev["targets"], float)):
         raise ConfigError(f"config key eval.targets: {ev['targets']!r} has an entry outside (0, 1]")
     if not _split_list(ev["calibrators"], str):
@@ -205,36 +206,52 @@ def _split_list(raw: str, typ):
 # Builders from config values
 # ---------------------------------------------------------------------------
 
-def _build(cls, section: dict, **overrides):
-    """``cls`` from the keys of ``section`` that are its fields, with each
-    override that is not None in place of the section's value."""
+def _build(cls, cfg: dict, section: str, keys: dict[str, str] | None = None, **given):
+    """``cls`` with each field read from its config key: ``section.field``
+    when ``section`` has that key, or the key that ``keys`` names for it. A
+    ``given`` field takes the value given instead. A value that ``cls``
+    rejects is a ConfigError that leads with the key of the field its message
+    starts with, as every config dataclass's messages do."""
     names = {f.name for f in fields(cls)}
-    kwargs = {k: v for k, v in section.items() if k in names}
-    kwargs.update((k, v) for k, v in overrides.items() if v is not None)
-    return cls(**kwargs)
+    keys = {name: f"{section}.{name}" for name in cfg[section] if name in names} | (keys or {})
+    values = {}
+    for name, dotted in keys.items():
+        sec, key = dotted.split(".")
+        values[name] = cfg[sec][key]
+    try:
+        return cls(**values | given)
+    except ValueError as exc:
+        key = keys.get(str(exc).split()[0])
+        raise ConfigError(f"{key}: {exc}" if key else str(exc)) from None
 
 
-def _synth_config(data: dict, seed: int, *, pool: bool = False) -> SynthConfig:
+def _synth_config(cfg: dict, seed: int, *, pool: bool = False) -> SynthConfig:
     """The synthetic data's config or, with ``pool``, the sweeps' pool's."""
-    return _build(SynthConfig, data | {
-        "samples_per_class": data["pool_per_class" if pool else "samples_per_class"],
-        "test_samples_per_class": data["test_samples_per_class"] or None}, seed=seed)
+    size = "data.pool_per_class" if pool else "data.samples_per_class"
+    return _build(SynthConfig, cfg, "data", {"samples_per_class": size}, seed=seed,
+                  test_samples_per_class=cfg["data"]["test_samples_per_class"] or None)
 
 
-def _train_config(cfg: dict, seed: int, *, epochs: int | None = None,
-                  hidden: int | None = None, epsilon: float = 0.0) -> TrainConfig:
-    return _build(TrainConfig, cfg["train"] | cfg["model"], seed=seed, epochs=epochs,
-                  hidden_dim=hidden, label_smoothing_epsilon=epsilon,
-                  features=_build(FeaturizerConfig, cfg["model"]))
+def _train_config(cfg: dict, seed: int, *, epochs: str | None = None,
+                  hidden: str | None = None, smoothing: bool = False) -> TrainConfig:
+    """The model of the [train] and [model] sections, its epochs and width set
+    by the keys ``epochs`` and ``hidden`` name (train.epochs and
+    model.hidden_dim by default). Only the label-smoothing baseline
+    (``smoothing``) trains with train.label_smoothing_epsilon, the rest with 0."""
+    epsilon = cfg["train"]["label_smoothing_epsilon"] if smoothing else 0.0
+    return _build(TrainConfig, cfg, "train",
+                  {"epochs": epochs or "train.epochs", "hidden_dim": hidden or "model.hidden_dim"},
+                  seed=seed, label_smoothing_epsilon=epsilon,
+                  features=_build(FeaturizerConfig, cfg, "model"))
 
 
-def _toast_config(cfg: dict, seed: int, *, hidden: int | None = None,
-                  epochs: int | None = None) -> ToastConfig:
-    return _build(
-        ToastConfig, cfg["toast"],
-        train=_train_config(cfg, seed, hidden=hidden,
-                            epochs=cfg["toast"]["epochs"] if epochs is None else epochs),
-        annotator_train=_train_config(cfg, seed, hidden=hidden))
+def _toast_config(cfg: dict, seed: int, *, hidden: str | None = None,
+                  epochs: str | None = None) -> ToastConfig:
+    """The [toast] pipeline: stage 3 trains for toast.epochs unless ``epochs``
+    names another key, its annotators for train.epochs."""
+    return _build(ToastConfig, cfg, "toast",
+                  train=_train_config(cfg, seed, hidden=hidden, epochs=epochs or "toast.epochs"),
+                  annotator_train=_train_config(cfg, seed, hidden=hidden))
 
 
 def _sweep_config(cfg: dict) -> apps.PilotSweepConfig:
@@ -242,17 +259,17 @@ def _sweep_config(cfg: dict) -> apps.PilotSweepConfig:
     run.seed + 10 and whose annotators at run.seed."""
     seed = cfg["run"]["seed"]
     toast = _toast_config(cfg, seed)
-    return apps.PilotSweepConfig(
-        toast=replace(toast, train=replace(toast.train, seed=seed + 10)),
-        **{key: _split_list(cfg["sweep"][key], typ)
-           for (section, key), typ in LIST_KEYS.items() if section == "sweep"})
+    return _build(apps.PilotSweepConfig, cfg, "sweep",
+                  toast=replace(toast, train=replace(toast.train, seed=seed + 10)),
+                  **{key: _split_list(cfg["sweep"][key], typ)
+                     for (section, key), typ in LIST_KEYS.items() if section == "sweep"})
 
 
 def _load_data(cfg: dict) -> tuple[Dataset, Dataset, SynonymLexicon | None]:
     d = cfg["data"]
     seed = cfg["run"]["seed"]
     if d["source"] == "synthetic":
-        synth = _synth_config(d, seed)
+        synth = _synth_config(cfg, seed)
         data = generate_synthetic(synth)
         return data.train, data.test, synthetic_lexicon(synth)
     if d["source"] == "jsonl":
@@ -268,7 +285,7 @@ def _load_data(cfg: dict) -> tuple[Dataset, Dataset, SynonymLexicon | None]:
 def _load_pool(cfg: dict) -> Dataset:
     d = cfg["data"]
     if d["source"] == "synthetic":
-        return generate_synthetic(_synth_config(d, cfg["run"]["seed"] + 1, pool=True)).train
+        return generate_synthetic(_synth_config(cfg, cfg["run"]["seed"] + 1, pool=True)).train
     if not d["pool_path"]:
         raise ConfigError("data.pool_path is required for sweeps on jsonl data")
     return load_dataset(d["pool_path"], d["task_kind"])
@@ -339,7 +356,7 @@ def cmd_synth(cfg: dict, out: Path) -> int:
     if d["source"] != "synthetic":
         raise ConfigError("synth needs data.source = synthetic")
     out.mkdir(parents=True, exist_ok=True)
-    synth = _synth_config(d, cfg["run"]["seed"])
+    synth = _synth_config(cfg, cfg["run"]["seed"])
     data = generate_synthetic(synth)
     save_dataset(data.train, out / "train.jsonl")
     save_dataset(data.test, out / "test.jsonl")
@@ -384,7 +401,7 @@ def cmd_toast(cfg: dict, out: Path) -> int:
 
 
 def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
-                       seed: int, *, hidden: int | None = None, epochs: int | None = None):
+                       seed: int, *, hidden: str | None = None, epochs: str | None = None):
     """Train the models behind the requested scoring methods; returns the
     calibrators plus the pipeline's audit bundle (None when not requested).
     ``lexicon`` is the pipeline's augmentation lexicon, from ``_require_lexicon``.
@@ -392,9 +409,10 @@ def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
     The three baselines share a protocol: they train on the same nine tenths
     of the data, with the remaining tenth used to fit the temperature, so
     their scores are directly comparable. The pipeline method uses the full
-    training set — making the most of it is its whole point. ``epochs``
-    defaults to ``train.epochs`` for the baselines and ``toast.epochs`` for
-    the pipeline.
+    training set — making the most of it is its whole point. ``hidden`` and
+    ``epochs`` name the keys that set every model's width and epochs; by
+    default model.hidden_dim, and train.epochs for the baselines and
+    toast.epochs for the pipeline.
     """
     calibs: dict[str, Calibrator] = {}
     artifacts = None
@@ -409,8 +427,7 @@ def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
         if "label_smoothing" in methods:
             ls_params, _ = train_main(
                 baseline_split(train_d, seed)[1],
-                _train_config(cfg, seed, hidden=hidden, epochs=epochs,
-                              epsilon=cfg["train"]["label_smoothing_epsilon"]))
+                _train_config(cfg, seed, hidden=hidden, epochs=epochs, smoothing=True))
             calibs["label_smoothing"] = Calibrator("label_smoothing", ls_params)
     if "toast" in methods:
         params, artifacts = run_toast(
@@ -472,11 +489,11 @@ def cmd_eval(cfg: dict, out: Path) -> int:
             # models initialise.
             calibs.clear()
             large_params, _ = train_main(
-                train_d, _train_config(cfg, seed + 50, hidden=ev["cascade_large_hidden"],
-                                       epochs=ev["cascade_large_epochs"]))
+                train_d, _train_config(cfg, seed + 50, hidden="eval.cascade_large_hidden",
+                                       epochs="eval.cascade_large_epochs"))
             judged, _ = _build_calibrators(
                 cfg, train_d, lexicon, methods, seed + 60,
-                hidden=ev["cascade_small_hidden"], epochs=ev["cascade_small_epochs"])
+                hidden="eval.cascade_small_hidden", epochs="eval.cascade_small_epochs")
             run = partial(apps.cascade_eval, large_params=large_params, d=test_d)
         metrics[app] = {}
         for method in judged:
@@ -524,13 +541,16 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     kind = kind or cfg["sweep"]["kind"]
+    sweep_cfg = _sweep_config(cfg)
+    points = apps.grid_points(kind, sweep_cfg)
+    if not points:  # the features grid is fixed
+        keys = {"size": "sweep.sizes", "imbalance": "sweep.ratios or sweep.fixed_factors",
+                "k": "sweep.ks"}[kind]
+        raise ConfigError(f"the {kind} sweep has no points: give {keys} an entry")
     train_d, test_d, lexicon = _load_data(cfg)
     if kind == "k":
         lexicon = _require_lexicon(lexicon, cfg)
     out.mkdir(parents=True, exist_ok=True)
-
-    sweep_cfg = _sweep_config(cfg)
-    points = apps.grid_points(kind, sweep_cfg)
 
     csv_path = out / "sweep.csv"
     fp_path = out / "sweep.fingerprint"

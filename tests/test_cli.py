@@ -121,7 +121,7 @@ class TestConfig:
         p = tmp_path / "seed_only.ini"
         p.write_text("[run]\nseed = 11\n")
         cfg = load_config(str(p))
-        assert cli._synth_config(cfg["data"], 11) == SynthConfig(seed=11)
+        assert cli._synth_config(cfg, 11) == SynthConfig(seed=11)
         assert cli._train_config(cfg, 11) == TrainConfig(seed=11)
         toast = cli._toast_config(cfg, 11)
         library = ToastConfig(train=replace(ToastConfig().train, seed=11))
@@ -160,14 +160,39 @@ class TestConfig:
         ("data.pool_per_class=0", "samples_per_class must be positive"),
         ("train.label_smoothing_epsilon=1", "label_smoothing_epsilon must be in [0, 1)"),
         ("eval.cascade_large_hidden=0", "hidden_dim must be >= 1"),
-        ("eval.cascade_small_epochs=0", "epochs must be >= 1")])
+        ("eval.cascade_small_epochs=0", "epochs must be >= 1"),
+        ("sweep.seeds=", "seeds is empty: a sweep needs at least one seed"),
+        ("sweep.sizes=-5", "sizes must be >= 1"),
+        ("sweep.fixed_factors=0", "fixed_factors must be >= 1"),
+        ("sweep.ratios=0.5,1", "ratios must be in (0, 1)"),
+        ("sweep.ratios=0", "ratios must be in (0, 1)"),
+        ("sweep.ks=1", "ks must be >= 2"),
+        ("sweep.ks=2,3,2", "ks repeats an entry"),
+        ("sweep.ratios=0.5,0.50", "ratios repeats an entry")])
     @pytest.mark.parametrize("command", ["synth", "eval", "sweep"])
     def test_bad_dataclass_value_fails_before_anything_runs(self, config_path, tmp_path, capsys,
                                                            command, setting, message):
         out = tmp_path / "run"
         assert main([command, "--config", str(config_path), "--out", str(out),
                      "--set", setting]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {setting.split('=')[0]}: {message}"]
+        assert setting.split("=")[0] in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, settings", [
+        ("size", ["sweep.sizes="]),
+        ("imbalance", ["sweep.ratios=", "sweep.fixed_factors="]),
+        ("k", ["sweep.ks="])])
+    def test_empty_grid_of_the_sweep_kind_fails_before_anything_runs(
+            self, config_path, tmp_path, capsys, kind, settings):
+        out = tmp_path / "run"
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--kind", kind, *overrides]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: the {kind} sweep has no points")
+        assert all(setting.split("=")[0] in err[0] for setting in settings)
         assert not out.exists()
 
     def test_list_values_are_kept_as_given(self, config_path):

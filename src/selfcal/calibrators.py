@@ -10,12 +10,12 @@ main softmax.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, split_folds
+from .corpus import Dataset, split_folds, write_csv
 from .model import (
     FeatureMatrix,
     ModelParameters,
@@ -46,12 +46,10 @@ class ConfidenceLog:
     def __len__(self) -> int:
         return len(self.confidence)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["confidence", "correct", "pred", "group"])
-            for c, ok, y, g in zip(self.confidence, self.correct, self.pred, self.group):
-                writer.writerow([repr(float(c)), int(ok), int(y), g])
+    def to_csv(self, path) -> Path:
+        return write_csv(path, ("confidence", "correct", "pred", "group"),
+                         ([repr(float(c)), int(ok), int(y), g] for c, ok, y, g in
+                          zip(self.confidence, self.correct, self.pred, self.group)))
 
 
 class Calibrator:

@@ -34,6 +34,8 @@ from .corpus import (
     load_dataset,
     save_dataset,
     save_hardness,
+    write_csv,
+    write_json,
 )
 from .metrics import log_auroc_dconf
 from .model import FeaturizerConfig, TrainConfig, save_parameters, load_parameters, train_main
@@ -313,30 +315,13 @@ def _require_lexicon(lexicon: SynonymLexicon | None, cfg: dict, *,
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _write_json(obj, path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
 def _finish_run(out: Path, cfg: dict, written: list[Path]) -> None:
     """meta.json: the config and the SHA-256 of every file in ``written``, the
     files this command wrote, so that stale files an earlier run left in a
     reused ``out`` are not vouched for. The run's own meta.json is not hashed."""
     hashes = {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
               for f in written if f != out / "meta.json"}
-    _write_json({"config": cfg, "artifact_hashes": hashes}, out / "meta.json")
+    write_json(out / "meta.json", {"config": cfg, "artifact_hashes": hashes})
 
 
 def _print_summary(summary: dict) -> None:
@@ -375,8 +360,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
     train_d, test_d, _ = _load_data(cfg)
     params, trace = train_main(train_d, _train_config(cfg, cfg["run"]["seed"]))
     save_parameters(params, out / "model.bin")
-    losses = _write_csv(out / "losses.csv", ("step", "loss"),
-                        [(i, repr(loss)) for i, loss in enumerate(trace)])
+    losses = write_csv(out / "losses.csv", ("step", "loss"),
+                       [(i, repr(loss)) for i, loss in enumerate(trace)])
     log = Calibrator("vanilla", params).build_log(test_d, "id")
     _finish_run(out, cfg, [out / "model.bin", losses])
     print(f"final training loss {trace[-1]:.4f}, test accuracy {log.correct.mean():.3f}")
@@ -452,7 +437,6 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         lexicon = _require_lexicon(lexicon, cfg)
     out.mkdir(parents=True, exist_ok=True)
     curves = out / "curves"
-    curves.mkdir(exist_ok=True)
     calibs, toast_artifacts = _build_calibrators(cfg, train_d, lexicon, methods, seed)
     written: list[Path] = []
     if toast_artifacts is not None:
@@ -464,8 +448,7 @@ def cmd_eval(cfg: dict, out: Path) -> int:
         a, dc = log_auroc_dconf(log)
         metrics["summary"][method] = {"auroc": a, "delta_conf": dc,
                                       "accuracy": float(log.correct.mean())}
-        written.append(curves / f"log_{method}.csv")
-        log.to_csv(written[-1])
+        written.append(log.to_csv(curves / f"log_{method}.csv"))
 
     for app, (keys, app_curves) in apps.APPLICATIONS.items():
         if app not in applications:
@@ -500,9 +483,9 @@ def cmd_eval(cfg: dict, out: Path) -> int:
             rep = run(judged[method])
             metrics[app][method] = {k: rep[k] for k in keys}
             for stem, key, columns in app_curves:
-                written.append(_write_csv(curves / f"{stem}_{method}.csv", columns, rep[key]))
+                written.append(write_csv(curves / f"{stem}_{method}.csv", columns, rep[key]))
 
-    written.append(_write_json(metrics, out / "metrics.json"))
+    written.append(write_json(out / "metrics.json", metrics))
     _finish_run(out, cfg, written)
     _print_summary(metrics["summary"])
     print(f"run directory: {out}")
@@ -552,7 +535,7 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
         lexicon = _require_lexicon(lexicon, cfg)
     out.mkdir(parents=True, exist_ok=True)
 
-    csv_path = out / "sweep.csv"
+    csv_path, tmp_path = out / "sweep.csv", out / "sweep.csv.tmp"
     fp_path = out / "sweep.fingerprint"
     fingerprint = _sweep_fingerprint(cfg, kind, points)
     done: dict[str, dict] = {}  # CSV rows by point id, resumed or fresh
@@ -580,24 +563,16 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_sweep_worker,
                                    initargs=(worker,))
     with pool or nullcontext():
-        # Each row is appended as soon as it arrives, so an interrupted sweep
-        # keeps its finished points.
+        # After each point, every finished row goes in grid order to a temp
+        # file that replaces sweep.csv: an interrupted sweep keeps its
+        # finished points, and a crash mid-write loses none.
         for row in (pool.map(_run_sweep_point, todo) if pool else map(worker, todo)):
             done[row["point_id"]] = row
-            new_file = not csv_path.exists()
-            with open(csv_path, "a", encoding="utf-8", newline="") as fh:
+            with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-                if new_file:
-                    writer.writeheader()
-                writer.writerow(row)
-
-    # Rewrite in canonical grid order, merging resumed and fresh rows.
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for p in points:
-            if p["point_id"] in done:
-                writer.writerow(done[p["point_id"]])
+                writer.writeheader()
+                writer.writerows(done[p["point_id"]] for p in points if p["point_id"] in done)
+            tmp_path.replace(csv_path)
     _finish_run(out, cfg, [csv_path, fp_path])
     print(f"sweep '{kind}': {len(points)} points "
           f"({len(points) - len(todo)} resumed) -> {csv_path}")

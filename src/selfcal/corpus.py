@@ -6,6 +6,7 @@ function of its inputs and an explicit seed.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -240,6 +241,27 @@ def save_dataset(d: Dataset, path, origins=None) -> None:
             if s.text_b is not None:
                 obj["text_pair"] = s.text_b
             fh.write(json.dumps(obj) + "\n")
+
+
+def write_json(path, obj) -> Path:
+    """Every run file's JSON: indented, key-sorted UTF-8 and a final newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def write_csv(path, header, rows) -> Path:
+    """Every run file's CSV: ``header``, then ``rows``, in UTF-8."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 # ---------------------------------------------------------------------------

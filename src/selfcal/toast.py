@@ -15,7 +15,6 @@ output on a clean record and on its augmented variant.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import SynonymLexicon, TransformKind, random_transform
-from .corpus import Annotations, CalibrationRecord, Dataset, split_folds
+from .corpus import Annotations, CalibrationRecord, Dataset, split_folds, write_csv, write_json
 from .model import (
     ModelParameters,
     TrainConfig,
@@ -289,14 +288,9 @@ class ToastArtifacts:
                     if r.text_b is not None:
                         obj["text_pair"] = r.text_b
                     fh.write(json.dumps(obj) + "\n")
-        with open(out / "losses.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["step", "l_main", "l_calib", "l_consistency", "l_total"])
-            writer.writeheader()
-            writer.writerows(self.losses)
-        with open(out / "meta.json", "w", encoding="utf-8") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        columns = ("step", "l_main", "l_calib", "l_consistency", "l_total")
+        write_csv(out / "losses.csv", columns, ([r[c] for c in columns] for r in self.losses))
+        write_json(out / "meta.json", self.meta)
         return [out / name for name in ("dstar.jsonl", "daug.jsonl", "losses.csv", "meta.json")]
 
 

@@ -488,25 +488,25 @@ class TestSweep:
         shared, *tasks = shipped
         assert shared > 10_000 and len(tasks) == 2 and max(tasks) < 1_000
 
+    class InterruptedPool:
+        """Runs the first point in-process, then is interrupted."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            yield fn(points[0])
+            raise KeyboardInterrupt
+
     def test_interrupted_parallel_sweep_keeps_finished_rows(self, config_path, tmp_path,
                                                             monkeypatch):
-        class InterruptedPool:
-            """Runs the first point in-process, then is interrupted."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, points):
-                yield fn(points[0])
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InterruptedPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", self.InterruptedPool)
         monkeypatch.setattr(cli, "_sweep_worker", None)   # set in-process; reset after
         out = tmp_path / "sweep"
         with pytest.raises(KeyboardInterrupt):
@@ -514,6 +514,24 @@ class TestSweep:
                   "--out", str(out), "--jobs", "2"])
         with open(out / "sweep.csv", newline="") as fh:
             assert [r["point_id"] for r in csv.DictReader(fh)] == ["size=15"]
+
+    def test_interrupted_resumed_sweep_keeps_grid_order(self, config_path, tmp_path,
+                                                        monkeypatch):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(config_path), "--kind", "size", "--out", str(out),
+                "--set", "sweep.sizes=15,40,60"]
+        assert main(args) == 0
+        header, size15, size40, size60 = (out / "sweep.csv").read_text().splitlines(True)
+        # Resume from the last point alone; the first new point finishes, then
+        # the sweep is interrupted.
+        (out / "sweep.csv").write_text(header + size60)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", self.InterruptedPool)
+        monkeypatch.setattr(cli, "_sweep_worker", None)   # set in-process; reset after
+        with pytest.raises(KeyboardInterrupt):
+            main(args + ["--jobs", "2"])
+        assert (out / "sweep.csv").read_text() == header + size15 + size60
+        assert sorted(p.name for p in out.iterdir()) == [
+            "meta.json", "sweep.csv", "sweep.fingerprint"]
 
 
 class TestAttack:

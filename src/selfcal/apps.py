@@ -157,7 +157,7 @@ class PilotSweepConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds is empty: a sweep needs at least one seed")
-        for name, least in (("sizes", 1), ("fixed_factors", 1), ("ks", 2)):
+        for name, least in (("seeds", 0), ("sizes", 1), ("fixed_factors", 1), ("ks", 2)):
             if any(v < least for v in getattr(self, name)):
                 raise ValueError(f"{name} must be >= {least}")
         if not all(0.0 < r < 1.0 for r in self.ratios):

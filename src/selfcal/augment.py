@@ -271,9 +271,9 @@ def check_attack_limits(budget: int, max_successes: int | None) -> None:
     succeed: at least one substitution, and room for at least one success
     (``max_successes=None`` means no limit)."""
     if budget < 1:
-        raise ValueError(f"attack budget must be >= 1, got {budget}")
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if max_successes is not None and max_successes < 1:
-        raise ValueError(f"attack max_successes must be >= 1 or None, got {max_successes}")
+        raise ValueError(f"max_successes must be >= 1 or None, got {max_successes}")
 
 
 def attack_dataset(p: ModelParameters, d: Dataset, lexicon: SynonymLexicon,

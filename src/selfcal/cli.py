@@ -187,7 +187,7 @@ def load_config(path: str, overrides=()) -> dict[str, dict]:
     try:
         check_attack_limits(**values["attack"])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"attack.{str(exc).split()[0]}: {exc}") from None
     if not all(0.0 < t <= 1.0 for t in _split_list(ev["targets"], float)):
         raise ConfigError(f"config key eval.targets: {ev['targets']!r} has an entry outside (0, 1]")
     if not _split_list(ev["calibrators"], str):
@@ -213,7 +213,8 @@ def _build(cls, cfg: dict, section: str, keys: dict[str, str] | None = None, **g
     when ``section`` has that key, or the key that ``keys`` names for it. A
     ``given`` field takes the value given instead. A value that ``cls``
     rejects is a ConfigError that leads with the key of the field its message
-    starts with, as every config dataclass's messages do."""
+    starts with, as every config dataclass's messages do; a given seed is
+    run.seed or a shift of it, so ``seed`` leads with run.seed."""
     names = {f.name for f in fields(cls)}
     keys = {name: f"{section}.{name}" for name in cfg[section] if name in names} | (keys or {})
     values = {}
@@ -223,7 +224,7 @@ def _build(cls, cfg: dict, section: str, keys: dict[str, str] | None = None, **g
     try:
         return cls(**values | given)
     except ValueError as exc:
-        key = keys.get(str(exc).split()[0])
+        key = (keys | {"seed": "run.seed"}).get(str(exc).split()[0])
         raise ConfigError(f"{key}: {exc}" if key else str(exc)) from None
 
 
@@ -401,19 +402,16 @@ def _build_calibrators(cfg: dict, train_d: Dataset, lexicon, methods,
     """
     calibs: dict[str, Calibrator] = {}
     artifacts = None
-    baselines = {"vanilla", "temperature", "label_smoothing"} & set(methods)
-    if baselines:
-        base_cfg = _train_config(cfg, seed, hidden=hidden, epochs=epochs)
-        params, t = train_with_temperature(train_d, base_cfg)
-        if "vanilla" in methods:
-            calibs["vanilla"] = Calibrator("vanilla", params)
-        if "temperature" in methods:
-            calibs["temperature"] = Calibrator("temperature", params, temperature=t)
-        if "label_smoothing" in methods:
-            ls_params, _ = train_main(
-                baseline_split(train_d, seed)[1],
-                _train_config(cfg, seed, hidden=hidden, epochs=epochs, smoothing=True))
-            calibs["label_smoothing"] = Calibrator("label_smoothing", ls_params)
+    if {"vanilla", "temperature"} & set(methods):
+        params, t = train_with_temperature(
+            train_d, _train_config(cfg, seed, hidden=hidden, epochs=epochs))
+        calibs["vanilla"] = Calibrator("vanilla", params)
+        calibs["temperature"] = Calibrator("temperature", params, temperature=t)
+    if "label_smoothing" in methods:
+        ls_params, _ = train_main(
+            baseline_split(train_d, seed)[1],
+            _train_config(cfg, seed, hidden=hidden, epochs=epochs, smoothing=True))
+        calibs["label_smoothing"] = Calibrator("label_smoothing", ls_params)
     if "toast" in methods:
         params, artifacts = run_toast(
             train_d, _toast_config(cfg, seed, hidden=hidden, epochs=epochs), lexicon)

@@ -316,6 +316,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("vocab_size", "samples_per_class", "indicative_per_class"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

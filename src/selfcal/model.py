@@ -299,6 +299,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.label_smoothing_epsilon < 1.0:
             raise ValueError("label_smoothing_epsilon must be in [0, 1)")
         if self.hidden_dim < 1:

@@ -165,7 +165,7 @@ class TestGreedyAttack:
     def test_zero_budget_always_fails(self, base_model, synth_data, attack_lexicon):
         samples = synth_data.test.samples
         s = samples[int(np.argmax(correct_mask(base_model, samples)))]
-        with pytest.raises(ValueError, match="attack budget must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="^budget must be >= 1, got 0$"):
             greedy_attack(base_model, s, attack_lexicon, budget=0)
 
     def test_requires_correctly_classified_input(self, base_model, synth_data,
@@ -217,7 +217,7 @@ class TestGreedyAttack:
                                              ({"budget": 5, "max_successes": -2}, "max_successes")])
     def test_attack_dataset_rejects_an_empty_attack(self, base_model, synth_data,
                                                     attack_lexicon, kwargs, key):
-        with pytest.raises(ValueError, match=f"attack {key} must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1"):
             attack_dataset(base_model, synth_data.test, attack_lexicon, **kwargs)
 
     def test_attack_dataset_without_a_success_limit(self, base_model, synth_data,

@@ -168,7 +168,9 @@ class TestConfig:
         ("sweep.ratios=0", "ratios must be in (0, 1)"),
         ("sweep.ks=1", "ks must be >= 2"),
         ("sweep.ks=2,3,2", "ks repeats an entry"),
-        ("sweep.ratios=0.5,0.50", "ratios repeats an entry")])
+        ("sweep.ratios=0.5,0.50", "ratios repeats an entry"),
+        ("run.seed=-1", "seed must be >= 0"),
+        ("sweep.seeds=-20", "seeds must be >= 0")])
     @pytest.mark.parametrize("command", ["synth", "eval", "sweep"])
     def test_bad_dataclass_value_fails_before_anything_runs(self, config_path, tmp_path, capsys,
                                                            command, setting, message):
@@ -304,6 +306,22 @@ class TestEval:
         assert trained[0.1] == trained[0.0] == calibrators.baseline_split(train_d, 3)[1].ids()
         assert len(trained[0.0]) < len(train_d)
 
+    def test_label_smoothing_alone_trains_no_temperature_model(self, config_path,
+                                                                monkeypatch):
+        calls = []
+
+        def counting_train_with_temperature(d, cfg):
+            calls.append(cfg)
+            return calibrators.train_with_temperature(d, cfg)
+
+        monkeypatch.setattr(cli, "train_with_temperature", counting_train_with_temperature)
+        cfg = load_config(str(config_path))
+        train_d, _, lexicon = cli._load_data(cfg)
+        calibs, _ = cli._build_calibrators(cfg, train_d, lexicon, ("label_smoothing",), 3)
+        assert list(calibs) == ["label_smoothing"] and calls == []
+        cli._build_calibrators(cfg, train_d, lexicon, ("temperature",), 3)
+        assert len(calls) == 1
+
     def test_bad_calibrator_name(self, config_path, tmp_path, capsys):
         rc = main(["eval", "--config", str(config_path), "--out", str(tmp_path / "o"),
                    "--set", "eval.calibrators=vanilla,platt"])
@@ -325,7 +343,7 @@ class TestEval:
         assert main(["eval", "--config", str(config_path), "--out", str(out),
                      "--set", setting]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: attack ")
+        assert len(err) == 1 and err[0].startswith(f"config error: {setting.split('=')[0]}: ")
         assert not out.exists()
 
     def test_reused_out_hashes_only_this_runs_files(self, config_path, tmp_path):
@@ -554,9 +572,10 @@ class TestAttack:
         assert (out / "adversarial.jsonl").exists()
 
     @pytest.mark.parametrize("setting, message", [
-        ("attack.budget=0", "attack budget must be >= 1, got 0"),
-        ("attack.budget=-1", "attack budget must be >= 1, got -1"),
-        ("attack.max_successes=0", "attack max_successes must be >= 1 or None, got 0")])
+        ("attack.budget=0", "attack.budget: budget must be >= 1, got 0"),
+        ("attack.budget=-1", "attack.budget: budget must be >= 1, got -1"),
+        ("attack.max_successes=0",
+         "attack.max_successes: max_successes must be >= 1 or None, got 0")])
     def test_attack_that_cannot_succeed_fails_in_one_line(self, config_path, tmp_path,
                                                           capsys, setting, message):
         out = tmp_path / "attack"

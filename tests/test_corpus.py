@@ -316,6 +316,8 @@ class TestGenerateSynthetic:
             SynthConfig(hardness_fraction=1.5)
         with pytest.raises(ValueError):
             SynthConfig(vocab_size=10, num_classes=3, indicative_per_class=20)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SynthConfig(seed=-1)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"tokens_per_sample": 1}, "tokens_per_sample must be >= 2"),

@@ -356,6 +356,12 @@ class TestTrainMain:
         assert len(trace) == 5 * math.ceil(len(separable) / cfg.batch_size)
         assert trace[-1] < trace[0]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(seed=-1)
+        assert str(info.value) == "seed must be >= 0"
+        assert TrainConfig(seed=0).seed == 0
+
 
 class TestPredict:
     def test_tie_break_to_lowest_index(self):

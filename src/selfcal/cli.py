@@ -562,8 +562,8 @@ def cmd_sweep(cfg: dict, out: Path, kind: str | None, jobs: int) -> int:
                                    initargs=(worker,))
     with pool or nullcontext():
         # After each point, every finished row goes in grid order to a temp
-        # file that replaces sweep.csv: an interrupted sweep keeps its
-        # finished points, and a crash mid-write loses none.
+        # file that then replaces sweep.csv: an interrupted sweep keeps its
+        # finished points, and an interrupted write loses none of them.
         for row in (pool.map(_run_sweep_point, todo) if pool else map(worker, todo)):
             done[row["point_id"]] = row
             with open(tmp_path, "w", encoding="utf-8", newline="") as fh:

@@ -571,17 +571,21 @@ class TestAttack:
                      "--model", str(trained / "model.bin")]) == 0
         assert (out / "adversarial.jsonl").exists()
 
+    # The ids are the cases' names from before the messages led with their key.
     @pytest.mark.parametrize("setting, message", [
-        ("attack.budget=0", "attack.budget: budget must be >= 1, got 0"),
-        ("attack.budget=-1", "attack.budget: budget must be >= 1, got -1"),
-        ("attack.max_successes=0",
-         "attack.max_successes: max_successes must be >= 1 or None, got 0")])
+        ("attack.budget=0", "budget must be >= 1, got 0"),
+        ("attack.budget=-1", "budget must be >= 1, got -1"),
+        ("attack.max_successes=0", "max_successes must be >= 1 or None, got 0")], ids=[
+        "attack.budget=0-attack budget must be >= 1, got 0",
+        "attack.budget=-1-attack budget must be >= 1, got -1",
+        "attack.max_successes=0-attack max_successes must be >= 1 or None, got 0"])
     def test_attack_that_cannot_succeed_fails_in_one_line(self, config_path, tmp_path,
                                                           capsys, setting, message):
         out = tmp_path / "attack"
         assert main(["attack", "--config", str(config_path), "--out", str(out),
                      "--set", setting]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {setting.split('=')[0]}: {message}"]
         assert not out.exists()
 
     def test_attack_on_a_bad_model_header_fails_in_one_line(self, config_path, tmp_path,
